@@ -93,12 +93,9 @@ def _cmd_extract_tubes(args) -> int:
     return EXIT_OK
 
 
-def _select_units(sets: list[StreamScoreSet], video_id: str, stream: str, gran: str, crops):
-    units = []
-    for s in sets:
-        if s.video_id == video_id and s.stream == stream and s.granularity == gran:
-            units.extend(e.vector for e in s.entries if e.crop_id in crops)
-    return units
+def _index_scores(sets: list[StreamScoreSet]) -> dict[tuple[str, str, str], StreamScoreSet]:
+    # read_scores groups by (video, stream, granularity), so each key names one set
+    return {(s.video_id, s.stream, s.granularity): s for s in sets}
 
 
 def _cmd_fuse(args) -> int:
@@ -109,8 +106,8 @@ def _cmd_fuse(args) -> int:
         _require(g in GRANULARITIES, f"unknown granularity {g!r}")
     _require(len(set(grans)) == len(grans), "--granularities lists a granularity twice")
     crops = CROP_SCHEMES[args.crop_scheme]
-    sets = read_scores(_check_input(args.scores))
-    video_ids = sorted({s.video_id for s in sets})
+    sets = _index_scores(read_scores(_check_input(args.scores)))
+    video_ids = sorted({vid for vid, _, _ in sets})
     if not video_ids:
         raise ParseError(args.scores, message="no score records found")
 
@@ -118,7 +115,8 @@ def _cmd_fuse(args) -> int:
         fused_per_gran = []
         label = None
         for gran in grans:
-            units = _select_units(sets, vid, args.stream, gran, crops)
+            scores = sets.get((vid, args.stream, gran))
+            units = [e.vector for e in scores.entries if e.crop_id in crops] if scores else []
             if not units:
                 raise ParseError(
                     args.scores,
@@ -139,16 +137,11 @@ def _cmd_fuse(args) -> int:
 
 
 def _frame_probs(sets, vid, stream, gran, length, scores_path, cls):
-    per_stream = [s for s in sets if s.video_id == vid and s.stream == stream and s.granularity == gran]
-    if not per_stream:
+    scores = sets.get((vid, stream, gran))
+    if scores is None:
         raise ParseError(scores_path, message=f"missing stream {stream!r} ({gran}) for video {vid!r}")
-    merged = per_stream[0]
-    if len(per_stream) > 1:
-        entries = tuple(e for s in per_stream for e in s.entries)
-        merged = StreamScoreSet(video_id=vid, stream=stream, granularity=gran, entries=entries)
-    frame_vecs = frame_scores_from_clips(merged, length)
     probs = []
-    for vec in frame_vecs:
+    for vec in frame_scores_from_clips(scores, length):
         if vec.kind == "raw":
             vec = softmax(vec)
         probs.append(vec.values[cls])
@@ -161,10 +154,10 @@ def _cmd_actionness(args) -> int:
     _require(args.granularity in GRANULARITIES, f"unknown granularity {args.granularity!r}")
     _require(math.isfinite(args.threshold), "--threshold must be finite")
     _require(args.action_class >= 0, "--class must be >= 0")
-    sets = read_scores(_check_input(args.scores))
+    sets = _index_scores(read_scores(_check_input(args.scores)))
     if not sets:
         raise ParseError(args.scores, message="no score records found")
-    k = sets[0].k
+    k = next(iter(sets.values())).k  # read_scores checks that K is the same file-wide
     _require(args.action_class < k, f"--class must be < {k} (class count of the scores file)")
 
     # human-presence gate per video: either detection boxes or tube coverage

@@ -8,9 +8,9 @@ from __future__ import annotations
 
 from bisect import insort, bisect_left
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .geometry import Box2D, TemporalSpan
+from .geometry import Box2D, TemporalSpan, runs
 
 
 @dataclass(frozen=True)
@@ -113,18 +113,7 @@ def pad_detections(dets: FrameDetections, expected: Sequence[int]) -> FrameDetec
 
 def continuous_regions(smoothed: Sequence[int]) -> list[TemporalSpan]:
     """Maximal runs of consecutive frames whose smoothed count is >= 1."""
-    regions: list[TemporalSpan] = []
-    start: Optional[int] = None
-    for t, v in enumerate(smoothed):
-        if v >= 1:
-            if start is None:
-                start = t
-        elif start is not None:
-            regions.append(TemporalSpan(start, t - 1))
-            start = None
-    if start is not None:
-        regions.append(TemporalSpan(start, len(smoothed) - 1))
-    return regions
+    return runs(v >= 1 for v in smoothed)
 
 
 @dataclass(frozen=True)

@@ -62,6 +62,29 @@ def _score_order(preds: Sequence[VideoTube], indices: Sequence[int]) -> list[int
     return sorted(indices, key=lambda i: (-preds[i][1].score, i))
 
 
+def _class_groups(
+    preds: Sequence[VideoTube],
+    gts: Sequence[VideoTube],
+    require_label_match: bool,
+) -> dict[int, tuple[list[int], list[VideoTube]]]:
+    """Per class: its prediction indices in score order and its ground truth.
+
+    Without label matching everything is pooled into the single class -1.
+    """
+    if not require_label_match:
+        return {-1: (_score_order(preds, range(len(preds))), list(gts))}
+    class_preds: dict[int, list[int]] = {}
+    class_gts: dict[int, list[VideoTube]] = {}
+    for i, (_, tube) in enumerate(preds):
+        class_preds.setdefault(tube.label, []).append(i)
+    for row in gts:
+        class_gts.setdefault(row[1].label, []).append(row)
+    return {
+        c: (_score_order(preds, class_preds.get(c, [])), class_gts.get(c, []))
+        for c in class_preds.keys() | class_gts.keys()
+    }
+
+
 def _greedy_flags(
     preds: Sequence[VideoTube],
     ordered: Sequence[int],
@@ -97,18 +120,8 @@ def match_predictions(
     """TP/FP flag per prediction, aligned with the input order of ``preds``."""
     _check_scored(preds)
     flags = [False] * len(preds)
-    if require_label_match:
-        groups: dict[int, list[int]] = {}
-        for i, (_, tube) in enumerate(preds):
-            groups.setdefault(tube.label, []).append(i)
-        for label, indices in groups.items():
-            class_gts = [(v, t) for v, t in gts if t.label == label]
-            ordered = _score_order(preds, indices)
-            for i, flag in zip(ordered, _greedy_flags(preds, ordered, class_gts, delta)):
-                flags[i] = flag
-    else:
-        ordered = _score_order(preds, range(len(preds)))
-        for i, flag in zip(ordered, _greedy_flags(preds, ordered, list(gts), delta)):
+    for ordered, class_gts in _class_groups(preds, gts, require_label_match).values():
+        for i, flag in zip(ordered, _greedy_flags(preds, ordered, class_gts, delta)):
             flags[i] = flag
     return flags
 
@@ -123,26 +136,7 @@ def average_precision(flags: Sequence[bool], num_gt: int) -> Optional[float]:
         raise ValueError(f"negative ground-truth count {num_gt}")
     if num_gt == 0:
         return 0.0 if flags else None
-    if not flags:
-        return 0.0
-    recalls: list[float] = []
-    precisions: list[float] = []
-    tp = 0
-    for k, flag in enumerate(flags, start=1):
-        if flag:
-            tp += 1
-        recalls.append(tp / num_gt)
-        precisions.append(tp / k)
-    envelope = list(precisions)
-    for k in range(len(envelope) - 2, -1, -1):
-        if envelope[k + 1] > envelope[k]:
-            envelope[k] = envelope[k + 1]
-    ap = 0.0
-    prev_r = 0.0
-    for r, p in zip(recalls, envelope):
-        ap += (r - prev_r) * p
-        prev_r = r
-    return ap
+    return _envelope_area(_pr_points(flags, num_gt))
 
 
 def _pr_points(flags: Sequence[bool], num_gt: int) -> tuple[tuple[float, float], ...]:
@@ -153,6 +147,20 @@ def _pr_points(flags: Sequence[bool], num_gt: int) -> tuple[tuple[float, float],
             tp += 1
         pts.append((tp / num_gt if num_gt else 0.0, tp / k))
     return tuple(pts)
+
+
+def _envelope_area(pr: Sequence[tuple[float, float]]) -> float:
+    """Area under the precision envelope of (recall, precision) points; 0 when empty."""
+    envelope = [p for _, p in pr]
+    for k in range(len(envelope) - 2, -1, -1):
+        if envelope[k + 1] > envelope[k]:
+            envelope[k] = envelope[k + 1]
+    ap = 0.0
+    prev_r = 0.0
+    for (r, _), p in zip(pr, envelope):
+        ap += (r - prev_r) * p
+        prev_r = r
+    return ap
 
 
 def video_map(
@@ -175,33 +183,26 @@ def video_map(
         for vid, tube in preds:
             if tube.label is None:
                 raise ValueError(f"prediction in video {vid!r} has no label")
-        classes = sorted({t.label for _, t in gts} | {t.label for _, t in preds})
-        class_preds = {
-            c: [i for i, (_, t) in enumerate(preds) if t.label == c] for c in classes
-        }
-        class_gts = {c: [(v, t) for v, t in gts if t.label == c] for c in classes}
-    else:
-        classes = [-1]
-        class_preds = {-1: list(range(len(preds)))}
-        class_gts = {-1: list(gts)}
+    groups = _class_groups(preds, gts, cfg.require_label_match)
+    classes = sorted(groups)
 
     per_delta: dict[float, tuple[ClassResult, ...]] = {}
     map_by_delta: dict[float, float] = {}
     for delta in cfg.deltas:
         results = []
         for c in classes:
-            ordered = _score_order(preds, class_preds[c])
-            flags = _greedy_flags(preds, ordered, class_gts[c], delta)
-            num_gt = len(class_gts[c])
-            ap = average_precision(flags, num_gt)
+            ordered, class_gts = groups[c]
+            flags = _greedy_flags(preds, ordered, class_gts, delta)
+            pr = _pr_points(flags, len(class_gts))
             results.append(
                 ClassResult(
                     label=c,
-                    ap=0.0 if ap is None else ap,
-                    num_gt=num_gt,
+                    # all recalls are 0 without ground truth, so the area is 0 too
+                    ap=_envelope_area(pr),
+                    num_gt=len(class_gts),
                     tp=sum(flags),
                     fp=len(flags) - sum(flags),
-                    pr=_pr_points(flags, num_gt),
+                    pr=pr,
                 )
             )
         scored = [r.ap for r in results if r.num_gt > 0]

@@ -11,17 +11,17 @@ All files are line-delimited JSON, one record per line:
 
 Writers emit a fixed field order and quantize reals to 6 significant
 digits, so identical inputs always produce identical bytes. Readers ignore
-unknown extra fields and reject schema violations with the file, line and
-field named in the error.
+unknown extra fields and reject schema violations, non-finite numbers
+included, with the file, line and field named in the error.
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy import ndimage
 
 from .count_signal import FrameDetections
 from .errors import ParseError, VocabularyError
@@ -109,6 +109,8 @@ def mask_to_boxes(mask: LabelMask, min_pixels: int = 25) -> list[Box2D]:
     """
     if min_pixels < 1:
         raise ValueError(f"min_pixels must be >= 1, got {min_pixels}")
+    from scipy import ndimage  # imported here: it is slow to import and only used here
+
     fg = mask.labels >= 1
     labeled, n = ndimage.label(fg, structure=_EIGHT_CONNECTED)
     if n == 0:
@@ -150,19 +152,38 @@ def _iter_records(path):
                 continue
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(path, line_no, None, f"invalid JSON ({exc.msg})") from exc
+            except ValueError as exc:  # bad syntax, or an integer past the digit limit
+                msg = exc.msg if isinstance(exc, json.JSONDecodeError) else str(exc)
+                raise ParseError(path, line_no, None, f"invalid JSON ({msg})") from exc
             if not isinstance(record, dict):
                 raise ParseError(path, line_no, None, "record is not an object")
             yield line_no, record
 
 
-def _field(path, line_no, record, name, types, type_name):
+def _required(path, line_no, record, name):
     if name not in record:
         raise ParseError(path, line_no, name, "missing required field")
-    value = record[name]
+    return record[name]
+
+
+def _field(path, line_no, record, name, types, type_name):
+    value = _required(path, line_no, record, name)
     if isinstance(value, bool) or not isinstance(value, types):
         raise ParseError(path, line_no, name, f"expected {type_name}, got {value!r}")
+    return value
+
+
+def _number(path, line_no, field, value) -> float:
+    """A decoded JSON number as a finite float; anything else is a ParseError."""
+    if type(value) is int:  # exact type checks: bool is a subclass of int
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ParseError(path, line_no, field, "integer too large for a float") from None
+    elif type(value) is not float:
+        raise ParseError(path, line_no, field, f"expected a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ParseError(path, line_no, field, f"expected a finite number, got {value!r}")
     return value
 
 
@@ -197,14 +218,15 @@ def read_detections(path) -> list[FrameDetections]:
         for rb in raw_boxes:
             if not isinstance(rb, dict):
                 raise ParseError(path, line_no, "boxes", f"box is not an object: {rb!r}")
-            coords = {}
-            for key in ("x1", "y1", "x2", "y2"):
-                coords[key] = float(_field(path, line_no, rb, key, (int, float), "a number"))
+            coords = {
+                key: _number(path, line_no, key, _required(path, line_no, rb, key))
+                for key in ("x1", "y1", "x2", "y2")
+            }
             score = rb.get("score")
-            if score is not None and (isinstance(score, bool) or not isinstance(score, (int, float))):
-                raise ParseError(path, line_no, "score", f"expected a number, got {score!r}")
+            if score is not None:
+                score = _number(path, line_no, "score", score)
             try:
-                boxes.append(Box2D(frame=frame, score=None if score is None else float(score), **coords))
+                boxes.append(Box2D(frame=frame, score=score, **coords))
             except ValueError as exc:
                 raise ParseError(path, line_no, "boxes", str(exc)) from exc
         per_video = frames.setdefault(vid, {})
@@ -259,10 +281,10 @@ def read_scores(path) -> list[StreamScoreSet]:
         if kind not in KINDS:
             raise VocabularyError(path, line_no, "kind", f"unknown kind {kind!r}, expected one of {list(KINDS)}")
         clip_start = _field(path, line_no, record, "clip_start", int, "an integer")
-        values = _field(path, line_no, record, "values", list, "an array")
-        for v in values:
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise ParseError(path, line_no, "values", f"expected numbers, got {v!r}")
+        values = [
+            _number(path, line_no, "values", v)
+            for v in _field(path, line_no, record, "values", list, "an array")
+        ]
         if file_k is None:
             file_k = len(values)
         elif len(values) != file_k:
@@ -274,7 +296,7 @@ def read_scores(path) -> list[StreamScoreSet]:
             entry = ClipScore(
                 clip_start=clip_start,
                 crop_id=crop,
-                vector=ScoreVector(values=tuple(float(v) for v in values), kind=kind),
+                vector=ScoreVector(values=tuple(values), kind=kind),
             )
         except ValueError as exc:
             raise ParseError(path, line_no, "values", str(exc)) from exc
@@ -320,8 +342,8 @@ def read_tubes(path) -> list[VideoTube]:
         if label is not None and (isinstance(label, bool) or not isinstance(label, int)):
             raise ParseError(path, line_no, "label", f"expected an integer or null, got {label!r}")
         score = record.get("score")
-        if score is not None and (isinstance(score, bool) or not isinstance(score, (int, float))):
-            raise ParseError(path, line_no, "score", f"expected a number, got {score!r}")
+        if score is not None:
+            score = _number(path, line_no, "score", score)
         raw_boxes = _field(path, line_no, record, "boxes", list, "an array")
         try:
             span = TemporalSpan(start, end)
@@ -336,17 +358,13 @@ def read_tubes(path) -> list[VideoTube]:
         for i, rb in enumerate(raw_boxes):
             if not isinstance(rb, list) or len(rb) != 4:
                 raise ParseError(path, line_no, "boxes", f"expected [x1,y1,x2,y2], got {rb!r}")
-            for v in rb:
-                if isinstance(v, bool) or not isinstance(v, (int, float)):
-                    raise ParseError(path, line_no, "boxes", f"expected numbers, got {v!r}")
+            x1, y1, x2, y2 = [_number(path, line_no, "boxes", v) for v in rb]
             try:
-                boxes.append(
-                    Box2D(x1=float(rb[0]), y1=float(rb[1]), x2=float(rb[2]), y2=float(rb[3]), frame=start + i)
-                )
+                boxes.append(Box2D(x1=x1, y1=y1, x2=x2, y2=y2, frame=start + i))
             except ValueError as exc:
                 raise ParseError(path, line_no, "boxes", str(exc)) from exc
         tubes.append(
-            (vid, Tube(span=span, boxes=tuple(boxes), label=label, score=None if score is None else float(score)))
+            (vid, Tube(span=span, boxes=tuple(boxes), label=label, score=score))
         )
     return tubes
 
@@ -374,8 +392,7 @@ def read_report(path) -> list[dict]:
     rows = []
     for line_no, record in _iter_records(path):
         for key in ("delta", "class", "ap", "pr", "map"):
-            if key not in record:
-                raise ParseError(path, line_no, key, "missing required field")
+            _required(path, line_no, record, key)
         rows.append(record)
     return rows
 
@@ -396,7 +413,7 @@ def read_predictions(path) -> list[tuple[str, int, list[float]]]:
         vid = _field(path, line_no, record, "video_id", str, "a string")
         label = _field(path, line_no, record, "label", int, "an integer")
         values = _field(path, line_no, record, "values", list, "an array")
-        rows.append((vid, label, [float(v) for v in values]))
+        rows.append((vid, label, [_number(path, line_no, "values", v) for v in values]))
     return rows
 
 

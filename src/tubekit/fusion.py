@@ -7,9 +7,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .geometry import TemporalSpan, Tube
+from .geometry import TemporalSpan, Tube, runs
 
 STREAMS = ("pose", "flow", "rgb")
 GRANULARITIES = ("net16", "net32", "netW")
@@ -81,15 +81,14 @@ class StreamScoreSet:
     granularity: str
     entries: tuple[ClipScore, ...]
     clip_len: int = 16
-    stride: int = 8
 
     def __post_init__(self):
         if self.stream not in STREAMS:
             raise ValueError(f"unknown stream {self.stream!r}")
         if self.granularity not in GRANULARITIES:
             raise ValueError(f"unknown granularity {self.granularity!r}")
-        if self.clip_len < 1 or self.stride < 1:
-            raise ValueError("clip_len and stride must be >= 1")
+        if self.clip_len < 1:
+            raise ValueError(f"clip_len must be >= 1, got {self.clip_len}")
         if self.entries:
             k = self.entries[0].vector.k
             kind = self.entries[0].vector.kind
@@ -261,16 +260,4 @@ def temporal_localize(series: ActionnessSeries, threshold: float) -> list[Tempor
     """Maximal runs of frames above threshold while a human is present."""
     if not math.isfinite(threshold):
         raise ValueError(f"non-finite threshold {threshold!r}")
-    spans: list[TemporalSpan] = []
-    start: Optional[int] = None
-    for t in range(len(series)):
-        hit = series.human_present[t] and series.values[t] >= threshold
-        if hit:
-            if start is None:
-                start = t
-        elif start is not None:
-            spans.append(TemporalSpan(start, t - 1))
-            start = None
-    if start is not None:
-        spans.append(TemporalSpan(start, len(series) - 1))
-    return spans
+    return runs(h and v >= threshold for h, v in zip(series.human_present, series.values))

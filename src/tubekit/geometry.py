@@ -7,8 +7,9 @@ inclusive integer frame ranges. Everything here is immutable and pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from math import fsum
-from typing import Optional
+from typing import Iterable, Optional
 
 
 @dataclass(frozen=True)
@@ -55,6 +56,17 @@ class TemporalSpan:
 
     def frames(self) -> range:
         return range(self.start, self.end + 1)
+
+
+def runs(flags: Iterable[object], start: int = 0) -> list[TemporalSpan]:
+    """Maximal spans of consecutive true flags; the first flag is frame ``start``."""
+    spans: list[TemporalSpan] = []
+    for hit, group in groupby(flags, key=bool):
+        n = sum(1 for _ in group)
+        if hit:
+            spans.append(TemporalSpan(start, start + n - 1))
+        start += n
+    return spans
 
 
 @dataclass(frozen=True)

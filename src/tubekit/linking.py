@@ -17,7 +17,7 @@ from .count_signal import (
     pad_detections,
 )
 from .errors import EmptyFrameError
-from .geometry import Box2D, TemporalSpan, Tube, box_iou
+from .geometry import Box2D, TemporalSpan, Tube, box_iou, runs
 
 
 @dataclass(frozen=True)
@@ -105,22 +105,6 @@ def viterbi_link(problem: LinkingProblem) -> BoxPath:
     return BoxPath(tube=tube, mean_link_score=total / n_frames)
 
 
-def _boxed_runs(region: TemporalSpan, work: dict[int, list[Box2D]]) -> list[TemporalSpan]:
-    """Maximal sub-spans of ``region`` whose frames all still hold boxes."""
-    runs: list[TemporalSpan] = []
-    start = None
-    for f in region.frames():
-        if f in work:
-            if start is None:
-                start = f
-        elif start is not None:
-            runs.append(TemporalSpan(start, f - 1))
-            start = None
-    if start is not None:
-        runs.append(TemporalSpan(start, region.end))
-    return runs
-
-
 def extract_tubes(dets: FrameDetections, cfg: ExtractionConfig | None = None) -> list[Tube]:
     """Full iterative extraction pipeline for one video.
 
@@ -144,7 +128,7 @@ def extract_tubes(dets: FrameDetections, cfg: ExtractionConfig | None = None) ->
         region = queue.pop(pick)
         if region.length < cfg.min_tube_len:
             continue
-        pieces = _boxed_runs(region, work)
+        pieces = runs((f in work for f in region.frames()), region.start)
         if len(pieces) == 1 and pieces[0] == region:
             problem = LinkingProblem(
                 span=region,

@@ -166,7 +166,6 @@ def _generate_video(
                 granularity="net16",
                 entries=tuple(entries),
                 clip_len=CLIP_LEN,
-                stride=CLIP_STRIDE,
             )
         )
     return dets, gt, sets

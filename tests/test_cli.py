@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import tubekit
 from tubekit.cli import main
 from tubekit import read_predictions, read_report, read_tubes
 
@@ -243,3 +246,46 @@ class TestModuleEntryPoint:
             assert proc.returncode == 0
             blob = (out / "detections.jsonl").read_bytes()
         assert blob == (out / "detections.jsonl").read_bytes()
+
+
+DETECTION_LINE = '{"video_id":"v","frame":%d,"boxes":[{"x1":0,"y1":0,"x2":%s,"y2":10}]}'
+TUBE_LINE = '{"video_id":"v","label":0,"start":0,"end":0,"score":%s,"boxes":[[0,0,10,10]]}'
+
+
+@pytest.mark.parametrize(
+    "command, bad",
+    [
+        ("extract-tubes", "Infinity"),
+        ("evaluate", "NaN"),
+        ("extract-tubes", "1" + "0" * 400),  # an integer too large for a float
+        ("extract-tubes", "1" + "0" * 5000),  # past the int-from-string digit limit
+    ],
+    ids=["infinite-coordinate", "nan-score", "400-digit-int", "5001-digit-int"],
+)
+def test_bad_number_exits_2_naming_line(tmp_path, capsys, command, bad):
+    out = str(tmp_path / "out.jsonl")
+    if command == "extract-tubes":
+        lines = [DETECTION_LINE % (f, "10") for f in range(3)]
+        lines[1] = DETECTION_LINE % (1, bad)
+        path = tmp_path / "detections.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        argv = ["extract-tubes", str(path), "--out", out]
+    else:
+        path = tmp_path / "predictions.jsonl"
+        path.write_text(TUBE_LINE % "0.5" + "\n" + TUBE_LINE % bad + "\n")
+        gt = tmp_path / "gt.jsonl"
+        gt.write_text(TUBE_LINE % "1" + "\n")
+        argv = ["evaluate", str(path), str(gt), "--out", out]
+    assert run(*argv) == 2
+    assert f"{path}, line 2" in capsys.readouterr().err
+
+
+def test_import_cli_leaves_scipy_unloaded():
+    # scipy.ndimage is slow to import and only mask_to_boxes needs it
+    src = Path(tubekit.__file__).resolve().parent.parent
+    code = "import sys, tubekit.cli; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert out.stdout.strip() == "False"

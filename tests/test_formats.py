@@ -298,6 +298,18 @@ class TestParseErrors:
         assert read_detections(path) == [FrameDetections(video_id="v", length=1)]
 
 
+class TestFrameGaps:
+    def test_missing_frame_lines_read_as_empty_or_shorten_the_video(self, tmp_path):
+        # frames 0 and 2 of five; frame 1 is an interior gap, frames 3 and 4 trail
+        path = tmp_path / "d.jsonl"
+        row = '{"video_id":"v","frame":%d,"boxes":[{"x1":0,"y1":0,"x2":4,"y2":4}]}\n'
+        path.write_text(row % 0 + row % 2)
+        (dets,) = read_detections(path)
+        assert dets.length == 3
+        assert dets.boxes_on(1) == ()
+        assert sorted(dets.frames) == [0, 2]
+
+
 class TestByteDeterminism:
     def test_identical_inputs_identical_bytes(self, tmp_path):
         p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"

@@ -3,6 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tubekit import Box2D, TemporalSpan, Tube, box_iou, temporal_iou, tube_iou
+from tubekit.geometry import runs
 
 
 def make_tube(start, end, coords, label=None, score=None):
@@ -131,3 +132,24 @@ class TestTubeInvariants:
         )
         with pytest.raises(ValueError):
             Tube(span=TemporalSpan(0, 1), boxes=boxes)
+
+
+class TestRuns:
+    def test_empty(self):
+        assert runs([]) == []
+
+    def test_all_false(self):
+        assert runs([False] * 4) == []
+
+    def test_all_true(self):
+        assert runs([True] * 4) == [TemporalSpan(0, 3)]
+
+    def test_run_ending_at_last_flag(self):
+        assert runs([True, False, False, True, True]) == [TemporalSpan(0, 0), TemporalSpan(3, 4)]
+
+    def test_nonzero_start_offsets_every_span(self):
+        flags = [False, True, True, False, True]
+        assert runs(flags, start=10) == [TemporalSpan(11, 12), TemporalSpan(14, 14)]
+
+    def test_accepts_a_generator_of_truthy_values(self):
+        assert runs((v >= 1 for v in [0, 2, 1, 0]), start=5) == [TemporalSpan(6, 7)]

@@ -85,23 +85,39 @@ def _class_groups(
     }
 
 
-def _greedy_flags(
+# Per prediction of a class group: (ground-truth index, tube IoU) for each
+# ground truth of the prediction's video, in ground-truth order.
+IouRows = list[list[tuple[int, float]]]
+
+
+def _iou_rows(
     preds: Sequence[VideoTube],
     ordered: Sequence[int],
     gts: Sequence[VideoTube],
-    delta: float,
-) -> list[bool]:
-    """TP/FP per prediction of ``ordered``; each ground truth matches once."""
-    matched = [False] * len(gts)
-    flags: list[bool] = []
+) -> IouRows:
+    """Each tube IoU of a class group, computed once for every threshold."""
+    by_video: dict[str, list[int]] = {}
+    for g, (gvid, _) in enumerate(gts):
+        by_video.setdefault(gvid, []).append(g)
+    rows = []
     for i in ordered:
         vid, tube = preds[i]
+        rows.append([(g, tube_iou(tube, gts[g][1])) for g in by_video.get(vid, ())])
+    return rows
+
+
+def _greedy_flags(rows: IouRows, num_gt: int, delta: float) -> list[bool]:
+    """TP/FP per row, in row order; each ground truth matches once.
+
+    Ties in IoU go to the lowest ground-truth index, since rows keep
+    ground-truth order and only a strictly larger IoU replaces the best.
+    """
+    matched = [False] * num_gt
+    flags: list[bool] = []
+    for row in rows:
         best_iou, best_g = 0.0, None
-        for g, (gvid, gtube) in enumerate(gts):
-            if matched[g] or gvid != vid:
-                continue
-            iou = tube_iou(tube, gtube)
-            if iou > best_iou:
+        for g, iou in row:
+            if iou > best_iou and not matched[g]:
                 best_iou, best_g = iou, g
         if best_g is not None and best_iou >= delta:
             matched[best_g] = True
@@ -121,7 +137,8 @@ def match_predictions(
     _check_scored(preds)
     flags = [False] * len(preds)
     for ordered, class_gts in _class_groups(preds, gts, require_label_match).values():
-        for i, flag in zip(ordered, _greedy_flags(preds, ordered, class_gts, delta)):
+        rows = _iou_rows(preds, ordered, class_gts)
+        for i, flag in zip(ordered, _greedy_flags(rows, len(class_gts), delta)):
             flags[i] = flag
     return flags
 
@@ -185,21 +202,22 @@ def video_map(
                 raise ValueError(f"prediction in video {vid!r} has no label")
     groups = _class_groups(preds, gts, cfg.require_label_match)
     classes = sorted(groups)
+    rows = {c: _iou_rows(preds, ordered, class_gts) for c, (ordered, class_gts) in groups.items()}
 
     per_delta: dict[float, tuple[ClassResult, ...]] = {}
     map_by_delta: dict[float, float] = {}
     for delta in cfg.deltas:
         results = []
         for c in classes:
-            ordered, class_gts = groups[c]
-            flags = _greedy_flags(preds, ordered, class_gts, delta)
-            pr = _pr_points(flags, len(class_gts))
+            num_gt = len(groups[c][1])
+            flags = _greedy_flags(rows[c], num_gt, delta)
+            pr = _pr_points(flags, num_gt)
             results.append(
                 ClassResult(
                     label=c,
                     # all recalls are 0 without ground truth, so the area is 0 too
                     ap=_envelope_area(pr),
-                    num_gt=len(class_gts),
+                    num_gt=num_gt,
                     tp=sum(flags),
                     fp=len(flags) - sum(flags),
                     pr=pr,

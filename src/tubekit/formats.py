@@ -44,7 +44,7 @@ def quantize(x: float) -> float:
 
 
 def _dump(record: dict) -> str:
-    return json.dumps(record, separators=(",", ":"))
+    return json.dumps(record, separators=(",", ":"), allow_nan=False)
 
 
 @dataclass(frozen=True)

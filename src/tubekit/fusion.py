@@ -136,10 +136,21 @@ def _mean_kind(vectors: Sequence[ScoreVector]) -> str:
     return "prob" if all(v.kind == "prob" for v in vectors) else "raw"
 
 
+def _mean(column: Sequence[float]) -> float:
+    n = len(column)
+    try:
+        return math.fsum(column) / n
+    except OverflowError:
+        # Huge finite terms whose sum overflows, though their mean cannot. With
+        # 2**e > n the terms scaled by 2**-e (exactly, unless subnormal) sum to
+        # a finite value. Dividing each term by n instead can still overflow.
+        e = n.bit_length()
+        return math.ldexp(math.fsum(math.ldexp(v, -e) for v in column) / n, e)
+
+
 def _elementwise_mean(vectors: Sequence[ScoreVector]) -> ScoreVector:
-    n = len(vectors)
     k = vectors[0].k
-    values = tuple(math.fsum(v.values[c] for v in vectors) / n for c in range(k))
+    values = tuple(_mean([v.values[c] for v in vectors]) for c in range(k))
     return ScoreVector(values=values, kind=_mean_kind(vectors))
 
 

@@ -8,8 +8,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import groupby
-from math import fsum
-from typing import Iterable, Optional
+from math import fsum, inf
+from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -28,6 +30,12 @@ class Box2D:
             raise ValueError(
                 f"degenerate box ({self.x1}, {self.y1}, {self.x2}, {self.y2}): "
                 "x1 < x2 and y1 < y2 required"
+            )
+        # box_iou divides by the areas: an infinite one gives NaN, a zero one 0 / 0
+        if not 0.0 < self.area < inf:
+            raise ValueError(
+                f"box ({self.x1}, {self.y1}, {self.x2}, {self.y2}) has area {self.area}: "
+                "a positive finite area required"
             )
         if self.frame < 0:
             raise ValueError(f"negative frame index {self.frame}")
@@ -113,17 +121,38 @@ def temporal_iou(a: TemporalSpan, b: TemporalSpan) -> float:
     return inter / (a.length + b.length - inter)
 
 
+def _corners(boxes: Sequence[Box2D]) -> np.ndarray:
+    """(4, n) float64 array of the x1, y1, x2 and y2 columns of ``boxes``."""
+    return np.array(
+        [[b.x1 for b in boxes], [b.y1 for b in boxes], [b.x2 for b in boxes], [b.y2 for b in boxes]],
+        dtype=np.float64,
+    )
+
+
 def tube_iou(p: Tube, g: Tube) -> float:
     """Spatio-temporal tube overlap.
 
     Temporal IoU of the two spans multiplied by the mean spatial IoU of the
     per-frame box pairs over the temporally overlapping frames. Zero when
     the spans do not overlap (the spatial average is vacuous then).
+
+    The per-frame IoUs are computed on arrays with the same IEEE operations,
+    in the same order, as ``box_iou``, so for float coordinates each one is
+    bit-identical to it. Lanes that ``box_iou`` would cut short may overflow
+    or divide by zero; their values are discarded, so the warnings are off.
     """
     t = temporal_iou(p.span, g.span)
     if t == 0.0:
         return 0.0
     lo = max(p.span.start, g.span.start)
     hi = min(p.span.end, g.span.end)
-    ious = [box_iou(p.box_at(f), g.box_at(f)) for f in range(lo, hi + 1)]
-    return t * (fsum(ious) / len(ious))
+    ax1, ay1, ax2, ay2 = _corners(p.boxes[lo - p.span.start : hi - p.span.start + 1])
+    bx1, by1, bx2, by2 = _corners(g.boxes[lo - g.span.start : hi - g.span.start + 1])
+    iw = np.minimum(ax2, bx2) - np.maximum(ax1, bx1)
+    ih = np.minimum(ay2, by2) - np.maximum(ay1, by1)
+    inter = iw * ih
+    area_a = (ax2 - ax1) * (ay2 - ay1)
+    area_b = (bx2 - bx1) * (by2 - by1)
+    with np.errstate(all="ignore"):
+        ious = np.where((iw > 0.0) & (ih > 0.0), inter / (area_a + area_b - inter), 0.0)
+    return t * (fsum(ious.tolist()) / len(ious))

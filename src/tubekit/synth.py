@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +21,7 @@ from .count_signal import FrameDetections
 from .errors import InstanceTooLargeError
 from .evaluation import VideoTube
 from .fusion import CENTER_CROPS, ClipScore, ScoreVector, StreamScoreSet, STREAMS
-from .geometry import Box2D, TemporalSpan, Tube, box_iou, tube_iou
+from .geometry import Box2D, TemporalSpan, Tube, box_iou, temporal_iou
 from .linking import BoxPath, LinkingProblem
 
 CANVAS_W = 320
@@ -230,6 +231,17 @@ def brute_force_link(problem: LinkingProblem) -> BoxPath:
     return BoxPath(tube=tube, mean_link_score=best_total / n)
 
 
+def naive_tube_iou(p: Tube, g: Tube) -> float:
+    """Scalar twin of ``tube_iou``: one ``box_iou`` per overlapping frame."""
+    t = temporal_iou(p.span, g.span)
+    if t == 0.0:
+        return 0.0
+    lo = max(p.span.start, g.span.start)
+    hi = min(p.span.end, g.span.end)
+    ious = [box_iou(p.box_at(f), g.box_at(f)) for f in range(lo, hi + 1)]
+    return t * (math.fsum(ious) / len(ious))
+
+
 def _naive_match_count(
     ordered_preds: list[VideoTube], gts: list[VideoTube], delta: float
 ) -> int:
@@ -240,7 +252,7 @@ def _naive_match_count(
         for g, (gvid, gtube) in enumerate(gts):
             if matched[g] or gvid != vid:
                 continue
-            iou = tube_iou(tube, gtube)
+            iou = naive_tube_iou(tube, gtube)
             if iou > best_iou:
                 best_iou, best_g = iou, g
         if best_g is not None and best_iou >= delta:

@@ -289,3 +289,54 @@ def test_import_cli_leaves_scipy_unloaded():
         env=dict(os.environ, PYTHONPATH=str(src)),
     )
     assert out.stdout.strip() == "False"
+
+
+HUGE_BOX = (0, 0, 1e308, 1e308)  # finite corners, area overflows to infinity
+TINY_BOX = (0, 0, 1e-200, 1e-200)  # positive sides, area underflows to 0
+
+
+@pytest.mark.parametrize(
+    "command, box",
+    [("extract-tubes", HUGE_BOX), ("extract-tubes", TINY_BOX), ("evaluate", HUGE_BOX)],
+    ids=["overflowing-detection", "underflowing-detection", "overflowing-tube"],
+)
+def test_box_area_out_of_range_exits_2_naming_line(tmp_path, capsys, command, box):
+    out = str(tmp_path / "out.jsonl")
+    if command == "extract-tubes":
+        good = (0, 0, 10, 10)
+        lines = [
+            json.dumps({"video_id": "v", "frame": f, "boxes": [dict(zip(("x1", "y1", "x2", "y2"), b))]})
+            for f, b in enumerate([good] + [box] * 5)
+        ]
+        path = tmp_path / "detections.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        argv = ["extract-tubes", str(path), "--out", out]
+    else:
+        path = tmp_path / "predictions.jsonl"
+        bad = {"video_id": "v", "label": 0, "start": 0, "end": 0, "score": 0.4, "boxes": [list(box)]}
+        path.write_text(TUBE_LINE % "0.5" + "\n" + json.dumps(bad) + "\n")
+        gt = tmp_path / "gt.jsonl"
+        gt.write_text(TUBE_LINE % "1" + "\n")
+        argv = ["evaluate", str(path), str(gt), "--out", out]
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert f"{path}, line 2" in err
+    assert "'boxes'" in err
+
+
+def test_fuse_mean_of_huge_scores(tmp_path):
+    scores = tmp_path / "scores.jsonl"
+    scores.write_text("".join(
+        json.dumps({
+            "video_id": "v", "stream": "rgb", "granularity": "net16", "clip_start": 0,
+            "crop_id": crop, "kind": "raw", "values": [1e308, 0.0],
+        }) + "\n"
+        for crop in ("center", "center_flip")
+    ))
+    out = tmp_path / "predictions.jsonl"
+    assert run("fuse", str(scores), "--out", str(out)) == 0
+    # strict JSON: NaN, Infinity or -Infinity in the output fails the test
+    rows = [json.loads(line, parse_constant=pytest.fail) for line in out.read_text().splitlines()]
+    assert len(rows) == 1
+    assert rows[0]["label"] == 0
+    assert rows[0]["values"][0] == 1e308

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from tubekit import evaluation
 from tubekit import (
     Box2D,
     EvalConfig,
@@ -193,3 +194,27 @@ class TestVideoMap:
             EvalConfig(deltas=(0.0,))
         with pytest.raises(ValueError):
             EvalConfig(deltas=(1.2,))
+
+
+def test_video_map_computes_each_same_video_same_class_iou_once(monkeypatch):
+    calls = []
+    real = evaluation.tube_iou
+
+    def counting(p, g):
+        calls.append((id(p), id(g)))
+        return real(p, g)
+
+    monkeypatch.setattr(evaluation, "tube_iou", counting)
+    rng = random.Random(3)
+    cfg = EvalConfig(deltas=(0.05, 0.1, 0.2, 0.3, 0.4, 0.5))
+    total = 0
+    for _ in range(20):
+        preds, gts = random_instance(rng)
+        calls.clear()
+        video_map(preds, gts, cfg)
+        assert len(calls) == len(set(calls))
+        pred_key = {id(t): (v, t.label) for v, t in preds}
+        gt_key = {id(t): (v, t.label) for v, t in gts}
+        assert all(pred_key[p] == gt_key[g] for p, g in calls)
+        total += len(calls)
+    assert total > 0

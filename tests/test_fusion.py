@@ -317,3 +317,13 @@ class TestComposeActionness:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             compose_actionness([0.5], [1.0], [1.0], [True, False])
+
+
+@pytest.mark.parametrize("n", [2, 3, 7])
+def test_mean_of_values_whose_sum_overflows(n):
+    big = 1.7976931348623157e308  # the largest finite float
+    units = [ScoreVector(values=(big, -big, 0.0)) for _ in range(n)]
+    label, fused = aggregate_video(units, "mean")
+    assert label == 0
+    assert fused.values == (big, -big, 0.0)
+    assert multigranular_fuse([fused, fused]).values == (big, -big, 0.0)

@@ -1,9 +1,12 @@
+import math
+
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tubekit import Box2D, TemporalSpan, Tube, box_iou, temporal_iou, tube_iou
 from tubekit.geometry import runs
+from tubekit.synth import naive_tube_iou
 
 
 def make_tube(start, end, coords, label=None, score=None):
@@ -153,3 +156,92 @@ class TestRuns:
 
     def test_accepts_a_generator_of_truthy_values(self):
         assert runs((v >= 1 for v in [0, 2, 1, 0]), start=5) == [TemporalSpan(6, 7)]
+
+
+# Coordinates on a small lattice, where touching, nested and identical boxes
+# are common, and floats across a wide range, where rounding is exercised.
+coords = st.one_of(
+    st.integers(-20, 20).map(float),
+    st.floats(-1e150, 1e150, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def free_boxes(draw):
+    x1, x2 = sorted(draw(st.lists(coords, min_size=2, max_size=2, unique=True)))
+    y1, y2 = sorted(draw(st.lists(coords, min_size=2, max_size=2, unique=True)))
+    area = (x2 - x1) * (y2 - y1)
+    assume(0.0 < area < math.inf)
+    return (x1, y1, x2, y2)
+
+
+@st.composite
+def partner_box(draw, c):
+    """A box for the other tube on a shared frame, related to ``c`` as drawn."""
+    x1, y1, x2, y2 = c
+    kind = draw(st.sampled_from(["identical", "nested", "touch_x", "touch_y", "free"]))
+    if kind == "identical":
+        return c
+    if kind == "nested":
+        inner = (x1 + (x2 - x1) / 4, y1 + (y2 - y1) / 4, x2 - (x2 - x1) / 4, y2 - (y2 - y1) / 4)
+        assume(inner[0] < inner[2] and inner[1] < inner[3] and (inner[2] - inner[0]) * (inner[3] - inner[1]) > 0.0)
+        return inner
+    if kind == "touch_x":  # shares the edge x = x2, so iw == 0
+        return (x2, y1, x2 + (x2 - x1), y2) if x2 + (x2 - x1) < math.inf else draw(free_boxes())
+    if kind == "touch_y":
+        return (x1, y2, x2, y2 + (y2 - y1)) if y2 + (y2 - y1) < math.inf else draw(free_boxes())
+    return draw(free_boxes())
+
+
+@st.composite
+def tube_pairs(draw):
+    a_start, b_start = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    a_end, b_end = a_start + draw(st.integers(0, 8)), b_start + draw(st.integers(0, 8))
+    a_coords = [draw(free_boxes()) for _ in range(a_start, a_end + 1)]
+    b_coords = [
+        draw(partner_box(a_coords[f - a_start])) if a_start <= f <= a_end else draw(free_boxes())
+        for f in range(b_start, b_end + 1)
+    ]
+    return make_tube(a_start, a_end, a_coords), make_tube(b_start, b_end, b_coords)
+
+
+class TestTubeIouMatchesScalarTwin:
+    """The array tube IoU equals the per-frame ``box_iou`` loop bit for bit."""
+
+    @given(tube_pairs())
+    @settings(max_examples=300, deadline=None)
+    def test_random_pairs(self, pair):
+        a, b = pair
+        assert tube_iou(a, b) == naive_tube_iou(a, b)
+        assert tube_iou(b, a) == naive_tube_iou(b, a)
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            # disjoint spans
+            (make_tube(0, 2, [(0, 0, 10, 10)] * 3), make_tube(3, 5, [(0, 0, 10, 10)] * 3)),
+            # touching boxes on every shared frame: iw == 0
+            (make_tube(0, 2, [(0, 0, 10, 10)] * 3), make_tube(0, 2, [(10, 0, 20, 10)] * 3)),
+            # nested boxes
+            (make_tube(0, 2, [(0, 0, 10, 10)] * 3), make_tube(1, 2, [(2.5, 2.5, 7.25, 7.5)] * 2)),
+            # identical boxes
+            (make_tube(0, 3, [(0.1, 0.2, 0.7, 0.9)] * 4), make_tube(0, 3, [(0.1, 0.2, 0.7, 0.9)] * 4)),
+            # partial span overlap with per-frame IoUs that round
+            (
+                make_tube(0, 4, [(i / 3, 0.0, i / 3 + 1.1, 1.7) for i in range(5)]),
+                make_tube(2, 7, [(i / 7, 0.1, i / 7 + 0.9, 1.3) for i in range(6)]),
+            ),
+        ],
+        ids=["disjoint-spans", "touching", "nested", "identical", "partial-span"],
+    )
+    def test_named_cases(self, a, b):
+        assert tube_iou(a, b) == naive_tube_iou(a, b)
+
+
+@pytest.mark.parametrize(
+    "corners", [(0, 0, 1e308, 1e308), (-1e308, 0, 1e308, 1), (0, 0, 1e-200, 1e-200)],
+    ids=["area-overflows", "width-overflows", "area-underflows"],
+)
+def test_box_rejects_area_outside_positive_finite(corners):
+    with pytest.raises(ValueError, match="area"):
+        Box2D(*corners)

@@ -140,11 +140,14 @@ def _frame_probs(sets, vid, stream, gran, length, scores_path, cls):
     scores = sets.get((vid, stream, gran))
     if scores is None:
         raise ParseError(scores_path, message=f"missing stream {stream!r} ({gran}) for video {vid!r}")
+    # a run of frames shares one vector object, so softmax once per run
     probs = []
+    prev = p = None
     for vec in frame_scores_from_clips(scores, length):
-        if vec.kind == "raw":
-            vec = softmax(vec)
-        probs.append(vec.values[cls])
+        if vec is not prev:
+            prev = vec
+            p = (softmax(vec) if vec.kind == "raw" else vec).values[cls]
+        probs.append(p)
     return probs
 
 

@@ -30,6 +30,7 @@ from .fusion import (
     FIXED_CROPS,
     GRANULARITIES,
     KINDS,
+    PROB_SUM_TOL,
     STREAMS,
     ClipScore,
     ScoreVector,
@@ -262,7 +263,8 @@ def write_scores(path, sets: Iterable[StreamScoreSet]) -> None:
 def read_scores(path) -> list[StreamScoreSet]:
     """Score sets grouped by (video, stream, granularity), entries sorted.
 
-    The class count K must be consistent across the whole file.
+    The class count K must be consistent across the whole file, and a
+    ``prob`` vector must sum to 1 within PROB_SUM_TOL.
     """
     groups: dict[tuple[str, str, str], list[ClipScore]] = {}
     file_k = None
@@ -300,6 +302,10 @@ def read_scores(path) -> list[StreamScoreSet]:
             )
         except ValueError as exc:
             raise ParseError(path, line_no, "values", str(exc)) from exc
+        if kind == "prob":
+            total = math.fsum(values)
+            if abs(total - 1.0) > PROB_SUM_TOL:
+                raise ParseError(path, line_no, "values", f"probability vector sums to {total}, not 1")
         groups.setdefault((vid, stream, gran), []).append(entry)
     sets = []
     for (vid, stream, gran), entries in groups.items():

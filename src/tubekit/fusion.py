@@ -6,6 +6,7 @@ aggregations permutation invariant down to the last bit.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -21,12 +22,18 @@ FIXED_CROPS = CENTER_CROPS + (
 )
 CROP_SCHEMES = {"center": CENTER_CROPS, "fixed": FIXED_CROPS}
 
-_PROB_SUM_TOL = 1e-9
+PROB_SUM_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class ScoreVector:
-    """K class scores, either raw logits or a probability distribution."""
+    """K class scores, either raw logits or probabilities.
+
+    Probability entries lie in [0, 1]. That their sum is 1 within
+    PROB_SUM_TOL is checked where vectors are read (``read_scores``), not
+    here: a mean of such vectors keeps its entries in [0, 1], but its
+    rounded sum can miss the tolerance by an ulp.
+    """
 
     values: tuple[float, ...]
     kind: str = "raw"
@@ -43,9 +50,8 @@ class ScoreVector:
         if self.kind == "prob":
             if any(v < 0.0 for v in self.values):
                 raise ValueError("probability vector with negative entries")
-            total = math.fsum(self.values)
-            if abs(total - 1.0) > _PROB_SUM_TOL:
-                raise ValueError(f"probability vector sums to {total}, not 1")
+            if any(v > 1.0 for v in self.values):
+                raise ValueError("probability vector with entries above 1")
 
     @property
     def k(self) -> int:
@@ -136,16 +142,21 @@ def _mean_kind(vectors: Sequence[ScoreVector]) -> str:
     return "prob" if all(v.kind == "prob" for v in vectors) else "raw"
 
 
+def _scaled_fsum(column: Sequence[float], e: int) -> float:
+    """fsum of the terms scaled by 2**-e: exact scaling unless a term turns subnormal."""
+    return math.fsum(math.ldexp(v, -e) for v in column)
+
+
 def _mean(column: Sequence[float]) -> float:
     n = len(column)
     try:
         return math.fsum(column) / n
     except OverflowError:
         # Huge finite terms whose sum overflows, though their mean cannot. With
-        # 2**e > n the terms scaled by 2**-e (exactly, unless subnormal) sum to
-        # a finite value. Dividing each term by n instead can still overflow.
+        # 2**e > n the scaled terms sum to a finite value. Dividing each term
+        # by n instead can still overflow.
         e = n.bit_length()
-        return math.ldexp(math.fsum(math.ldexp(v, -e) for v in column) / n, e)
+        return math.ldexp(_scaled_fsum(column, e) / n, e)
 
 
 def _elementwise_mean(vectors: Sequence[ScoreVector]) -> ScoreVector:
@@ -187,11 +198,18 @@ def aggregate_video(units: Sequence[ScoreVector], method: str) -> tuple[int, Sco
             votes[u.argmax()] += 1
         top = max(votes)
         tied = [c for c in range(k) if votes[c] == top]
-        if len(tied) > 1:
-            means = {c: math.fsum(u.values[c] for u in units) for c in tied}
-            tied.sort(key=lambda c: (-means[c], c))
-        label = tied[0]
         n = len(units)
+        if len(tied) > 1:
+            columns = {c: [u.values[c] for u in units] for c in tied}
+            try:
+                sums = {c: math.fsum(col) for c, col in columns.items()}
+            except OverflowError:
+                # one common 2**-e for every tied class keeps the order of the
+                # exact sums; ranking by _mean could merge two of them
+                e = n.bit_length()
+                sums = {c: _scaled_fsum(col, e) for c, col in columns.items()}
+            tied.sort(key=lambda c: (-sums[c], c))
+        label = tied[0]
         fused = ScoreVector(values=tuple(v / n for v in votes), kind="prob")
         return label, fused
     raise ValueError(f"unknown fusion method {method!r}")
@@ -212,6 +230,9 @@ def frame_scores_from_clips(scores: StreamScoreSet, video_len: int) -> list[Scor
     frame covered by several clips gets their arithmetic mean, and a frame
     covered by none gets the vector of the nearest covering clip (earlier
     clip wins distance ties).
+
+    Frames between two consecutive clip starts or ends share their covering
+    clips, so each such run of frames shares one vector object.
     """
     if video_len <= 0:
         raise ValueError(f"video_len must be positive, got {video_len}")
@@ -220,21 +241,29 @@ def frame_scores_from_clips(scores: StreamScoreSet, video_len: int) -> list[Scor
     by_start: dict[int, list[ScoreVector]] = {}
     for e in scores.entries:
         by_start.setdefault(e.clip_start, []).append(e.vector)
-    clips = sorted((start, _elementwise_mean(vs)) for start, vs in by_start.items())
+    starts = sorted(by_start)
+    clips = [_elementwise_mean(by_start[s]) for s in starts]
     clip_len = scores.clip_len
 
+    cuts = {0, video_len}
+    for s in starts:
+        cuts.update(c for c in (s, s + clip_len) if c < video_len)
+    cuts = sorted(cuts)
     out: list[ScoreVector] = []
-    for f in range(video_len):
-        covering = [vec for start, vec in clips if start <= f < start + clip_len]
-        if covering:
-            out.append(covering[0] if len(covering) == 1 else _elementwise_mean(covering))
+    for a, b in zip(cuts, cuts[1:]):
+        # clips[lo:hi] start in (a - clip_len, a], so they cover every frame of [a, b)
+        lo, hi = bisect_right(starts, a - clip_len), bisect_right(starts, a)
+        if hi > lo:
+            vec = clips[lo] if hi - lo == 1 else _elementwise_mean(clips[lo:hi])
+            out.extend([vec] * (b - a))
             continue
-        best_vec, best_dist = None, None
-        for start, vec in clips:
-            dist = start - f if f < start else f - (start + clip_len - 1)
-            if best_dist is None or dist < best_dist:
-                best_vec, best_dist = vec, dist
-        out.append(best_vec)
+        # uncovered: the nearest clip is clips[hi - 1], which ended before a, or
+        # clips[hi], which starts at or after b; the earlier one wins a tie
+        for f in range(a, b):
+            earlier = hi == len(starts) or (
+                hi > 0 and f - (starts[hi - 1] + clip_len - 1) <= starts[hi] - f
+            )
+            out.append(clips[hi - 1] if earlier else clips[hi])
     return out
 
 

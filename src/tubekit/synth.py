@@ -20,7 +20,9 @@ import numpy as np
 from .count_signal import FrameDetections
 from .errors import InstanceTooLargeError
 from .evaluation import VideoTube
-from .fusion import CENTER_CROPS, ClipScore, ScoreVector, StreamScoreSet, STREAMS
+from .fusion import (
+    CENTER_CROPS, ClipScore, ScoreVector, StreamScoreSet, STREAMS, _elementwise_mean,
+)
 from .geometry import Box2D, TemporalSpan, Tube, box_iou, temporal_iou
 from .linking import BoxPath, LinkingProblem
 
@@ -240,6 +242,33 @@ def naive_tube_iou(p: Tube, g: Tube) -> float:
     hi = min(p.span.end, g.span.end)
     ious = [box_iou(p.box_at(f), g.box_at(f)) for f in range(lo, hi + 1)]
     return t * (math.fsum(ious) / len(ious))
+
+
+def naive_frame_scores(scores: StreamScoreSet, video_len: int) -> list[ScoreVector]:
+    """Scalar twin of ``frame_scores_from_clips``: every clip scanned for every frame."""
+    if video_len <= 0:
+        raise ValueError(f"video_len must be positive, got {video_len}")
+    if not scores.entries:
+        raise ValueError("score set has no entries")
+    by_start: dict[int, list[ScoreVector]] = {}
+    for e in scores.entries:
+        by_start.setdefault(e.clip_start, []).append(e.vector)
+    clips = sorted((start, _elementwise_mean(vs)) for start, vs in by_start.items())
+    clip_len = scores.clip_len
+
+    out: list[ScoreVector] = []
+    for f in range(video_len):
+        covering = [vec for start, vec in clips if start <= f < start + clip_len]
+        if covering:
+            out.append(covering[0] if len(covering) == 1 else _elementwise_mean(covering))
+            continue
+        best_vec, best_dist = None, None
+        for start, vec in clips:
+            dist = start - f if f < start else f - (start + clip_len - 1)
+            if best_dist is None or dist < best_dist:
+                best_vec, best_dist = vec, dist
+        out.append(best_vec)
+    return out
 
 
 def _naive_match_count(

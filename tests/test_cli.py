@@ -1,13 +1,20 @@
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 import tubekit
 from tubekit.cli import main
+from tubekit.fusion import CENTER_CROPS, FUSION_METHODS, STREAMS
 from tubekit import read_predictions, read_report, read_tubes
 
 
@@ -340,3 +347,208 @@ def test_fuse_mean_of_huge_scores(tmp_path):
     assert len(rows) == 1
     assert rows[0]["label"] == 0
     assert rows[0]["values"][0] == 1e308
+
+
+def write_score_records(path, vectors, kind="raw", streams=("rgb",), starts=(0,)):
+    """One record per (stream, clip start, crop); the crops take ``vectors`` in order."""
+    crops = ("center", "center_flip")
+    path.write_text("".join(
+        json.dumps({
+            "video_id": "v", "stream": stream, "granularity": "net16", "clip_start": start,
+            "crop_id": crop, "kind": kind, "values": list(values),
+        }) + "\n"
+        for stream in streams for start in starts for crop, values in zip(crops, vectors)
+    ))
+
+
+def write_one_tube(path, frames=20):
+    record = {"video_id": "v", "label": 0, "start": 0, "end": frames - 1, "boxes": [[0, 0, 10, 10]] * frames}
+    path.write_text(json.dumps(record) + "\n")
+
+
+def strict_rows(path):
+    # NaN, Infinity or -Infinity in the output fails the test
+    return [json.loads(line, parse_constant=pytest.fail) for line in path.read_text().splitlines()]
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [([1.0000000005, 0.0], "above 1"), ([0.5, 0.4], "sums to")],
+    ids=["entry-above-one", "sum-off-by-0.1"],
+)
+def test_actionness_bad_prob_vector_exits_2_naming_line(tmp_path, capsys, values, message):
+    scores, tubes = tmp_path / "scores.jsonl", tmp_path / "tubes.jsonl"
+    write_score_records(scores, [[0.5, 0.5], values], kind="prob", streams=STREAMS)
+    write_one_tube(tubes)
+    argv = ["actionness", "--scores", str(scores), "--tubes", str(tubes), "--class", "0",
+            "--threshold", "0.3", "--out", str(tmp_path / "out.jsonl")]
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert f"{scores}, line 2" in err
+    assert "'values'" in err
+    assert message in err
+
+
+# each sums to 1 within 1e-9, but the rounded sum of their mean is 1.000000001
+EDGE_PROBS = ([0.2707664883780633, 0.7292335126219366], [0.0872546530413557, 0.9127453479586443])
+
+
+def test_mean_of_prob_vectors_at_the_sum_tolerance(tmp_path):
+    scores, tubes = tmp_path / "scores.jsonl", tmp_path / "tubes.jsonl"
+    write_score_records(scores, EDGE_PROBS, kind="prob", streams=STREAMS, starts=(0, 8))
+    write_one_tube(tubes)
+    preds, series = tmp_path / "predictions.jsonl", tmp_path / "actionness.jsonl"
+    assert run("fuse", str(scores), "--out", str(preds)) == 0
+    assert strict_rows(preds)[0]["label"] == 1
+    assert run("actionness", "--scores", str(scores), "--tubes", str(tubes), "--class", "0",
+               "--threshold", "0.3", "--out", str(series)) == 0
+    assert len(strict_rows(series)[0]["series"]) == 20
+
+
+def test_fuse_majority_tie_of_huge_scores(tmp_path):
+    scores = tmp_path / "scores.jsonl"
+    write_score_records(scores, [[1e308, 1e308, 0.0], [0.0, 1e308, 1e308]])
+    out = tmp_path / "predictions.jsonl"
+    assert run("fuse", str(scores), "--method", "majority", "--out", str(out)) == 0
+    rows = strict_rows(out)
+    assert len(rows) == 1
+    assert rows[0]["label"] == 1
+
+
+def test_actionness_applies_softmax_once_per_run_of_frames(tmp_path, monkeypatch):
+    from tubekit import cli, read_detections, read_scores
+
+    calls = []
+    real = cli.softmax
+
+    def counting(v):
+        calls.append(v)
+        return real(v)
+
+    monkeypatch.setattr(cli, "softmax", counting)
+    corpus = tmp_path / "corpus"
+    # 403 frames: clips start at 0, 8, ..., 384, and frames 400-402 are uncovered
+    assert run("synth", "--out-dir", str(corpus), "--seed", "1", "--videos", "1",
+               "--frames", "403", "--persons", "1") == 0
+    assert run("actionness", "--scores", str(corpus / "scores.jsonl"),
+               "--detections", str(corpus / "detections.jsonl"), "--class", "0",
+               "--threshold", "0.3", "--out", str(tmp_path / "actionness.jsonl")) == 0
+
+    # a run: consecutive frames taking their scores from the same clips
+    (length,) = [d.length for d in read_detections(corpus / "detections.jsonl")]
+    expected = 0
+    for s in read_scores(corpus / "scores.jsonl"):
+        starts = sorted({e.clip_start for e in s.entries})
+        sources = []
+        for f in range(length):
+            covering = tuple(x for x in starts if x <= f < x + s.clip_len)
+            sources.append(covering or (starts[-1],))  # the uncovered tail takes the last clip
+        expected += 1 + sum(sources[f] != sources[f - 1] for f in range(1, length))
+    assert expected == 3 * 50
+    assert len(calls) == expected
+
+
+# CLI fuzz gate for fuse and actionness on mutated score records: whatever
+# the records, the CLI exits 0, 2 or 3 without a traceback, and what it
+# writes on exit 0 is strict JSON.
+
+BIG = 1.7976931348623157e308  # the largest finite float
+FUZZ_VIDEOS = ("a", "b")
+
+# few distinct values, so that argmax ties and majority-vote ties are common
+raw_value = st.one_of(
+    st.sampled_from([0.0, 1.0, -1.0, 1e308, -1e308, BIG, -BIG, 5e-324]),
+    st.floats(min_value=-50, max_value=50),
+)
+
+
+@st.composite
+def prob_vector(draw, k):
+    """Entries near 0 and 1, summing to 1 to within the 1e-9 tolerance, often just inside it."""
+    if k == 2 and draw(st.booleans()):
+        return list(draw(st.sampled_from(EDGE_PROBS)))
+    small = draw(st.lists(st.sampled_from([0.0, 5e-324, 1e-300, 1e-12, 1e-10, 0.25]),
+                          min_size=k - 1, max_size=k - 1))
+    off = draw(st.sampled_from([0.0, 5e-10, -5e-10, 9.999e-10, -9.999e-10]))
+    values = small + [min(1.0, 1.0 - math.fsum(small) + off)]
+    hot = draw(st.integers(0, k - 1))
+    values[hot], values[-1] = values[-1], values[hot]
+    return values
+
+
+# what a mutation puts in place of one score or of one whole field
+bad_number = st.sampled_from([1.0000000005, -1e-12, 2.0, float("nan"), float("inf"), 10**400, "x", None])
+bad_field = st.sampled_from(["x", None, True, [], -1, 2.5, 10**400])
+fields = st.sampled_from(["values", "clip_start", "kind", "crop_id", "granularity", "video_id"])
+
+
+@st.composite
+def score_records(draw):
+    k = draw(st.integers(1, 4))
+    records = []
+    for vid in draw(st.lists(st.sampled_from(FUZZ_VIDEOS), min_size=1, max_size=2, unique=True)):
+        for stream in STREAMS:
+            kind = draw(st.sampled_from(["raw", "prob"]))
+            # gaps between clips, duplicate starts and starts past the video's end
+            for start in draw(st.lists(st.integers(0, 40), min_size=1, max_size=4)):
+                for crop in draw(st.lists(st.sampled_from(CENTER_CROPS), min_size=1, max_size=2)):
+                    values = draw(prob_vector(k) if kind == "prob"
+                                  else st.lists(raw_value, min_size=k, max_size=k))
+                    records.append({"video_id": vid, "stream": stream, "granularity": "net16",
+                                    "clip_start": start, "crop_id": crop, "kind": kind,
+                                    "values": values})
+    mutation = draw(st.sampled_from([None, None, "number", "field"]))
+    if mutation is not None:
+        record = draw(st.sampled_from(records))
+        if mutation == "number":
+            record["values"][draw(st.integers(0, k - 1))] = draw(bad_number)
+        else:
+            record[draw(fields)] = draw(bad_field)
+    return k, records
+
+
+def _run(argv, files):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for name, text in files.items():
+            (root / name).write_text(text)
+        argv = [str(root / a) if a in files or a == "out.jsonl" else a for a in argv]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+        assert code in (0, 2, 3), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        event(f"exit {code}")
+        if code == 0:
+            strict_rows(root / "out.jsonl")
+
+
+def _jsonl(records):
+    # json.dumps writes NaN and Infinity for non-finite floats, which the readers must refuse
+    return "".join(json.dumps(r) + "\n" for r in records)
+
+
+FUZZ = settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+@FUZZ
+@given(score_records(), st.sampled_from(FUSION_METHODS), st.sampled_from(STREAMS),
+       st.sampled_from(["center", "fixed"]), st.sampled_from(["1", "2"]))
+def test_fuse_never_crashes(scores, method, stream, crop_scheme, parallel):
+    _, records = scores
+    _run(["fuse", "scores.jsonl", "--method", method, "--stream", stream,
+          "--crop-scheme", crop_scheme, "--parallel", parallel, "--out", "out.jsonl"],
+         {"scores.jsonl": _jsonl(records)})
+
+
+@FUZZ
+@given(score_records(), st.lists(st.integers(1, 60), min_size=1, max_size=2), st.data())
+def test_actionness_never_crashes(scores, lengths, data):
+    k, records = scores
+    tubes = [{"video_id": vid, "label": 0, "start": 0, "end": n - 1, "boxes": [[0, 0, 10, 10]] * n}
+             for vid, n in zip(FUZZ_VIDEOS, lengths)]
+    action_class = data.draw(st.integers(0, k))  # k itself is out of range: exit 3
+    threshold = data.draw(st.sampled_from(["0", "0.3", "1", "1e-300"]))
+    _run(["actionness", "--scores", "scores.jsonl", "--tubes", "tubes.jsonl",
+          "--class", str(action_class), "--threshold", threshold, "--out", "out.jsonl"],
+         {"scores.jsonl": _jsonl(records), "tubes.jsonl": _jsonl(tubes)})

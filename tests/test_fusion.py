@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tubekit import (
@@ -21,6 +21,8 @@ from tubekit import (
     temporal_localize,
     tube_actionness,
 )
+from tubekit.fusion import FIXED_CROPS
+from tubekit.synth import naive_frame_scores
 
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False, allow_infinity=False)
 vectors = st.lists(finite, min_size=1, max_size=8).map(lambda v: ScoreVector(tuple(v)))
@@ -103,6 +105,13 @@ class TestAggregateVideo:
         units = [ScoreVector((0.9, 0.1), kind="prob"), ScoreVector((0.2, 0.8), kind="prob")]
         label, _ = aggregate_video(units, "majority")
         assert label == 0  # means: 0.55 vs 0.45
+
+    def test_majority_tie_of_sums_that_overflow(self):
+        # classes 0 and 1 tie on votes; the sum of class 1's column overflows
+        units = [ScoreVector((1e308, 1e308, 0.0)), ScoreVector((0.0, 1e308, 1e308))]
+        label, fused = aggregate_video(units, "majority")
+        assert label == 1
+        assert fused.values == (0.5, 0.5, 0.0)
 
     def test_empty_units_rejected(self):
         with pytest.raises(ValueError):
@@ -210,6 +219,38 @@ class TestFrameScores:
         s = score_set([(0, "center", ScoreVector((1.0,)))])
         with pytest.raises(ValueError):
             frame_scores_from_clips(s, 0)
+
+
+wide = st.one_of(finite, st.floats(min_value=-1e308, max_value=1e308, allow_nan=False))
+
+
+@st.composite
+def clip_layouts(draw):
+    """A score set and a video length.
+
+    Small ranges give gaps, nearest-clip distance ties, repeated starts and
+    starts at or past the video's end; one set is all raw or all prob.
+    """
+    clip_len = draw(st.integers(1, 20))
+    video_len = draw(st.integers(1, 60))
+    k = draw(st.integers(1, 4))
+    prob = draw(st.booleans())
+    entries = []
+    for start in draw(st.lists(st.integers(0, video_len + clip_len), min_size=1, max_size=8)):
+        for crop in draw(st.lists(st.sampled_from(FIXED_CROPS), min_size=1, max_size=3)):
+            v = ScoreVector(tuple(draw(st.lists(wide, min_size=k, max_size=k))))
+            entries.append(ClipScore(start, crop, softmax(v) if prob else v))
+    scores = StreamScoreSet(
+        video_id="v", stream="rgb", granularity="net16", clip_len=clip_len, entries=tuple(entries),
+    )
+    return scores, video_len
+
+
+@settings(max_examples=300, deadline=None)
+@given(clip_layouts())
+def test_frame_scores_match_scalar_twin(layout):
+    scores, video_len = layout
+    assert frame_scores_from_clips(scores, video_len) == naive_frame_scores(scores, video_len)
 
 
 class TestActionness:
@@ -327,3 +368,20 @@ def test_mean_of_values_whose_sum_overflows(n):
     assert label == 0
     assert fused.values == (big, -big, 0.0)
     assert multigranular_fuse([fused, fused]).values == (big, -big, 0.0)
+
+
+def test_prob_entries_must_lie_in_unit_interval():
+    with pytest.raises(ValueError, match="above 1"):
+        ScoreVector((1.0000000005, 0.0), kind="prob")
+    with pytest.raises(ValueError, match="negative"):
+        ScoreVector((1.0, -1e-12), kind="prob")
+
+
+def test_mean_of_prob_vectors_whose_rounded_sum_misses_the_tolerance():
+    # each sums to 1 within 1e-9; the rounded sum of their mean is 1.000000001
+    a = ScoreVector((0.2707664883780633, 0.7292335126219366), kind="prob")
+    b = ScoreVector((0.0872546530413557, 0.9127453479586443), kind="prob")
+    label, fused = aggregate_video([a, b], "mean")
+    assert label == 1
+    assert fused.kind == "prob"
+    assert abs(math.fsum(fused.values) - 1.0) > 1e-9

@@ -283,6 +283,8 @@ def read_scores(path) -> list[StreamScoreSet]:
         if kind not in KINDS:
             raise VocabularyError(path, line_no, "kind", f"unknown kind {kind!r}, expected one of {list(KINDS)}")
         clip_start = _field(path, line_no, record, "clip_start", int, "an integer")
+        if clip_start < 0:
+            raise ParseError(path, line_no, "clip_start", f"negative clip_start {clip_start}")
         values = [
             _number(path, line_no, "values", v)
             for v in _field(path, line_no, record, "values", list, "an array")

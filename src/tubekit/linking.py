@@ -9,6 +9,7 @@ viable proposal remains.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .count_signal import (
     DetectionCountSeries,
@@ -17,7 +18,7 @@ from .count_signal import (
     pad_detections,
 )
 from .errors import EmptyFrameError
-from .geometry import Box2D, TemporalSpan, Tube, box_iou, runs
+from .geometry import Box2D, TemporalSpan, Tube, runs
 
 
 @dataclass(frozen=True)
@@ -65,27 +66,64 @@ class BoxPath:
     mean_link_score: float
 
 
-def viterbi_link(problem: LinkingProblem) -> BoxPath:
-    """Exact maximizer of the summed consecutive-frame IoU.
+def _iou_table(frames: Sequence[Sequence[Box2D]]) -> list[list[list[float]]]:
+    """IoUs of the boxes of consecutive frames, computed once.
 
-    Ties are broken deterministically towards the lowest candidate index,
-    both in the forward argmax and at the final frame, so backtracking
-    yields the optimal path whose reversed index sequence is smallest.
+    ``table[t][j][i]`` is the IoU of box i of ``frames[t-1]`` with box j of
+    ``frames[t]``; a box of the first frame, or of a frame after an empty
+    one, gets an empty row. Each entry takes ``box_iou``'s operations in
+    ``box_iou``'s order, so it is bit-identical to it. ``min`` and ``max``
+    are written out as the comparisons they make, because a builtin call
+    costs more than the rest of the entry.
     """
-    cands = problem.candidates
-    n_frames = len(cands)
-    best = [0.0] * len(cands[0])
+    table = []
+    prev: list[tuple[float, float, float, float, float]] = []
+    for boxes in frames:
+        cur = [(b.x1, b.y1, b.x2, b.y2, b.area) for b in boxes]
+        rows = []
+        for bx1, by1, bx2, by2, b_area in cur:
+            row = []
+            for ax1, ay1, ax2, ay2, a_area in prev:
+                iw = (bx2 if bx2 < ax2 else ax2) - (bx1 if bx1 > ax1 else ax1)
+                if iw <= 0.0:
+                    row.append(0.0)
+                    continue
+                ih = (by2 if by2 < ay2 else ay2) - (by1 if by1 > ay1 else ay1)
+                if ih <= 0.0:
+                    row.append(0.0)
+                    continue
+                inter = iw * ih
+                row.append(inter / (a_area + b_area - inter))
+            rows.append(row)
+        table.append(rows)
+        prev = cur
+    return table
+
+
+def _link(table, active, start: int, end: int) -> tuple[list[int], float]:
+    """Viterbi over frames ``start..end``, restricted to the ``active`` boxes.
+
+    ``table[t]`` is the ``_iou_table`` entry of frame t, and ``active[t]``
+    lists the indices of the boxes of frame t still available, in
+    candidate order; both are indexed by frame, as lists or dicts.
+    Returns the chosen position in ``active[t]`` for every frame and the
+    summed IoU of the path. Ties go to the lowest position, both in the
+    forward argmax and at the final frame.
+    """
+    best = [0.0] * len(active[start])
     parents: list[list[int]] = []
-    for t in range(1, n_frames):
-        prev_boxes = cands[t - 1]
+    for t in range(start + 1, end + 1):
+        prev = active[t - 1]
+        rows = table[t]
         cur_best: list[float] = []
         cur_parent: list[int] = []
-        for box in cands[t]:
-            arg, val = 0, best[0] + box_iou(prev_boxes[0], box)
-            for i in range(1, len(prev_boxes)):
-                v = best[i] + box_iou(prev_boxes[i], box)
+        for j in active[t]:
+            row = rows[j]
+            arg, val = 0, best[0] + row[prev[0]]
+            for k in range(1, len(prev)):
+                v = best[k] + row[prev[k]]
                 if v > val:
-                    arg, val = i, v
+                    arg, val = k, v
             cur_best.append(val)
             cur_parent.append(arg)
         best = cur_best
@@ -95,14 +133,24 @@ def viterbi_link(problem: LinkingProblem) -> BoxPath:
     for j in range(1, len(best)):
         if best[j] > total:
             last, total = j, best[j]
-    chosen = [0] * n_frames
-    chosen[-1] = last
-    for t in range(n_frames - 2, -1, -1):
-        chosen[t] = parents[t][chosen[t + 1]]
+    picks = [0] * (end - start + 1)
+    picks[-1] = last
+    for t in range(end - start - 1, -1, -1):
+        picks[t] = parents[t][picks[t + 1]]
+    return picks, total
 
-    boxes = tuple(cands[t][chosen[t]] for t in range(n_frames))
-    tube = Tube(span=problem.span, boxes=boxes)
-    return BoxPath(tube=tube, mean_link_score=total / n_frames)
+
+def viterbi_link(problem: LinkingProblem) -> BoxPath:
+    """Exact maximizer of the summed consecutive-frame IoU.
+
+    Ties are broken deterministically towards the lowest candidate index,
+    both in the forward argmax and at the final frame, so backtracking
+    yields the optimal path whose reversed index sequence is smallest.
+    """
+    cands = problem.candidates
+    picks, total = _link(_iou_table(cands), [list(range(len(c))) for c in cands], 0, len(cands) - 1)
+    tube = Tube(span=problem.span, boxes=tuple(c[k] for c, k in zip(cands, picks)))
+    return BoxPath(tube=tube, mean_link_score=total / len(cands))
 
 
 def extract_tubes(dets: FrameDetections, cfg: ExtractionConfig | None = None) -> list[Tube]:
@@ -110,39 +158,43 @@ def extract_tubes(dets: FrameDetections, cfg: ExtractionConfig | None = None) ->
 
     Counts are smoothed and padded, then regions of the smoothed signal are
     processed longest-first (ties towards the earliest start). A region
-    whose frames all still hold boxes is linked with ``viterbi_link``; the
-    chosen boxes are removed and the region is re-queued. A region with
-    emptied frames is split at them into sub-regions. Proposals shorter
-    than ``min_tube_len`` are discarded. Output tubes are sorted by start
-    frame, then by descending length, and carry their mean link score.
+    whose frames all still hold boxes is linked as ``viterbi_link`` would
+    link it; the chosen boxes are removed and the region is re-queued. A
+    region with emptied frames is split at them into sub-regions. Proposals
+    shorter than ``min_tube_len`` are discarded. Output tubes are sorted by
+    start frame, then by descending length, and carry their mean link score.
+
+    The consecutive-frame IoUs are computed once per video. Removing a box
+    drops its index from its frame's active list, which keeps the
+    candidate order, so each re-link equals a fresh ``viterbi_link`` over
+    the remaining boxes.
     """
     cfg = cfg or ExtractionConfig()
     counts = DetectionCountSeries.from_detections(dets, cfg.median_window)
-    padded = pad_detections(dets, counts.expected)
-    work: dict[int, list[Box2D]] = {f: list(boxes) for f, boxes in padded.frames.items()}
+    frames = pad_detections(dets, counts.expected).frames
+    active = {f: list(range(len(boxes))) for f, boxes in frames.items()}
 
-    queue: list[TemporalSpan] = continuous_regions(counts.smoothed)
+    queue: list[TemporalSpan] = [
+        r for r in continuous_regions(counts.smoothed) if r.length >= cfg.min_tube_len
+    ]
+    table: dict[int, list[list[float]]] = {}
+    for r in queue:
+        table.update(zip(r.frames(), _iou_table([frames.get(f, ()) for f in r.frames()])))
+
     tubes: list[Tube] = []
     while queue:
         pick = max(range(len(queue)), key=lambda i: (queue[i].length, -queue[i].start))
         region = queue.pop(pick)
-        if region.length < cfg.min_tube_len:
-            continue
-        pieces = runs((f in work for f in region.frames()), region.start)
+        pieces = runs((active.get(f) for f in region.frames()), region.start)
         if len(pieces) == 1 and pieces[0] == region:
-            problem = LinkingProblem(
-                span=region,
-                candidates=tuple(tuple(work[f]) for f in region.frames()),
+            picks, total = _link(table, active, region.start, region.end)
+            # Boxes with equal corners tie at every step of the DP, which then
+            # picks the first of them; so popping a pick drops the first active
+            # box equal to it, as removal by list.index would.
+            boxes = tuple(
+                frames[f][active[f].pop(k)] for f, k in zip(region.frames(), picks)
             )
-            path = viterbi_link(problem)
-            tubes.append(
-                Tube(span=region, boxes=path.tube.boxes, score=path.mean_link_score)
-            )
-            for box in path.tube.boxes:
-                frame_boxes = work[box.frame]
-                frame_boxes.pop(frame_boxes.index(box))
-                if not frame_boxes:
-                    del work[box.frame]
+            tubes.append(Tube(span=region, boxes=boxes, score=total / region.length))
             queue.append(region)
         else:
             queue.extend(p for p in pieces if p.length >= cfg.min_tube_len)

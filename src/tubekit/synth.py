@@ -17,14 +17,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .count_signal import FrameDetections
+from .count_signal import (
+    DetectionCountSeries, FrameDetections, continuous_regions, pad_detections,
+)
 from .errors import InstanceTooLargeError
 from .evaluation import VideoTube
 from .fusion import (
     CENTER_CROPS, ClipScore, ScoreVector, StreamScoreSet, STREAMS, _elementwise_mean,
 )
-from .geometry import Box2D, TemporalSpan, Tube, box_iou, temporal_iou
-from .linking import BoxPath, LinkingProblem
+from .geometry import Box2D, TemporalSpan, Tube, box_iou, runs, temporal_iou
+from .linking import BoxPath, ExtractionConfig, LinkingProblem
 
 CANVAS_W = 320
 CANVAS_H = 240
@@ -231,6 +233,69 @@ def brute_force_link(problem: LinkingProblem) -> BoxPath:
     boxes = tuple(problem.candidates[t][best_combo[t]] for t in range(n))
     tube = Tube(span=problem.span, boxes=boxes)
     return BoxPath(tube=tube, mean_link_score=best_total / n)
+
+
+def _naive_link(cands: list[list[Box2D]]) -> tuple[list[Box2D], float]:
+    """Scalar Viterbi over candidate lists: ``box_iou`` per pair, lowest index wins ties."""
+    best = [0.0] * len(cands[0])
+    parents: list[list[int]] = []
+    for t in range(1, len(cands)):
+        prev_boxes = cands[t - 1]
+        cur_best: list[float] = []
+        cur_parent: list[int] = []
+        for box in cands[t]:
+            arg, val = 0, best[0] + box_iou(prev_boxes[0], box)
+            for i in range(1, len(prev_boxes)):
+                v = best[i] + box_iou(prev_boxes[i], box)
+                if v > val:
+                    arg, val = i, v
+            cur_best.append(val)
+            cur_parent.append(arg)
+        best = cur_best
+        parents.append(cur_parent)
+    last, total = 0, best[0]
+    for j in range(1, len(best)):
+        if best[j] > total:
+            last, total = j, best[j]
+    chosen = [last]
+    for t in range(len(cands) - 2, -1, -1):
+        chosen.append(parents[t][chosen[-1]])
+    chosen.reverse()
+    return [cands[t][k] for t, k in enumerate(chosen)], total
+
+
+def naive_extract_tubes(dets: FrameDetections, cfg: ExtractionConfig | None = None) -> list[Tube]:
+    """Scalar twin of ``extract_tubes``: every region re-linked from scratch.
+
+    Each link recomputes every consecutive-frame ``box_iou`` of the boxes
+    still on the region's frames, and the chosen boxes are removed with
+    ``list.index``, so the first box equal to a chosen one goes.
+    """
+    cfg = cfg or ExtractionConfig()
+    counts = DetectionCountSeries.from_detections(dets, cfg.median_window)
+    padded = pad_detections(dets, counts.expected)
+    work = {f: list(boxes) for f, boxes in padded.frames.items()}
+    queue = continuous_regions(counts.smoothed)
+    tubes: list[Tube] = []
+    while queue:
+        pick = max(range(len(queue)), key=lambda i: (queue[i].length, -queue[i].start))
+        region = queue.pop(pick)
+        if region.length < cfg.min_tube_len:
+            continue
+        pieces = runs((f in work for f in region.frames()), region.start)
+        if len(pieces) == 1 and pieces[0] == region:
+            boxes, total = _naive_link([work[f] for f in region.frames()])
+            tubes.append(Tube(span=region, boxes=tuple(boxes), score=total / region.length))
+            for box in boxes:
+                frame_boxes = work[box.frame]
+                frame_boxes.pop(frame_boxes.index(box))
+                if not frame_boxes:
+                    del work[box.frame]
+            queue.append(region)
+        else:
+            queue.extend(p for p in pieces if p.length >= cfg.min_tube_len)
+    tubes.sort(key=lambda t: (t.span.start, -t.span.length))
+    return tubes
 
 
 def naive_tube_iou(p: Tube, g: Tube) -> float:

@@ -415,6 +415,14 @@ def test_fuse_majority_tie_of_huge_scores(tmp_path):
     assert rows[0]["label"] == 1
 
 
+def test_negative_clip_start_exits_2_naming_field(tmp_path, capsys):
+    scores = tmp_path / "scores.jsonl"
+    write_score_records(scores, [[1.0, 0.0]], starts=(-1,))
+    assert run("fuse", str(scores), "--out", str(tmp_path / "predictions.jsonl")) == 2
+    err = capsys.readouterr().err
+    assert f"{scores}, line 1, field 'clip_start': negative clip_start -1" in err
+
+
 def test_actionness_applies_softmax_once_per_run_of_frames(tmp_path, monkeypatch):
     from tubekit import cli, read_detections, read_scores
 
@@ -552,3 +560,58 @@ def test_actionness_never_crashes(scores, lengths, data):
     _run(["actionness", "--scores", "scores.jsonl", "--tubes", "tubes.jsonl",
           "--class", str(action_class), "--threshold", threshold, "--out", "out.jsonl"],
          {"scores.jsonl": _jsonl(records), "tubes.jsonl": _jsonl(tubes)})
+
+
+# The same gate for extract-tubes on mutated detections records: frame gaps
+# and duplicates, identical boxes on one frame, and one mutated coordinate,
+# box or field.
+
+lattice_coord = st.integers(0, 12).map(float)
+bad_coordinate = st.sampled_from(
+    [float("nan"), float("inf"), -float("inf"), 1e308, BIG, -BIG, 10**400, 1e-200, 5e-324, -1.0,
+     "x", None, True, [1.0]]
+)
+bad_detection_field = st.sampled_from(["x", None, True, [], {}, -1, 2.5, 10**400, [1.0]])
+detection_fields = st.sampled_from(["video_id", "frame", "boxes"])
+
+
+@st.composite
+def lattice_box(draw):
+    x1, y1 = draw(lattice_coord), draw(lattice_coord)
+    box = {"x1": x1, "y1": y1, "x2": x1 + draw(st.integers(1, 6)), "y2": y1 + draw(st.integers(1, 6))}
+    if draw(st.booleans()):
+        box["score"] = draw(st.sampled_from([0.5, 0.9]))
+    return box
+
+
+@st.composite
+def detection_records(draw):
+    records = []
+    for vid in draw(st.lists(st.sampled_from(FUZZ_VIDEOS), min_size=1, max_size=2, unique=True)):
+        pool = draw(st.lists(lattice_box(), min_size=1, max_size=4))
+        # gaps between frames, and duplicate frames when unique is off
+        unique = draw(st.sampled_from([True, True, True, False]))
+        for frame in sorted(draw(st.lists(st.integers(0, 40), min_size=1, max_size=30, unique=unique))):
+            # boxes drawn from a small pool, so one frame often holds identical boxes
+            boxes = [dict(b) for b in draw(st.lists(st.sampled_from(pool), max_size=8))]
+            records.append({"video_id": vid, "frame": frame, "boxes": boxes})
+    mutation = draw(st.sampled_from([None, None, "coordinate", "box", "field", "missing"]))
+    record = draw(st.sampled_from(records))
+    if mutation == "coordinate" and record["boxes"]:
+        box = draw(st.sampled_from(record["boxes"]))
+        box[draw(st.sampled_from(["x1", "y1", "x2", "y2", "score"]))] = draw(bad_coordinate)
+    elif mutation == "box":
+        record["boxes"].append(draw(st.sampled_from([None, 3, [0, 0, 1, 1], {"x1": 0, "y1": 0}])))
+    elif mutation == "field":
+        record[draw(detection_fields)] = draw(bad_detection_field)
+    elif mutation == "missing":
+        del record[draw(detection_fields)]
+    return records
+
+
+@FUZZ
+@given(detection_records(), st.integers(1, 6), st.integers(1, 12), st.sampled_from(["1", "2"]))
+def test_extract_tubes_never_crashes(records, min_tube_len, median_window, parallel):
+    _run(["extract-tubes", "detections.jsonl", "--min-tube-len", str(min_tube_len),
+          "--median-window", str(median_window), "--parallel", parallel, "--out", "out.jsonl"],
+         {"detections.jsonl": _jsonl(records)})

@@ -1,6 +1,9 @@
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tubekit import (
     Box2D,
@@ -17,6 +20,8 @@ from tubekit import (
     tube_iou,
     viterbi_link,
 )
+from tubekit.linking import _iou_table
+from tubekit.synth import naive_extract_tubes
 
 
 def problem_from_coords(start, frames):
@@ -198,3 +203,61 @@ class TestExtractTubes:
             ExtractionConfig(min_tube_len=0)
         with pytest.raises(ValueError):
             ExtractionConfig(median_window=0)
+
+
+# Scalar twins: the IoU table against box_iou, and extract_tubes against
+# naive_extract_tubes, which re-links every region with box_iou per pair
+# and removes boxes with list.index.
+
+lattice = st.integers(0, 12).map(float)
+# wide enough to reach huge and tiny magnitudes, narrow enough that areas stay finite
+wide = st.floats(min_value=-1e150, max_value=1e150)
+
+
+@st.composite
+def box(draw, coord=lattice, side=st.integers(1, 6).map(float)):
+    x1, y1 = draw(coord), draw(coord)
+    # nextafter: a side that vanishes next to a huge corner still leaves a positive width
+    x2 = max(x1 + draw(side), math.nextafter(x1, math.inf))
+    y2 = max(y1 + draw(side), math.nextafter(y1, math.inf))
+    return Box2D(x1, y1, x2, y2)
+
+
+any_box = st.one_of(box(), box(wide, st.floats(min_value=2.0**-20, max_value=1e150)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(any_box, min_size=1, max_size=8), st.lists(any_box, min_size=1, max_size=8))
+def test_iou_table_matches_box_iou(prev, cur):
+    table = _iou_table([prev, cur])
+    assert table[0] == [[] for _ in prev]
+    got = [[v.hex() for v in row] for row in table[1]]
+    assert got == [[box_iou(a, b).hex() for a in prev] for b in cur]
+
+
+@st.composite
+def video(draw):
+    length = draw(st.integers(1, 30))
+    # a small pool gives identical boxes on one frame and IoU ties between frames
+    pool = draw(st.lists(st.tuples(lattice, lattice, st.integers(1, 6), st.integers(1, 6)),
+                         min_size=1, max_size=5))
+    frames = {}
+    for f in range(length):
+        # empty frames inside a region, and counts that vary so that frames get padded
+        n = draw(st.sampled_from([0, 1, 1, 2, 2, 3, 4, 8]))
+        boxes = []
+        for x1, y1, w, h in draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)):
+            score = draw(st.sampled_from([None, None, 0.5, 0.9]))
+            boxes.append(Box2D(x1, y1, x1 + w, y1 + h, frame=f, score=score))
+        frames[f] = tuple(boxes)
+    return FrameDetections(video_id="v", length=length, frames=frames)
+
+
+@settings(max_examples=300, deadline=None)
+@given(video(), st.integers(1, 6), st.sampled_from([1, 2, 3, 5, 8, 80]))
+def test_extract_tubes_matches_scalar_twin(dets, min_tube_len, median_window):
+    cfg = ExtractionConfig(min_tube_len=min_tube_len, median_window=median_window)
+    fast = extract_tubes(dets, cfg)
+    slow = naive_extract_tubes(dets, cfg)
+    assert fast == slow
+    assert [t.score.hex() for t in fast] == [t.score.hex() for t in slow]

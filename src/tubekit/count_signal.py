@@ -33,9 +33,6 @@ class FrameDetections:
             if not 0 <= f < self.length:
                 raise ValueError(f"frame {f} outside [0, {self.length})")
             boxes = tuple(boxes)
-            for b in boxes:
-                if b.frame != f:
-                    raise ValueError(f"box stored under frame {f} carries frame {b.frame}")
             if boxes:
                 cleaned[f] = boxes
         object.__setattr__(self, "frames", cleaned)

@@ -23,7 +23,6 @@ AP_METHOD = "all-point precision envelope"
 @dataclass(frozen=True)
 class EvalConfig:
     deltas: tuple[float, ...] = (0.05, 0.1, 0.2, 0.3, 0.4, 0.5)
-    require_label_match: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "deltas", tuple(float(d) for d in self.deltas))
@@ -58,29 +57,21 @@ def _check_scored(preds: Sequence[VideoTube]) -> None:
             raise ValueError(f"prediction in video {vid!r} has no finite score")
 
 
-def _score_order(preds: Sequence[VideoTube], indices: Sequence[int]) -> list[int]:
-    return sorted(indices, key=lambda i: (-preds[i][1].score, i))
-
-
 def _class_groups(
-    preds: Sequence[VideoTube],
-    gts: Sequence[VideoTube],
-    require_label_match: bool,
+    preds: Sequence[VideoTube], gts: Sequence[VideoTube]
 ) -> dict[int, tuple[list[int], list[VideoTube]]]:
     """Per class: its prediction indices in score order and its ground truth.
 
-    Without label matching everything is pooled into the single class -1.
+    Score order is descending score, ties to the lower index.
     """
-    if not require_label_match:
-        return {-1: (_score_order(preds, range(len(preds))), list(gts))}
     class_preds: dict[int, list[int]] = {}
     class_gts: dict[int, list[VideoTube]] = {}
-    for i, (_, tube) in enumerate(preds):
-        class_preds.setdefault(tube.label, []).append(i)
+    for i in sorted(range(len(preds)), key=lambda i: (-preds[i][1].score, i)):
+        class_preds.setdefault(preds[i][1].label, []).append(i)
     for row in gts:
         class_gts.setdefault(row[1].label, []).append(row)
     return {
-        c: (_score_order(preds, class_preds.get(c, [])), class_gts.get(c, []))
+        c: (class_preds.get(c, []), class_gts.get(c, []))
         for c in class_preds.keys() | class_gts.keys()
     }
 
@@ -131,12 +122,11 @@ def match_predictions(
     preds: Sequence[VideoTube],
     gts: Sequence[VideoTube],
     delta: float,
-    require_label_match: bool = True,
 ) -> list[bool]:
     """TP/FP flag per prediction, aligned with the input order of ``preds``."""
     _check_scored(preds)
     flags = [False] * len(preds)
-    for ordered, class_gts in _class_groups(preds, gts, require_label_match).values():
+    for ordered, class_gts in _class_groups(preds, gts).values():
         rows = _iou_rows(preds, ordered, class_gts)
         for i, flag in zip(ordered, _greedy_flags(rows, len(class_gts), delta)):
             flags[i] = flag
@@ -189,18 +179,16 @@ def video_map(
 
     mAP averages only classes with at least one ground-truth tube; classes
     that appear only in the predictions are reported with AP 0 but do not
-    enter the mean. Without label matching everything is pooled into a
-    single pseudo-class reported with label -1.
+    enter the mean.
     """
     _check_scored(preds)
     for vid, tube in gts:
         if tube.label is None:
             raise ValueError(f"ground-truth tube in video {vid!r} has no label")
-    if cfg.require_label_match:
-        for vid, tube in preds:
-            if tube.label is None:
-                raise ValueError(f"prediction in video {vid!r} has no label")
-    groups = _class_groups(preds, gts, cfg.require_label_match)
+    for vid, tube in preds:
+        if tube.label is None:
+            raise ValueError(f"prediction in video {vid!r} has no label")
+    groups = _class_groups(preds, gts)
     classes = sorted(groups)
     rows = {c: _iou_rows(preds, ordered, class_gts) for c, (ordered, class_gts) in groups.items()}
 

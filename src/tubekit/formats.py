@@ -39,6 +39,11 @@ from .fusion import (
 from .geometry import Box2D, TemporalSpan, Tube
 
 
+# Largest frame index a file may name. A video's per-frame work and output
+# (count series, median window, actionness series) grow with its last frame.
+MAX_FRAME = 10**6
+
+
 def quantize(x: float) -> float:
     """Round to 6 significant digits, the precision written to files."""
     return float(f"{x:.6g}")
@@ -214,6 +219,8 @@ def read_detections(path) -> list[FrameDetections]:
         frame = _field(path, line_no, record, "frame", int, "an integer")
         if frame < 0:
             raise ParseError(path, line_no, "frame", f"negative frame index {frame}")
+        if frame > MAX_FRAME:
+            raise ParseError(path, line_no, "frame", f"frame index {frame} above the cap {MAX_FRAME}")
         raw_boxes = _field(path, line_no, record, "boxes", list, "an array")
         boxes = []
         for rb in raw_boxes:
@@ -227,7 +234,7 @@ def read_detections(path) -> list[FrameDetections]:
             if score is not None:
                 score = _number(path, line_no, "score", score)
             try:
-                boxes.append(Box2D(frame=frame, score=score, **coords))
+                boxes.append(Box2D(score=score, **coords))
             except ValueError as exc:
                 raise ParseError(path, line_no, "boxes", str(exc)) from exc
         per_video = frames.setdefault(vid, {})
@@ -346,6 +353,8 @@ def read_tubes(path) -> list[VideoTube]:
         vid = _field(path, line_no, record, "video_id", str, "a string")
         start = _field(path, line_no, record, "start", int, "an integer")
         end = _field(path, line_no, record, "end", int, "an integer")
+        if end > MAX_FRAME:
+            raise ParseError(path, line_no, "end", f"frame index {end} above the cap {MAX_FRAME}")
         label = record.get("label")
         if label is not None and (isinstance(label, bool) or not isinstance(label, int)):
             raise ParseError(path, line_no, "label", f"expected an integer or null, got {label!r}")
@@ -363,12 +372,12 @@ def read_tubes(path) -> list[VideoTube]:
                 f"{len(raw_boxes)} boxes for a span of length {span.length}",
             )
         boxes = []
-        for i, rb in enumerate(raw_boxes):
+        for rb in raw_boxes:
             if not isinstance(rb, list) or len(rb) != 4:
                 raise ParseError(path, line_no, "boxes", f"expected [x1,y1,x2,y2], got {rb!r}")
             x1, y1, x2, y2 = [_number(path, line_no, "boxes", v) for v in rb]
             try:
-                boxes.append(Box2D(x1=x1, y1=y1, x2=x2, y2=y2, frame=start + i))
+                boxes.append(Box2D(x1=x1, y1=y1, x2=x2, y2=y2))
             except ValueError as exc:
                 raise ParseError(path, line_no, "boxes", str(exc)) from exc
         tubes.append(

@@ -16,13 +16,12 @@ import numpy as np
 
 @dataclass(frozen=True)
 class Box2D:
-    """One axis-aligned detection rectangle on one frame."""
+    """One axis-aligned detection rectangle; its container's frame key or offset gives its frame."""
 
     x1: float
     y1: float
     x2: float
     y2: float
-    frame: int = 0
     score: Optional[float] = None
 
     def __post_init__(self):
@@ -37,8 +36,6 @@ class Box2D:
                 f"box ({self.x1}, {self.y1}, {self.x2}, {self.y2}) has area {self.area}: "
                 "a positive finite area required"
             )
-        if self.frame < 0:
-            raise ValueError(f"negative frame index {self.frame}")
 
     @property
     def area(self) -> float:
@@ -91,18 +88,13 @@ class Tube:
             raise ValueError(
                 f"tube has {len(self.boxes)} boxes for a span of length {self.span.length}"
             )
-        for i, box in enumerate(self.boxes):
-            if box.frame != self.span.start + i:
-                raise ValueError(
-                    f"box {i} carries frame {box.frame}, expected {self.span.start + i}"
-                )
 
     def box_at(self, frame: int) -> Box2D:
         return self.boxes[frame - self.span.start]
 
 
 def box_iou(a: Box2D, b: Box2D) -> float:
-    """Spatial intersection-over-union of two boxes; frame indices ignored."""
+    """Spatial intersection-over-union of two boxes."""
     iw = min(a.x2, b.x2) - max(a.x1, b.x1)
     if iw <= 0.0:
         return 0.0

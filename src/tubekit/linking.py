@@ -45,25 +45,9 @@ class LinkingProblem:
             raise ValueError(
                 f"{len(self.candidates)} candidate lists for a span of length {self.span.length}"
             )
-        for offset, frame_boxes in enumerate(self.candidates):
-            frame = self.span.start + offset
+        for frame, frame_boxes in zip(self.span.frames(), self.candidates):
             if not frame_boxes:
                 raise EmptyFrameError(f"no candidate boxes on frame {frame}")
-            for b in frame_boxes:
-                if b.frame != frame:
-                    raise ValueError(f"candidate on frame {frame} carries frame {b.frame}")
-
-
-@dataclass(frozen=True)
-class BoxPath:
-    """A linked box sequence and its length-normalized link score.
-
-    ``mean_link_score`` is the sum of consecutive-frame IoUs divided by the
-    tube length T, hence it lies in [0, (T-1)/T] and is 0 for T == 1.
-    """
-
-    tube: Tube
-    mean_link_score: float
 
 
 def _iou_table(frames: Sequence[Sequence[Box2D]]) -> list[list[list[float]]]:
@@ -140,17 +124,19 @@ def _link(table, active, start: int, end: int) -> tuple[list[int], float]:
     return picks, total
 
 
-def viterbi_link(problem: LinkingProblem) -> BoxPath:
+def viterbi_link(problem: LinkingProblem) -> Tube:
     """Exact maximizer of the summed consecutive-frame IoU.
 
-    Ties are broken deterministically towards the lowest candidate index,
-    both in the forward argmax and at the final frame, so backtracking
-    yields the optimal path whose reversed index sequence is smallest.
+    The tube's score is that sum divided by the tube length T, hence it
+    lies in [0, (T-1)/T] and is 0 for T == 1. Ties are broken
+    deterministically towards the lowest candidate index, both in the
+    forward argmax and at the final frame, so backtracking yields the
+    optimal path whose reversed index sequence is smallest.
     """
     cands = problem.candidates
     picks, total = _link(_iou_table(cands), [list(range(len(c))) for c in cands], 0, len(cands) - 1)
-    tube = Tube(span=problem.span, boxes=tuple(c[k] for c, k in zip(cands, picks)))
-    return BoxPath(tube=tube, mean_link_score=total / len(cands))
+    boxes = tuple(c[k] for c, k in zip(cands, picks))
+    return Tube(span=problem.span, boxes=boxes, score=total / len(cands))
 
 
 def extract_tubes(dets: FrameDetections, cfg: ExtractionConfig | None = None) -> list[Tube]:
@@ -190,7 +176,7 @@ def extract_tubes(dets: FrameDetections, cfg: ExtractionConfig | None = None) ->
             picks, total = _link(table, active, region.start, region.end)
             # Boxes with equal corners tie at every step of the DP, which then
             # picks the first of them; so popping a pick drops the first active
-            # box equal to it, as removal by list.index would.
+            # box equal to it, as removal by list.remove would.
             boxes = tuple(
                 frames[f][active[f].pop(k)] for f, k in zip(region.frames(), picks)
             )

@@ -26,7 +26,7 @@ from .fusion import (
     CENTER_CROPS, ClipScore, ScoreVector, StreamScoreSet, STREAMS, _elementwise_mean,
 )
 from .geometry import Box2D, TemporalSpan, Tube, box_iou, runs, temporal_iou
-from .linking import BoxPath, ExtractionConfig, LinkingProblem
+from .linking import ExtractionConfig, LinkingProblem
 
 CANVAS_W = 320
 CANVAS_H = 240
@@ -110,10 +110,10 @@ def _plant_tracks(cfg: SynthConfig, rng: np.random.Generator) -> list[tuple[Temp
     tracks = []
     for person in range(cfg.persons):
         boxes = []
-        for f, (px, py) in zip(range(start, end + 1), positions):
+        for px, py in positions:
             x1 = px + person * offset - w // 2
             y1 = py - h // 2
-            boxes.append(Box2D(x1=float(x1), y1=float(y1), x2=float(x1 + w), y2=float(y1 + h), frame=f))
+            boxes.append(Box2D(x1=float(x1), y1=float(y1), x2=float(x1 + w), y2=float(y1 + h)))
         tracks.append((TemporalSpan(start, end), boxes))
     return tracks
 
@@ -144,7 +144,7 @@ def _generate_video(
             fh = int(rng.integers(10, 61))
             fx = int(rng.integers(0, CANVAS_W - fw))
             fy = int(rng.integers(0, CANVAS_H - fh))
-            kept.append(Box2D(x1=float(fx), y1=float(fy), x2=float(fx + fw), y2=float(fy + fh), frame=f))
+            kept.append(Box2D(x1=float(fx), y1=float(fy), x2=float(fx + fw), y2=float(fy + fh)))
         if kept:
             frames[f] = kept
     dets = FrameDetections(video_id=video_id, length=cfg.frames, frames={k: tuple(v) for k, v in frames.items()})
@@ -198,7 +198,7 @@ def generate_video(cfg: SynthConfig, index: int):
     return _generate_video(cfg, index)
 
 
-def brute_force_link(problem: LinkingProblem) -> BoxPath:
+def brute_force_link(problem: LinkingProblem) -> Tube:
     """Exhaustive-enumeration twin of ``viterbi_link``.
 
     Walks every possible path, accumulating scores in the same
@@ -231,8 +231,7 @@ def brute_force_link(problem: LinkingProblem) -> BoxPath:
         if best_total is None or total > best_total or (total == best_total and rev < best_rev):
             best_total, best_rev, best_combo = total, rev, combo
     boxes = tuple(problem.candidates[t][best_combo[t]] for t in range(n))
-    tube = Tube(span=problem.span, boxes=boxes)
-    return BoxPath(tube=tube, mean_link_score=best_total / n)
+    return Tube(span=problem.span, boxes=boxes, score=best_total / n)
 
 
 def _naive_link(cands: list[list[Box2D]]) -> tuple[list[Box2D], float]:
@@ -268,8 +267,8 @@ def naive_extract_tubes(dets: FrameDetections, cfg: ExtractionConfig | None = No
     """Scalar twin of ``extract_tubes``: every region re-linked from scratch.
 
     Each link recomputes every consecutive-frame ``box_iou`` of the boxes
-    still on the region's frames, and the chosen boxes are removed with
-    ``list.index``, so the first box equal to a chosen one goes.
+    still on the region's frames, and the chosen boxes are removed frame by
+    frame with ``list.remove``, so the first box equal to a chosen one goes.
     """
     cfg = cfg or ExtractionConfig()
     counts = DetectionCountSeries.from_detections(dets, cfg.median_window)
@@ -286,11 +285,10 @@ def naive_extract_tubes(dets: FrameDetections, cfg: ExtractionConfig | None = No
         if len(pieces) == 1 and pieces[0] == region:
             boxes, total = _naive_link([work[f] for f in region.frames()])
             tubes.append(Tube(span=region, boxes=tuple(boxes), score=total / region.length))
-            for box in boxes:
-                frame_boxes = work[box.frame]
-                frame_boxes.pop(frame_boxes.index(box))
-                if not frame_boxes:
-                    del work[box.frame]
+            for f, box in zip(region.frames(), boxes):
+                work[f].remove(box)
+                if not work[f]:
+                    del work[f]
             queue.append(region)
         else:
             queue.extend(p for p in pieces if p.length >= cfg.min_tube_len)
@@ -359,7 +357,6 @@ def brute_force_eval(
     preds: list[VideoTube],
     gts: list[VideoTube],
     delta: float,
-    require_label_match: bool = True,
 ) -> dict[int, float | None]:
     """Per-class AP by explicit enumeration of score-order prefixes.
 
@@ -368,17 +365,14 @@ def brute_force_eval(
     the area under the envelope computed straight from its definition.
     Test-sized instances only.
     """
-    if require_label_match:
-        classes = sorted({t.label for _, t in gts} | {t.label for _, t in preds})
-        groups = {
-            c: (
-                [(v, t) for v, t in preds if t.label == c],
-                [(v, t) for v, t in gts if t.label == c],
-            )
-            for c in classes
-        }
-    else:
-        groups = {-1: (list(preds), list(gts))}
+    classes = sorted({t.label for _, t in gts} | {t.label for _, t in preds})
+    groups = {
+        c: (
+            [(v, t) for v, t in preds if t.label == c],
+            [(v, t) for v, t in gts if t.label == c],
+        )
+        for c in classes
+    }
     out: dict[int, float | None] = {}
     for c, (cp, cg) in groups.items():
         if len(cp) > _MAX_TUBES_PER_CLASS or len(cg) > _MAX_TUBES_PER_CLASS:

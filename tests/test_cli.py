@@ -16,6 +16,7 @@ import tubekit
 from tubekit.cli import main
 from tubekit.fusion import CENTER_CROPS, FUSION_METHODS, STREAMS
 from tubekit import read_predictions, read_report, read_tubes
+from tubekit.formats import MAX_FRAME
 
 
 def run(*argv):
@@ -331,6 +332,31 @@ def test_box_area_out_of_range_exits_2_naming_line(tmp_path, capsys, command, bo
     assert "'boxes'" in err
 
 
+@pytest.mark.parametrize("command", ["extract-tubes", "actionness", "evaluate"])
+def test_frame_above_cap_exits_2_naming_field(tmp_path, capsys, command):
+    over = MAX_FRAME + 1
+    dets = tmp_path / "detections.jsonl"
+    dets.write_text(DETECTION_LINE % (0, "10") + "\n" + DETECTION_LINE % (over, "10") + "\n")
+    tubes = tmp_path / "tubes.jsonl"
+    bad = {"video_id": "v", "label": 0, "start": over, "end": over, "score": 0.5, "boxes": [[0, 0, 10, 10]]}
+    tubes.write_text(TUBE_LINE % "0.5" + "\n" + json.dumps(bad) + "\n")
+    scores = tmp_path / "scores.jsonl"
+    write_score_records(scores, [[1.0, 0.0]], streams=STREAMS)
+    out = str(tmp_path / "out.jsonl")
+    if command == "extract-tubes":
+        path, field = dets, "frame"
+        argv = ["extract-tubes", str(dets), "--out", out]
+    elif command == "actionness":
+        path, field = tubes, "end"
+        argv = ["actionness", "--scores", str(scores), "--tubes", str(tubes),
+                "--class", "0", "--threshold", "0.4", "--out", out]
+    else:
+        path, field = tubes, "end"
+        argv = ["evaluate", str(tubes), str(tubes), "--out", out]
+    assert run(*argv) == 2
+    assert f"{path}, line 2, field '{field}': frame index {over} above the cap" in capsys.readouterr().err
+
+
 def test_fuse_mean_of_huge_scores(tmp_path):
     scores = tmp_path / "scores.jsonl"
     scores.write_text("".join(
@@ -615,3 +641,63 @@ def test_extract_tubes_never_crashes(records, min_tube_len, median_window, paral
     _run(["extract-tubes", "detections.jsonl", "--min-tube-len", str(min_tube_len),
           "--median-window", str(median_window), "--parallel", parallel, "--out", "out.jsonl"],
          {"detections.jsonl": _jsonl(records)})
+
+
+# The same gate for evaluate on mutated tubes records, in the prediction or
+# the ground-truth file: span versus box-count mismatches, reversed
+# spans, bad labels and scores, ends above the frame cap, empty files,
+# classes present in one file only, and duplicate tubes.
+
+bad_tube_fields = {
+    "label": st.sampled_from([True, False, 10**400, -1, 2.5, "x", None]),
+    "score": st.sampled_from([float("nan"), float("inf"), -float("inf"), BIG, -BIG, 10**400, "x", True]),
+    "end": st.sampled_from([10**400, -1]),
+    "start": st.sampled_from([-1, 10**400, "x"]),
+    "boxes": st.sampled_from([[], [[0, 0, 1]], [None], [[0, 0, BIG, BIG]], "x"]),
+}
+
+
+@st.composite
+def tube_records(draw, mutate):
+    records = []
+    for _ in range(draw(st.integers(0, 4))):  # no tubes at all: an empty file
+        start = draw(st.integers(0, 20))
+        n = draw(st.integers(1, 8))
+        x, y = draw(lattice_coord), draw(lattice_coord)
+        record = {"video_id": draw(st.sampled_from(FUZZ_VIDEOS)),
+                  # few classes, so that a class often appears in one file only
+                  "label": draw(st.integers(0, 2)), "start": start, "end": start + n - 1,
+                  "score": draw(st.sampled_from([0.0, 0.5, 0.9, 1e308, -1.0])),
+                  "boxes": [[x + f % 3, y, x + f % 3 + 6, y + 6] for f in range(n)]}
+        records.append(record)
+        if draw(st.integers(0, 3)) == 0:
+            records.append(json.loads(json.dumps(record)))  # a duplicate tube
+    if not (mutate and records):
+        return records
+    record = draw(st.sampled_from(records))
+    mutation = draw(st.sampled_from([None, "count", "reversed", "cap", "field", "missing"]))
+    if mutation == "count":
+        if draw(st.booleans()) or len(record["boxes"]) == 1:
+            record["boxes"].append([0, 0, 1, 1])
+        else:
+            record["boxes"].pop()
+    elif mutation == "reversed":
+        record["start"], record["end"] = record["end"] + 1, record["start"]
+    elif mutation == "cap":
+        record["start"] = record["end"] = MAX_FRAME + draw(st.sampled_from([1, 10**6]))
+        record["boxes"] = [[0, 0, 1, 1]]
+    elif mutation == "field":
+        name = draw(st.sampled_from(sorted(bad_tube_fields)))
+        record[name] = draw(bad_tube_fields[name])
+    elif mutation == "missing":
+        del record[draw(st.sampled_from(["video_id", "label", "start", "end", "score", "boxes"]))]
+    return records
+
+
+@FUZZ
+@given(st.sampled_from(["preds", "gt"]), st.data())
+def test_evaluate_never_crashes(mutated, data):
+    preds = data.draw(tube_records(mutate=mutated == "preds"))
+    gts = data.draw(tube_records(mutate=mutated == "gt"))
+    _run(["evaluate", "preds.jsonl", "gt.jsonl", "--out", "out.jsonl"],
+         {"preds.jsonl": _jsonl(preds), "gt.jsonl": _jsonl(gts)})

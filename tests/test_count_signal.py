@@ -30,7 +30,7 @@ def naive_median(series, window):
 def dets_from_counts(counts, video_id="v"):
     frames = {}
     for f, c in enumerate(counts):
-        frames[f] = tuple(Box2D(0, 0, 10 + i, 10, frame=f) for i in range(c))
+        frames[f] = tuple(Box2D(0, 0, 10 + i, 10) for i in range(c))
     return FrameDetections(video_id=video_id, length=len(counts), frames=frames)
 
 
@@ -113,15 +113,15 @@ class TestPadDetections:
         assert out.boxes_on(0) == ()
 
     def test_largest_box_is_duplicated(self):
-        small = Box2D(0, 0, 5, 5, frame=0)  # area 25
-        big = Box2D(0, 0, 10, 10, frame=0)  # area 100
+        small = Box2D(0, 0, 5, 5)  # area 25
+        big = Box2D(0, 0, 10, 10)  # area 100
         dets = FrameDetections(video_id="v", length=1, frames={0: (small, big)})
         out = pad_detections(dets, [3])
         assert out.boxes_on(0) == (small, big, big)
 
     def test_ties_take_first_occurrence(self):
-        a = Box2D(0, 0, 10, 10, frame=0)
-        b = Box2D(50, 50, 60, 60, frame=0)  # same area
+        a = Box2D(0, 0, 10, 10)
+        b = Box2D(50, 50, 60, 60)  # same area
         dets = FrameDetections(video_id="v", length=1, frames={0: (a, b)})
         out = pad_detections(dets, [3])
         assert out.boxes_on(0) == (a, b, a)

@@ -18,7 +18,7 @@ from tubekit import (
 
 def tube(start, end, x=0.0, label=0, score=1.0, size=10.0):
     boxes = tuple(
-        Box2D(x1=x, y1=0.0, x2=x + size, y2=size, frame=f) for f in range(start, end + 1)
+        Box2D(x1=x, y1=0.0, x2=x + size, y2=size) for f in range(start, end + 1)
     )
     return Tube(span=TemporalSpan(start, end), boxes=boxes, label=label, score=score)
 
@@ -71,11 +71,6 @@ class TestMatchPredictions:
         p = [("v", tube(0, 9, x=8.0, score=0.9)), ("v", tube(0, 9, x=0.0, score=0.5))]
         g = [("v", tube(0, 9, score=None))]
         assert match_predictions(p, g, 0.9) == [False, True]
-
-    def test_label_matching_can_be_disabled(self):
-        p = [("v", tube(0, 9, label=1))]
-        g = [("v", tube(0, 9, label=0, score=None))]
-        assert match_predictions(p, g, 0.5, require_label_match=False) == [True]
 
     def test_missing_score_rejected(self):
         p = [("v", tube(0, 9, score=None))]

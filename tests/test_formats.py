@@ -155,16 +155,16 @@ def sample_detections():
         video_id="vid_a",
         length=3,
         frames={
-            0: (Box2D(0.0, 0.0, 10.0, 10.0, frame=0, score=0.9), Box2D(5.0, 5.0, 9.0, 9.0, frame=0)),
-            2: (Box2D(1.0, 2.0, 3.5, 4.25, frame=2),),
+            0: (Box2D(0.0, 0.0, 10.0, 10.0, score=0.9), Box2D(5.0, 5.0, 9.0, 9.0)),
+            2: (Box2D(1.0, 2.0, 3.5, 4.25),),
         },
     )
-    b = FrameDetections(video_id="vid_b", length=2, frames={1: (Box2D(0.0, 0.0, 1.0, 1.0, frame=1),)})
+    b = FrameDetections(video_id="vid_b", length=2, frames={1: (Box2D(0.0, 0.0, 1.0, 1.0),)})
     return [a, b]
 
 
 def sample_tubes():
-    boxes = tuple(Box2D(float(f), 0.0, float(f) + 10.0, 20.0, frame=f) for f in range(3, 8))
+    boxes = tuple(Box2D(float(f), 0.0, float(f) + 10.0, 20.0) for f in range(3, 8))
     return [
         ("vid_a", Tube(span=TemporalSpan(3, 7), boxes=boxes, label=2, score=0.75)),
         ("vid_b", Tube(span=TemporalSpan(3, 7), boxes=boxes, label=0)),
@@ -319,7 +319,7 @@ class TestByteDeterminism:
 
     def test_reals_written_with_six_significant_digits(self, tmp_path):
         path = tmp_path / "t.jsonl"
-        boxes = (Box2D(0.123456789, 0.0, 10.0, 10.0, frame=0),)
+        boxes = (Box2D(0.123456789, 0.0, 10.0, 10.0),)
         tubes = [("v", Tube(span=TemporalSpan(0, 0), boxes=boxes, label=0, score=1 / 3))]
         write_tubes(path, tubes)
         text = path.read_text()

@@ -299,7 +299,7 @@ def make_series(values, human=None):
 
 class TestTubeActionness:
     def tube(self, start, end):
-        boxes = tuple(Box2D(0, 0, 10, 10, frame=f) for f in range(start, end + 1))
+        boxes = tuple(Box2D(0, 0, 10, 10) for f in range(start, end + 1))
         return Tube(span=TemporalSpan(start, end), boxes=boxes)
 
     def test_zero_series(self):

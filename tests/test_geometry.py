@@ -10,10 +10,7 @@ from tubekit.synth import naive_tube_iou
 
 
 def make_tube(start, end, coords, label=None, score=None):
-    boxes = tuple(
-        Box2D(x1=c[0], y1=c[1], x2=c[2], y2=c[3], frame=start + i)
-        for i, c in enumerate(coords)
-    )
+    boxes = tuple(Box2D(x1=c[0], y1=c[1], x2=c[2], y2=c[3]) for c in coords)
     return Tube(span=TemporalSpan(start, end), boxes=boxes, label=label, score=score)
 
 
@@ -35,9 +32,10 @@ class TestBox2D:
         with pytest.raises(ValueError):
             Box2D(5, 0, 3, 10)
 
-    def test_rejects_negative_frame(self):
-        with pytest.raises(ValueError):
-            Box2D(0, 0, 1, 1, frame=-1)
+    def test_has_no_frame(self):
+        # the frame key or span offset of a box's container is its only frame
+        with pytest.raises(TypeError):
+            Box2D(0, 0, 1, 1, frame=0)
 
     def test_area(self):
         assert Box2D(0, 0, 10, 5).area == 50.0
@@ -127,14 +125,6 @@ class TestTubeInvariants:
     def test_box_count_must_match_span(self):
         with pytest.raises(ValueError):
             make_tube(0, 2, [(0, 0, 10, 10)] * 2)
-
-    def test_frames_must_be_contiguous(self):
-        boxes = (
-            Box2D(0, 0, 10, 10, frame=0),
-            Box2D(0, 0, 10, 10, frame=2),
-        )
-        with pytest.raises(ValueError):
-            Tube(span=TemporalSpan(0, 1), boxes=boxes)
 
 
 class TestRuns:

@@ -26,8 +26,7 @@ from tubekit.synth import naive_extract_tubes
 
 def problem_from_coords(start, frames):
     cands = tuple(
-        tuple(Box2D(x1=c[0], y1=c[1], x2=c[2], y2=c[3], frame=start + t) for c in frame)
-        for t, frame in enumerate(frames)
+        tuple(Box2D(x1=c[0], y1=c[1], x2=c[2], y2=c[3]) for c in frame) for frame in frames
     )
     return LinkingProblem(span=TemporalSpan(start, start + len(frames) - 1), candidates=cands)
 
@@ -52,14 +51,14 @@ class TestViterbi:
     def test_single_frame(self):
         p = problem_from_coords(3, [[(0, 0, 10, 10)]])
         path = viterbi_link(p)
-        assert path.tube.span == TemporalSpan(3, 3)
-        assert path.mean_link_score == 0.0
+        assert path.span == TemporalSpan(3, 3)
+        assert path.score == 0.0
 
     def test_picks_overlapping_successor(self):
         p = problem_from_coords(0, [[(0, 0, 10, 10)], [(0, 0, 10, 10), (50, 50, 60, 60)]])
         path = viterbi_link(p)
-        assert path.tube.boxes[1] == Box2D(0, 0, 10, 10, frame=1)
-        assert path.mean_link_score == pytest.approx(1.0 / 2)
+        assert path.boxes[1] == Box2D(0, 0, 10, 10)
+        assert path.score == pytest.approx(1.0 / 2)
 
     def test_empty_frame_rejected(self):
         with pytest.raises(EmptyFrameError):
@@ -69,7 +68,7 @@ class TestViterbi:
         # both second-frame boxes have identical IoU with the first box
         p = problem_from_coords(0, [[(0, 0, 10, 10)], [(0, 0, 10, 10), (0, 0, 10, 10)]])
         path = viterbi_link(p)
-        assert path.tube.boxes[1] is p.candidates[1][0]
+        assert path.boxes[1] is p.candidates[1][0]
 
     def test_matches_brute_force_on_random_instances(self):
         rng = random.Random(123)
@@ -77,8 +76,8 @@ class TestViterbi:
             p = random_problem(rng)
             fast = viterbi_link(p)
             slow = brute_force_link(p)
-            assert fast.mean_link_score == slow.mean_link_score
-            assert fast.tube == slow.tube
+            assert fast.score == slow.score
+            assert fast == slow
 
     def test_mean_link_score_bounds(self):
         rng = random.Random(7)
@@ -86,12 +85,12 @@ class TestViterbi:
             p = random_problem(rng)
             path = viterbi_link(p)
             n = p.span.length
-            assert 0.0 <= path.mean_link_score <= (n - 1) / n + 1e-15
+            assert 0.0 <= path.score <= (n - 1) / n + 1e-15
 
 
 def single_track_dets(length, coords=(0, 0, 30, 60), video_id="v"):
     frames = {
-        f: (Box2D(x1=coords[0], y1=coords[1], x2=coords[2], y2=coords[3], frame=f),)
+        f: (Box2D(x1=coords[0], y1=coords[1], x2=coords[2], y2=coords[3]),)
         for f in range(length)
     }
     return FrameDetections(video_id=video_id, length=length, frames=frames)
@@ -106,7 +105,7 @@ class TestExtractTubes:
 
     def test_short_region_ignored(self):
         # four boxed frames inside a longer video: no proposal of length >= 5
-        frames = {f: (Box2D(0, 0, 10, 10, frame=f),) for f in range(2, 6)}
+        frames = {f: (Box2D(0, 0, 10, 10),) for f in range(2, 6)}
         dets = FrameDetections(video_id="v", length=20, frames=frames)
         assert extract_tubes(dets, ExtractionConfig(median_window=3)) == []
         assert extract_tubes(dets) == []  # default window 80 smooths it away too
@@ -175,9 +174,9 @@ class TestExtractTubes:
             padded = pad_detections(dets, list(series.expected))
             pool = {f: list(boxes) for f, boxes in padded.frames.items()}
             for t in tubes:
-                for b in t.boxes:
-                    assert b in pool[b.frame]
-                    pool[b.frame].remove(b)
+                for f, b in zip(t.span.frames(), t.boxes):
+                    assert b in pool[f]
+                    pool[f].remove(b)
 
     def test_deterministic(self):
         cfg = SynthConfig(seed=9, videos=2, frames=50, persons=2)
@@ -248,7 +247,7 @@ def video(draw):
         boxes = []
         for x1, y1, w, h in draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)):
             score = draw(st.sampled_from([None, None, 0.5, 0.9]))
-            boxes.append(Box2D(x1, y1, x1 + w, y1 + h, frame=f, score=score))
+            boxes.append(Box2D(x1, y1, x1 + w, y1 + h, score=score))
         frames[f] = tuple(boxes)
     return FrameDetections(video_id="v", length=length, frames=frames)
 

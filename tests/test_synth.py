@@ -41,8 +41,8 @@ class TestGenerator:
         by_video = {d.video_id: d for d in detections}
         for vid, tube in gt:
             dets = by_video[vid]
-            for box in tube.boxes:
-                assert box in dets.boxes_on(box.frame)
+            for f, box in zip(tube.span.frames(), tube.boxes):
+                assert box in dets.boxes_on(f)
 
     def test_zero_jitter_keeps_boxes_static(self):
         cfg = SynthConfig(seed=5, videos=2, frames=30, persons=2, jitter=0.0, miss_rate=0.0)
@@ -102,8 +102,8 @@ def tiny_problem():
     return LinkingProblem(
         span=TemporalSpan(0, 1),
         candidates=(
-            (Box2D(0, 0, 10, 10, frame=0),),
-            (Box2D(0, 0, 10, 10, frame=1), Box2D(50, 50, 60, 60, frame=1)),
+            (Box2D(0, 0, 10, 10),),
+            (Box2D(0, 0, 10, 10), Box2D(50, 50, 60, 60)),
         ),
     )
 
@@ -112,28 +112,28 @@ class TestBruteForceLink:
     def test_single_frame(self):
         p = LinkingProblem(
             span=TemporalSpan(0, 0),
-            candidates=((Box2D(0, 0, 10, 10, frame=0), Box2D(1, 1, 5, 5, frame=0)),),
+            candidates=((Box2D(0, 0, 10, 10), Box2D(1, 1, 5, 5)),),
         )
         path = brute_force_link(p)
-        assert path.mean_link_score == 0.0
-        assert path.tube.boxes[0] is p.candidates[0][0]
+        assert path.score == 0.0
+        assert path.boxes[0] is p.candidates[0][0]
 
     def test_agrees_with_viterbi_on_example(self):
         p = tiny_problem()
-        assert brute_force_link(p).tube == viterbi_link(p).tube
+        assert brute_force_link(p) == viterbi_link(p)
 
     def test_size_cap(self):
         # 101^3 paths exceeds the 10^6 enumeration bound
         cands = []
         for f in range(3):
-            cands.append(tuple(Box2D(float(i), 0.0, float(i + 1), 1.0, frame=f) for i in range(101)))
+            cands.append(tuple(Box2D(float(i), 0.0, float(i + 1), 1.0) for i in range(101)))
         p = LinkingProblem(span=TemporalSpan(0, 2), candidates=tuple(cands))
         with pytest.raises(InstanceTooLargeError):
             brute_force_link(p)
 
 
 def eval_tube(start, end, label, score=None, x=0.0):
-    boxes = tuple(Box2D(x, 0, x + 10, 10, frame=f) for f in range(start, end + 1))
+    boxes = tuple(Box2D(x, 0, x + 10, 10) for f in range(start, end + 1))
     from tubekit import Tube
 
     return Tube(span=TemporalSpan(start, end), boxes=boxes, label=label, score=score)

@@ -45,6 +45,9 @@ from .fusion import (
 from .linking import ExtractionConfig, extract_tubes
 from .synth import SynthConfig, generate_video
 
+# compose_actionness takes the per-frame probabilities in this order
+_ACTIONNESS_STREAMS = ("pose", "rgb", "flow")
+
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_FLAGS = 3
@@ -136,10 +139,7 @@ def _cmd_fuse(args) -> int:
     return EXIT_OK
 
 
-def _frame_probs(sets, vid, stream, gran, length, scores_path, cls):
-    scores = sets.get((vid, stream, gran))
-    if scores is None:
-        raise ParseError(scores_path, message=f"missing stream {stream!r} ({gran}) for video {vid!r}")
+def _frame_probs(scores: StreamScoreSet, length: int, cls: int) -> list[float]:
     # a run of frames shares one vector object, so softmax once per run
     probs = []
     prev = p = None
@@ -179,28 +179,35 @@ def _cmd_actionness(args) -> int:
                     human[f] = True
             gates[vid] = human
 
-    rows = []
-    for vid in sorted(gates):
-        human = gates[vid]
-        length = len(human)
-        pose = _frame_probs(sets, vid, "pose", args.granularity, length, args.scores, args.action_class)
-        rgb = _frame_probs(sets, vid, "rgb", args.granularity, length, args.scores, args.action_class)
-        flow = _frame_probs(sets, vid, "flow", args.granularity, length, args.scores, args.action_class)
-        series = compose_actionness(pose, rgb, flow, human)
-        spans = temporal_localize(series, args.threshold)
-        sums = [tube_actionness(t, series) for t in tubes_by_video.get(vid, [])]
-        rows.append(
-            {
+    # every stream is looked up before --out is opened, so a missing one leaves no file
+    videos = sorted(gates)
+    for vid in videos:
+        for stream in _ACTIONNESS_STREAMS:
+            if (vid, stream, args.granularity) not in sets:
+                raise ParseError(
+                    args.scores, message=f"missing stream {stream!r} ({args.granularity}) for video {vid!r}"
+                )
+
+    def rows():
+        # one video's per-frame lists at a time: they grow with its last frame
+        for vid in videos:
+            human = gates.pop(vid)
+            probs = [
+                _frame_probs(sets[vid, stream, args.granularity], len(human), args.action_class)
+                for stream in _ACTIONNESS_STREAMS
+            ]
+            series = compose_actionness(*probs, human)
+            yield {
                 "video_id": vid,
                 "class": args.action_class,
                 "threshold": args.threshold,
                 "series": series.values,
                 "human": series.human_present,
-                "spans": [(s.start, s.end) for s in spans],
-                "tube_sums": sums,
+                "spans": [(s.start, s.end) for s in temporal_localize(series, args.threshold)],
+                "tube_sums": [tube_actionness(t, series) for t in tubes_by_video.get(vid, [])],
             }
-        )
-    write_actionness(args.out, rows)
+
+    write_actionness(args.out, rows())
     return EXIT_OK
 
 

@@ -172,11 +172,12 @@ def _required(path, line_no, record, name):
     return record[name]
 
 
-def _field(path, line_no, record, name, types, type_name):
+def _field(path, line_no, record, name, json_type, type_name):
+    value = record.get(name)
+    if type(value) is json_type:  # exact: JSON gives no subclasses, and bool is not an int
+        return value
     value = _required(path, line_no, record, name)
-    if isinstance(value, bool) or not isinstance(value, types):
-        raise ParseError(path, line_no, name, f"expected {type_name}, got {value!r}")
-    return value
+    raise ParseError(path, line_no, name, f"expected {type_name}, got {value!r}")
 
 
 def _number(path, line_no, field, value) -> float:
@@ -191,6 +192,33 @@ def _number(path, line_no, field, value) -> float:
     if not math.isfinite(value):
         raise ParseError(path, line_no, field, f"expected a finite number, got {value!r}")
     return value
+
+
+def _checked_box(path, line_no, x1, y1, x2, y2, score=None) -> Box2D:
+    try:
+        return Box2D(x1, y1, x2, y2, score)
+    except ValueError as exc:
+        raise ParseError(path, line_no, "boxes", str(exc)) from exc
+
+
+def _detection_box(path, line_no, rb) -> Box2D:
+    """A detections box checked field by field: x1, y1, x2, y2, score, then Box2D's checks."""
+    if not isinstance(rb, dict):
+        raise ParseError(path, line_no, "boxes", f"box is not an object: {rb!r}")
+    x1, y1, x2, y2 = [
+        _number(path, line_no, key, _required(path, line_no, rb, key)) for key in ("x1", "y1", "x2", "y2")
+    ]
+    score = rb.get("score")
+    if score is not None:
+        score = _number(path, line_no, "score", score)
+    return _checked_box(path, line_no, x1, y1, x2, y2, score)
+
+
+def _tube_box(path, line_no, rb) -> Box2D:
+    """A tubes box checked value by value, then by Box2D."""
+    if not isinstance(rb, list) or len(rb) != 4:
+        raise ParseError(path, line_no, "boxes", f"expected [x1,y1,x2,y2], got {rb!r}")
+    return _checked_box(path, line_no, *[_number(path, line_no, "boxes", v) for v in rb])
 
 
 def write_detections(path, videos: Iterable[FrameDetections]) -> None:
@@ -224,19 +252,21 @@ def read_detections(path) -> list[FrameDetections]:
         raw_boxes = _field(path, line_no, record, "boxes", list, "an array")
         boxes = []
         for rb in raw_boxes:
-            if not isinstance(rb, dict):
-                raise ParseError(path, line_no, "boxes", f"box is not an object: {rb!r}")
-            coords = {
-                key: _number(path, line_no, key, _required(path, line_no, rb, key))
-                for key in ("x1", "y1", "x2", "y2")
-            }
-            score = rb.get("score")
-            if score is not None:
-                score = _number(path, line_no, "score", score)
-            try:
-                boxes.append(Box2D(score=score, **coords))
-            except ValueError as exc:
-                raise ParseError(path, line_no, "boxes", str(exc)) from exc
+            # Box2D refuses every non-finite coordinate, so float coordinates that it
+            # accepts need no other check. Any other box is parsed again field by
+            # field, which names its first fault.
+            if type(rb) is dict:
+                x1, y1, x2, y2, score = rb.get("x1"), rb.get("y1"), rb.get("x2"), rb.get("y2"), rb.get("score")
+                if (
+                    type(x1) is float and type(y1) is float and type(x2) is float and type(y2) is float
+                    and (score is None or type(score) is float and math.isfinite(score))
+                ):
+                    try:
+                        boxes.append(Box2D(x1, y1, x2, y2, score))
+                        continue
+                    except ValueError:
+                        pass
+            boxes.append(_detection_box(path, line_no, rb))
         per_video = frames.setdefault(vid, {})
         if frame in per_video:
             raise ParseError(path, line_no, "frame", f"duplicate frame {frame} for video {vid!r}")
@@ -267,6 +297,44 @@ def write_scores(path, sets: Iterable[StreamScoreSet]) -> None:
                 )
 
 
+_SCORE_FIELDS = ("video_id", "stream", "granularity", "crop_id", "kind", "clip_start", "values")
+
+
+def _check_class_count(path, line_no, k: int, file_k: int) -> None:
+    if k != file_k:
+        raise ParseError(path, line_no, "values", f"class count {k} differs from {file_k} seen earlier in the file")
+
+
+def _score_entry(path, line_no, record, file_k) -> ClipScore:
+    """A scores record checked field by field, in the order of ``_SCORE_FIELDS``."""
+    _field(path, line_no, record, "video_id", str, "a string")
+    stream = _field(path, line_no, record, "stream", str, "a string")
+    if stream not in STREAMS:
+        raise VocabularyError(path, line_no, "stream", f"unknown stream {stream!r}, expected one of {list(STREAMS)}")
+    gran = _field(path, line_no, record, "granularity", str, "a string")
+    if gran not in GRANULARITIES:
+        raise VocabularyError(path, line_no, "granularity", f"unknown granularity {gran!r}, expected one of {list(GRANULARITIES)}")
+    crop = _field(path, line_no, record, "crop_id", str, "a string")
+    if crop not in FIXED_CROPS:
+        raise VocabularyError(path, line_no, "crop_id", f"unknown crop_id {crop!r}, expected one of {list(FIXED_CROPS)}")
+    kind = _field(path, line_no, record, "kind", str, "a string")
+    if kind not in KINDS:
+        raise VocabularyError(path, line_no, "kind", f"unknown kind {kind!r}, expected one of {list(KINDS)}")
+    clip_start = _field(path, line_no, record, "clip_start", int, "an integer")
+    if clip_start < 0:
+        raise ParseError(path, line_no, "clip_start", f"negative clip_start {clip_start}")
+    values = [
+        _number(path, line_no, "values", v)
+        for v in _field(path, line_no, record, "values", list, "an array")
+    ]
+    if file_k is not None:
+        _check_class_count(path, line_no, len(values), file_k)
+    try:
+        return ClipScore(clip_start, crop, ScoreVector(tuple(values), kind))
+    except ValueError as exc:
+        raise ParseError(path, line_no, "values", str(exc)) from exc
+
+
 def read_scores(path) -> list[StreamScoreSet]:
     """Score sets grouped by (video, stream, granularity), entries sorted.
 
@@ -276,43 +344,29 @@ def read_scores(path) -> list[StreamScoreSet]:
     groups: dict[tuple[str, str, str], list[ClipScore]] = {}
     file_k = None
     for line_no, record in _iter_records(path):
-        vid = _field(path, line_no, record, "video_id", str, "a string")
-        stream = _field(path, line_no, record, "stream", str, "a string")
-        if stream not in STREAMS:
-            raise VocabularyError(path, line_no, "stream", f"unknown stream {stream!r}, expected one of {list(STREAMS)}")
-        gran = _field(path, line_no, record, "granularity", str, "a string")
-        if gran not in GRANULARITIES:
-            raise VocabularyError(path, line_no, "granularity", f"unknown granularity {gran!r}, expected one of {list(GRANULARITIES)}")
-        crop = _field(path, line_no, record, "crop_id", str, "a string")
-        if crop not in FIXED_CROPS:
-            raise VocabularyError(path, line_no, "crop_id", f"unknown crop_id {crop!r}, expected one of {list(FIXED_CROPS)}")
-        kind = _field(path, line_no, record, "kind", str, "a string")
-        if kind not in KINDS:
-            raise VocabularyError(path, line_no, "kind", f"unknown kind {kind!r}, expected one of {list(KINDS)}")
-        clip_start = _field(path, line_no, record, "clip_start", int, "an integer")
-        if clip_start < 0:
-            raise ParseError(path, line_no, "clip_start", f"negative clip_start {clip_start}")
-        values = [
-            _number(path, line_no, "values", v)
-            for v in _field(path, line_no, record, "values", list, "an array")
-        ]
+        vid, stream, gran, crop, kind, clip_start, values = map(record.get, _SCORE_FIELDS)
+        # ClipScore and ScoreVector check the crop, kind, clip_start and values; any
+        # record that fails the checks here or theirs is parsed again field by field,
+        # which names its first fault.
+        entry = None
+        if (
+            type(vid) is str and stream in STREAMS and gran in GRANULARITIES
+            and type(clip_start) is int and type(values) is list
+            and all(type(v) is float for v in values)
+        ):
+            try:
+                entry = ClipScore(clip_start, crop, ScoreVector(tuple(values), kind))
+            except ValueError:
+                pass
+        if entry is None:
+            entry = _score_entry(path, line_no, record, file_k)
+        vector = entry.vector
         if file_k is None:
-            file_k = len(values)
-        elif len(values) != file_k:
-            raise ParseError(
-                path, line_no, "values",
-                f"class count {len(values)} differs from {file_k} seen earlier in the file",
-            )
-        try:
-            entry = ClipScore(
-                clip_start=clip_start,
-                crop_id=crop,
-                vector=ScoreVector(values=tuple(values), kind=kind),
-            )
-        except ValueError as exc:
-            raise ParseError(path, line_no, "values", str(exc)) from exc
-        if kind == "prob":
-            total = math.fsum(values)
+            file_k = vector.k
+        else:
+            _check_class_count(path, line_no, vector.k, file_k)
+        if vector.kind == "prob":
+            total = math.fsum(vector.values)
             if abs(total - 1.0) > PROB_SUM_TOL:
                 raise ParseError(path, line_no, "values", f"probability vector sums to {total}, not 1")
         groups.setdefault((vid, stream, gran), []).append(entry)
@@ -373,13 +427,16 @@ def read_tubes(path) -> list[VideoTube]:
             )
         boxes = []
         for rb in raw_boxes:
-            if not isinstance(rb, list) or len(rb) != 4:
-                raise ParseError(path, line_no, "boxes", f"expected [x1,y1,x2,y2], got {rb!r}")
-            x1, y1, x2, y2 = [_number(path, line_no, "boxes", v) for v in rb]
-            try:
-                boxes.append(Box2D(x1=x1, y1=y1, x2=x2, y2=y2))
-            except ValueError as exc:
-                raise ParseError(path, line_no, "boxes", str(exc)) from exc
+            # as in read_detections: finite floats that Box2D accepts, or a field-by-field parse
+            if type(rb) is list and len(rb) == 4:
+                x1, y1, x2, y2 = rb
+                if type(x1) is float and type(y1) is float and type(x2) is float and type(y2) is float:
+                    try:
+                        boxes.append(Box2D(x1, y1, x2, y2))
+                        continue
+                    except ValueError:
+                        pass
+            boxes.append(_tube_box(path, line_no, rb))
         tubes.append(
             (vid, Tube(span=span, boxes=tuple(boxes), label=label, score=score))
         )

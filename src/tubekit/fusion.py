@@ -39,18 +39,19 @@ class ScoreVector:
     kind: str = "raw"
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        if len(self.values) == 0:
+        values = tuple(map(float, self.values))
+        object.__setattr__(self, "values", values)
+        if len(values) == 0:
             raise ValueError("empty score vector")
         if self.kind not in KINDS:
             raise ValueError(f"unknown score kind {self.kind!r}")
-        for v in self.values:
-            if not math.isfinite(v):
-                raise ValueError(f"non-finite score value {v!r}")
+        if not all(map(math.isfinite, values)):
+            bad = next(v for v in values if not math.isfinite(v))
+            raise ValueError(f"non-finite score value {bad!r}")
         if self.kind == "prob":
-            if any(v < 0.0 for v in self.values):
+            if min(values) < 0.0:
                 raise ValueError("probability vector with negative entries")
-            if any(v > 1.0 for v in self.values):
+            if max(values) > 1.0:
                 raise ValueError("probability vector with entries above 1")
 
     @property

@@ -6,7 +6,7 @@ inclusive integer frame ranges. Everything here is immutable and pure.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from itertools import groupby
 from math import fsum, inf
 from typing import Iterable, Optional, Sequence
@@ -14,32 +14,77 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 
-@dataclass(frozen=True)
-class Box2D:
-    """One axis-aligned detection rectangle; its container's frame key or offset gives its frame."""
+class _BoxSlots:
+    """Box2D's storage; ``Box2D.__new__`` fills one and then retypes it."""
+
+    __slots__ = ("x1", "y1", "x2", "y2", "score", "area")
+
+
+class Box2D(_BoxSlots):
+    """One axis-aligned detection rectangle; its container's frame key or offset gives its frame.
+
+    An immutable value: ``==`` and ``hash`` compare the class and the five
+    fields, like a frozen dataclass. ``area`` is computed once, on creation.
+    """
+
+    __slots__ = ()
 
     x1: float
     y1: float
     x2: float
     y2: float
-    score: Optional[float] = None
+    score: Optional[float]
+    area: float
 
-    def __post_init__(self):
-        if not (self.x1 < self.x2 and self.y1 < self.y2):
+    def __new__(cls, x1: float, y1: float, x2: float, y2: float, score: Optional[float] = None):
+        if not (x1 < x2 and y1 < y2):
             raise ValueError(
-                f"degenerate box ({self.x1}, {self.y1}, {self.x2}, {self.y2}): "
-                "x1 < x2 and y1 < y2 required"
+                f"degenerate box ({x1}, {y1}, {x2}, {y2}): x1 < x2 and y1 < y2 required"
             )
+        area = (x2 - x1) * (y2 - y1)
         # box_iou divides by the areas: an infinite one gives NaN, a zero one 0 / 0
-        if not 0.0 < self.area < inf:
+        if not 0.0 < area < inf:
             raise ValueError(
-                f"box ({self.x1}, {self.y1}, {self.x2}, {self.y2}) has area {self.area}: "
-                "a positive finite area required"
+                f"box ({x1}, {y1}, {x2}, {y2}) has area {area}: a positive finite area required"
             )
+        # Filled as the writable base, then retyped: plain slot stores cost about
+        # half of the object.__setattr__ calls that would get past __setattr__ below.
+        self = _BoxSlots()
+        self.x1 = x1
+        self.y1 = y1
+        self.x2 = x2
+        self.y2 = y2
+        self.score = score
+        self.area = area
+        self.__class__ = cls
+        return self
 
-    @property
-    def area(self) -> float:
-        return (self.x2 - self.x1) * (self.y2 - self.y1)
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # pickle and copy would restore the slots through __setattr__
+        return (type(self), (self.x1, self.y1, self.x2, self.y2, self.score))
+
+    def _fields(self) -> tuple:
+        return (self.x1, self.y1, self.x2, self.y2, self.score)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return (
+            f"{type(self).__qualname__}(x1={self.x1!r}, y1={self.y1!r}, x2={self.x2!r}, "
+            f"y2={self.y2!r}, score={self.score!r})"
+        )
 
 
 @dataclass(frozen=True)
@@ -114,9 +159,15 @@ def temporal_iou(a: TemporalSpan, b: TemporalSpan) -> float:
 
 
 def _corners(boxes: Sequence[Box2D]) -> np.ndarray:
-    """(4, n) float64 array of the x1, y1, x2 and y2 columns of ``boxes``."""
+    """(5, n) float64 array of the x1, y1, x2, y2 and area columns of ``boxes``."""
     return np.array(
-        [[b.x1 for b in boxes], [b.y1 for b in boxes], [b.x2 for b in boxes], [b.y2 for b in boxes]],
+        [
+            [b.x1 for b in boxes],
+            [b.y1 for b in boxes],
+            [b.x2 for b in boxes],
+            [b.y2 for b in boxes],
+            [b.area for b in boxes],
+        ],
         dtype=np.float64,
     )
 
@@ -138,13 +189,11 @@ def tube_iou(p: Tube, g: Tube) -> float:
         return 0.0
     lo = max(p.span.start, g.span.start)
     hi = min(p.span.end, g.span.end)
-    ax1, ay1, ax2, ay2 = _corners(p.boxes[lo - p.span.start : hi - p.span.start + 1])
-    bx1, by1, bx2, by2 = _corners(g.boxes[lo - g.span.start : hi - g.span.start + 1])
+    ax1, ay1, ax2, ay2, area_a = _corners(p.boxes[lo - p.span.start : hi - p.span.start + 1])
+    bx1, by1, bx2, by2, area_b = _corners(g.boxes[lo - g.span.start : hi - g.span.start + 1])
     iw = np.minimum(ax2, bx2) - np.maximum(ax1, bx1)
     ih = np.minimum(ay2, by2) - np.maximum(ay1, by1)
     inter = iw * ih
-    area_a = (ax2 - ax1) * (ay2 - ay1)
-    area_b = (bx2 - bx1) * (by2 - by1)
     with np.errstate(all="ignore"):
         ious = np.where((iw > 0.0) & (ih > 0.0), inter / (area_a + area_b - inter), 0.0)
     return t * (fsum(ious.tolist()) / len(ious))

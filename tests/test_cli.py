@@ -180,6 +180,26 @@ class TestActionness:
         assert code == 2
         assert "pose" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("gate", ["--detections", "--tubes"])
+    def test_missing_stream_of_last_video_writes_no_file(self, corpus, tmp_path, capsys, gate):
+        # rows are written as they are made, so the check must come before the first one
+        partial = tmp_path / "partial.jsonl"
+        lines = (corpus / "scores.jsonl").read_text().splitlines()
+        last = max(json.loads(line)["video_id"] for line in lines)
+        partial.write_text("".join(
+            line + "\n" for line in lines
+            if not (f'"video_id":"{last}"' in line and '"stream":"flow"' in line)
+        ))
+        gate_file = corpus / ("detections.jsonl" if gate == "--detections" else "gt_tubes.jsonl")
+        out = tmp_path / "o.jsonl"
+        code = run(
+            "actionness", "--scores", str(partial), gate, str(gate_file),
+            "--class", "0", "--threshold", "0.5", "--out", str(out),
+        )
+        assert code == 2
+        assert f"missing stream 'flow' (net16) for video '{last}'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_threshold_required(self, corpus, tmp_path):
         code = run(
             "actionness", "--scores", str(corpus / "scores.jsonl"),

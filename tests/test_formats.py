@@ -1,8 +1,14 @@
+import json
+import math
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tubekit import formats
 from tubekit import (
     Box2D,
     ClipScore,
@@ -325,3 +331,300 @@ class TestByteDeterminism:
         text = path.read_text()
         assert "0.123457" in text
         assert "0.333333" in text
+
+
+# Exact parse-error texts on hostile inputs. Line 1 of every file is valid, so
+# each error names line 2. Each box reports its first bad field in the order
+# x1, y1, x2, y2, score; Box2D's own checks (order, area) come after those.
+BIG_INT = "1" + "0" * 399
+BAD_NUMBERS = [  # (JSON text, message)
+    ("NaN", "expected a finite number, got nan"),
+    ("Infinity", "expected a finite number, got inf"),
+    ("-Infinity", "expected a finite number, got -inf"),
+    ("1e999", "expected a finite number, got inf"),
+    ("true", "expected a number, got True"),
+    ('"a"', "expected a number, got 'a'"),
+    ("null", "expected a number, got None"),
+    (BIG_INT, "integer too large for a float"),
+]
+COORDS = ("x1", "y1", "x2", "y2")
+GOOD_BOX = {"x1": "0.0", "y1": "0.0", "x2": "1.0", "y2": "1.0"}
+
+
+def _json_object(**fields):
+    """A JSON object whose values are given as JSON text; a None value leaves its key out."""
+    return "{" + ",".join(f'"{k}":{v}' for k, v in fields.items() if v is not None) + "}"
+
+
+def _detections(boxes):
+    good = _json_object(**GOOD_BOX)
+    return (
+        f'{{"video_id":"v","frame":0,"boxes":[{good}]}}\n'
+        f'{{"video_id":"v","frame":1,"boxes":[{boxes}]}}\n'
+    )
+
+
+def _tubes(boxes, score="0.5"):
+    end = len(json.loads(boxes)) - 1
+    return (
+        '{"video_id":"v","label":0,"start":0,"end":0,"score":0.5,"boxes":[[0,0,1,1]]}\n'
+        f'{{"video_id":"v","label":0,"start":0,"end":{end},"score":{score},"boxes":{boxes}}}\n'
+    )
+
+
+def _scores(**fields):
+    good = {"video_id": '"v"', "stream": '"rgb"', "granularity": '"net16"', "clip_start": "0",
+            "crop_id": '"center"', "kind": '"raw"', "values": "[0.25,0.75]"}
+    return _json_object(**good) + "\n" + _json_object(**{**good, "clip_start": "8", **fields}) + "\n"
+
+
+DETECTION_ERRORS = [
+    *[
+        pytest.param(_json_object(**dict(GOOD_BOX, **{key: text})), key, msg, id=f"{key}={text[:8]}")
+        for key in COORDS
+        for text, msg in BAD_NUMBERS
+    ],
+    *[
+        pytest.param(_json_object(**GOOD_BOX, score=text), "score", msg, id=f"score={text[:8]}")
+        for text, msg in BAD_NUMBERS
+        if text != "null"  # a null score is an absent score
+    ],
+    pytest.param('{"x1":0,"y1":0,"x2":1}', "y2", "missing required field", id="missing-y2"),
+    pytest.param('{"x1":5,"y1":0,"x2":5,"y2":2}', "boxes",
+                 "degenerate box (5.0, 0.0, 5.0, 2.0): x1 < x2 and y1 < y2 required", id="degenerate"),
+    pytest.param('{"x1":0,"y1":0,"x2":1e-200,"y2":1e-200}', "boxes",
+                 "box (0.0, 0.0, 1e-200, 1e-200) has area 0.0: a positive finite area required",
+                 id="zero-area"),
+    pytest.param('{"x1":-1e308,"y1":0,"x2":1e308,"y2":1}', "boxes",
+                 "box (-1e+308, 0.0, 1e+308, 1.0) has area inf: a positive finite area required",
+                 id="infinite-area"),
+    pytest.param("[0,0,1,1]", "boxes", "box is not an object: [0, 0, 1, 1]", id="not-an-object"),
+    pytest.param('{"x1":NaN,"y1":0.0,"x2":1.0,"y2":1.0,"score":"a"}', "x1",
+                 "expected a finite number, got nan", id="nan-x1-and-string-score"),
+    pytest.param('{"y1":"a","x2":NaN,"y2":1}', "x1", "missing required field", id="missing-x1-then-bad"),
+    pytest.param('{"x1":1.0,"y1":true,"x2":0.0,"y2":Infinity}', "y1", "expected a number, got True",
+                 id="bool-y1-degenerate-inf-y2"),
+    pytest.param('{"x1":0.0,"y1":0.0,"x2":1.0,"y2":NaN,"score":true}', "y2",
+                 "expected a finite number, got nan", id="nan-y2-and-bool-score"),
+    pytest.param('{"x1":0,"y1":0,"x2":-1,"y2":1,"score":NaN}', "score",
+                 "expected a finite number, got nan", id="degenerate-and-nan-score"),
+    pytest.param('{"x1":0,"y1":0,"x2":1,"y2":1},{"x1":0,"y1":0,"x2":1,"y2":"b"}', "y2",
+                 "expected a number, got 'b'", id="second-box"),
+]
+
+
+@pytest.mark.parametrize("box, field, message", DETECTION_ERRORS)
+def test_read_detections_error_text(tmp_path, box, field, message):
+    path = tmp_path / "d.jsonl"
+    path.write_text(_detections(box))
+    with pytest.raises(ParseError) as err:
+        read_detections(path)
+    assert str(err.value) == f"{path}, line 2, field '{field}': {message}"
+
+
+TUBE_ERRORS = [
+    *[
+        pytest.param(
+            "[[" + ",".join(text if i == pos else c for i, c in enumerate(("0.0", "0.0", "1.0", "1.0"))) + "]]",
+            "boxes", msg, id=f"{COORDS[pos]}={text[:8]}",
+        )
+        for pos in range(4)
+        for text, msg in BAD_NUMBERS
+    ],
+    pytest.param("[[0,0,1]]", "boxes", "expected [x1,y1,x2,y2], got [0, 0, 1]", id="three-coords"),
+    pytest.param('[{"x1":0}]', "boxes", "expected [x1,y1,x2,y2], got {'x1': 0}", id="object-box"),
+    pytest.param("[[5,0,5,2]]", "boxes",
+                 "degenerate box (5.0, 0.0, 5.0, 2.0): x1 < x2 and y1 < y2 required", id="degenerate"),
+    pytest.param("[[0,0,1e-200,1e-200]]", "boxes",
+                 "box (0.0, 0.0, 1e-200, 1e-200) has area 0.0: a positive finite area required",
+                 id="zero-area"),
+    pytest.param("[[0.0,0.0,1e308,1e308]]", "boxes",
+                 "box (0.0, 0.0, 1e+308, 1e+308) has area inf: a positive finite area required",
+                 id="infinite-area"),
+    pytest.param('[[NaN,"a",0,1]]', "boxes", "expected a finite number, got nan", id="nan-then-string"),
+    pytest.param('[["a",NaN,0,1]]', "boxes", "expected a number, got 'a'", id="string-then-nan"),
+    pytest.param("[[0,0,-1,NaN]]", "boxes", "expected a finite number, got nan", id="degenerate-and-nan"),
+    pytest.param("[[0,0,1,1],[0,0,1,-1]]", "boxes",
+                 "degenerate box (0.0, 0.0, 1.0, -1.0): x1 < x2 and y1 < y2 required", id="second-box"),
+]
+
+
+@pytest.mark.parametrize("boxes, field, message", TUBE_ERRORS)
+def test_read_tubes_error_text(tmp_path, boxes, field, message):
+    path = tmp_path / "t.jsonl"
+    path.write_text(_tubes(boxes))
+    with pytest.raises(ParseError) as err:
+        read_tubes(path)
+    assert str(err.value) == f"{path}, line 2, field '{field}': {message}"
+
+
+@pytest.mark.parametrize(
+    "score, boxes, message",
+    [
+        ('"a"', "[[NaN,0,1,1]]", "expected a number, got 'a'"),
+        ("NaN", "[[0,0,1,1]]", "expected a finite number, got nan"),
+        (BIG_INT, "[[0,0,1,1]]", "integer too large for a float"),
+    ],
+    ids=["string-score-before-boxes", "nan", "big-int"],
+)
+def test_read_tubes_score_error_text(tmp_path, score, boxes, message):
+    path = tmp_path / "t.jsonl"
+    path.write_text(_tubes(boxes, score=score))
+    with pytest.raises(ParseError) as err:
+        read_tubes(path)
+    assert str(err.value) == f"{path}, line 2, field 'score': {message}"
+
+
+SCORE_ERRORS = [
+    *[
+        pytest.param({"values": f"[0.25,{text}]"}, "values", msg, id=f"values={text[:8]}")
+        for text, msg in BAD_NUMBERS
+    ],
+    pytest.param({"values": "[]"}, "values", "class count 0 differs from 2 seen earlier in the file",
+                 id="empty-values"),
+    pytest.param({"values": "0.5"}, "values", "expected an array, got 0.5", id="values-not-array"),
+    pytest.param({"values": None}, "values", "missing required field", id="missing-values"),
+    pytest.param({"values": "[0.25]"}, "values", "class count 1 differs from 2 seen earlier in the file",
+                 id="class-count"),
+    pytest.param({"values": '["a"]'}, "values", "expected a number, got 'a'", id="string-before-class-count"),
+    pytest.param({"kind": '"prob"', "values": "[1.5,0.0]"}, "values",
+                 "probability vector with entries above 1", id="prob-above-1"),
+    pytest.param({"kind": '"prob"', "values": "[1.5,-0.5]"}, "values",
+                 "probability vector with negative entries", id="prob-negative"),
+    pytest.param({"kind": '"prob"', "values": "[0.5,0.25]"}, "values",
+                 "probability vector sums to 0.75, not 1", id="prob-sum"),
+    pytest.param({"kind": '"prob"', "values": "[NaN,1.0]"}, "values",
+                 "expected a finite number, got nan", id="prob-nan"),
+    pytest.param({"video_id": "3"}, "video_id", "expected a string, got 3", id="video-id-int"),
+    pytest.param({"video_id": None}, "video_id", "missing required field", id="missing-video-id"),
+    pytest.param({"stream": "1"}, "stream", "expected a string, got 1", id="stream-int"),
+    pytest.param({"stream": '"depth"'}, "stream",
+                 "unknown stream 'depth', expected one of ['pose', 'flow', 'rgb']", id="stream-unknown"),
+    pytest.param({"granularity": '"net8"'}, "granularity",
+                 "unknown granularity 'net8', expected one of ['net16', 'net32', 'netW']", id="granularity"),
+    pytest.param({"crop_id": "null"}, "crop_id", "expected a string, got None", id="crop-null"),
+    pytest.param({"crop_id": '"middle"'}, "crop_id",
+                 "unknown crop_id 'middle', expected one of ['center', 'center_flip', 'tl', 'tl_flip', "
+                 "'tr', 'tr_flip', 'bl', 'bl_flip', 'br', 'br_flip']", id="crop-unknown"),
+    pytest.param({"kind": '"logit"'}, "kind", "unknown kind 'logit', expected one of ['raw', 'prob']",
+                 id="kind-unknown"),
+    pytest.param({"clip_start": "-8"}, "clip_start", "negative clip_start -8", id="clip-start-negative"),
+    pytest.param({"clip_start": "8.0"}, "clip_start", "expected an integer, got 8.0", id="clip-start-float"),
+    pytest.param({"clip_start": "true"}, "clip_start", "expected an integer, got True", id="clip-start-bool"),
+    pytest.param({"stream": '"depth"', "values": "[NaN]"}, "stream",
+                 "unknown stream 'depth', expected one of ['pose', 'flow', 'rgb']", id="stream-before-values"),
+    pytest.param({"clip_start": "-8", "values": '["a"]'}, "clip_start", "negative clip_start -8",
+                 id="clip-start-before-values"),
+]
+
+
+@pytest.mark.parametrize("fields, field, message", SCORE_ERRORS)
+def test_read_scores_error_text(tmp_path, fields, field, message):
+    path = tmp_path / "s.jsonl"
+    path.write_text(_scores(**fields))
+    with pytest.raises(ParseError) as err:
+        read_scores(path)
+    assert str(err.value) == f"{path}, line 2, field '{field}': {message}"
+
+
+def test_read_scores_mixed_kinds_error_text(tmp_path):
+    path = tmp_path / "s.jsonl"
+    path.write_text(_scores(kind='"prob"', values="[0.25,0.75]"))
+    with pytest.raises(ParseError) as err:
+        read_scores(path)
+    assert str(err.value) == f"{path}: video 'v' rgb/net16: mixed raw/prob score kinds in one set"
+
+
+def test_read_scores_empty_first_vector_error_text(tmp_path):
+    path = tmp_path / "s.jsonl"
+    path.write_text(_scores(values="[]").splitlines()[1] + "\n")
+    with pytest.raises(ParseError) as err:
+        read_scores(path)
+    assert str(err.value) == f"{path}, line 1, field 'values': empty score vector"
+
+
+# The readers take finite float boxes and score vectors without the field-by-field
+# parse; whatever they read or refuse must match that parse, the reference.
+HOSTILE = st.one_of(
+    st.floats(-1e3, 1e3),
+    st.integers(-3, 1003),
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308, 5e-324, True, False, None, "a",
+                     10**400, [], {}]),
+)
+
+
+@st.composite
+def near_valid_corners(draw):
+    """Float corners of a valid box, some of them replaced by hostile values."""
+    x1, y1 = draw(st.floats(-1e3, 1e3)), draw(st.floats(-1e3, 1e3))
+    corners = [x1, y1, x1 + draw(st.floats(1e-3, 1e3)), y1 + draw(st.floats(1e-3, 1e3))]
+    for i in draw(st.sets(st.integers(0, 3), max_size=2)):
+        corners[i] = draw(HOSTILE)
+    return corners
+
+
+def _read_or_error(reader, text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "f.jsonl"
+        path.write_text(text)
+        try:
+            return reader(path), path
+        except ParseError as exc:
+            return str(exc).replace(str(path), "<path>"), path
+
+
+def _reference_or_error(parse, path):
+    try:
+        return parse()
+    except ParseError as exc:
+        return str(exc).replace(str(path), "<path>")
+
+
+@given(
+    near_valid_corners(),
+    st.one_of(st.none(), HOSTILE),
+    st.sets(st.sampled_from(["x1", "y1", "x2", "y2", "score"]), max_size=1),
+)
+@settings(max_examples=300, deadline=None)
+def test_detection_boxes_match_field_by_field_parse(corners, score, missing):
+    box = dict(zip(("x1", "y1", "x2", "y2"), corners), score=score)
+    for key in missing:
+        del box[key]
+    got, path = _read_or_error(read_detections, json.dumps({"video_id": "v", "frame": 0, "boxes": [box]}) + "\n")
+    want = _reference_or_error(lambda: formats._detection_box(path, 1, box), path)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert got == [FrameDetections("v", 1, {0: (want,)})]
+
+
+@given(st.one_of(near_valid_corners(), st.lists(HOSTILE, max_size=5), HOSTILE))
+@settings(max_examples=300, deadline=None)
+def test_tube_boxes_match_field_by_field_parse(box):
+    record = {"video_id": "v", "label": 0, "start": 0, "end": 0, "boxes": [box]}
+    got, path = _read_or_error(read_tubes, json.dumps(record) + "\n")
+    want = _reference_or_error(lambda: formats._tube_box(path, 1, box), path)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert got == [("v", Tube(TemporalSpan(0, 0), (want,), label=0))]
+
+
+@given(
+    st.lists(HOSTILE, max_size=4),
+    st.sampled_from(["raw", "prob", "logit", None]),
+    st.sampled_from(["center", "tl_flip", "middle", None]),
+    st.sampled_from([0, 8, -8, 8.0, True, None]),
+)
+@settings(max_examples=300, deadline=None)
+def test_score_records_match_field_by_field_parse(values, kind, crop, clip_start):
+    record = {"video_id": "v", "stream": "rgb", "granularity": "net16", "crop_id": crop, "kind": kind,
+              "clip_start": clip_start, "values": values}
+    got, path = _read_or_error(read_scores, json.dumps(record) + "\n")
+    want = _reference_or_error(lambda: formats._score_entry(path, 1, record, None), path)
+    if isinstance(want, str):
+        assert got == want
+    elif kind == "prob" and abs(math.fsum(want.vector.values) - 1.0) > formats.PROB_SUM_TOL:
+        assert got.startswith("<path>, line 1, field 'values': probability vector sums to")
+    else:
+        assert got == [StreamScoreSet("v", "rgb", "net16", (want,))]

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import pytest
 from hypothesis import assume, given, settings
@@ -39,6 +41,44 @@ class TestBox2D:
 
     def test_area(self):
         assert Box2D(0, 0, 10, 5).area == 50.0
+
+    def test_equality_and_hash_compare_class_and_fields(self):
+        a = Box2D(0.5, 1.0, 2.0, 3.0, score=0.25)
+        same = Box2D(x1=0.5, y1=1.0, x2=2.0, y2=3.0, score=0.25)
+        assert a == same and hash(a) == hash(same)
+        assert hash(a) == hash((0.5, 1.0, 2.0, 3.0, 0.25))
+        assert a != Box2D(0.5, 1.0, 2.0, 3.0, score=0.75)
+        assert a != Box2D(0.5, 1.0, 2.0, 3.0)
+        assert a != (0.5, 1.0, 2.0, 3.0, 0.25)
+        assert a.__eq__((0.5, 1.0, 2.0, 3.0, 0.25)) is NotImplemented
+        assert len({a, same, Box2D(0.5, 1.0, 2.0, 3.0)}) == 2
+
+    def test_repr(self):
+        assert repr(Box2D(0.5, 1.0, 2.0, 3.0, score=0.25)) == "Box2D(x1=0.5, y1=1.0, x2=2.0, y2=3.0, score=0.25)"
+        assert repr(Box2D(0.0, 0.0, 1.0, 1.0)) == "Box2D(x1=0.0, y1=0.0, x2=1.0, y2=1.0, score=None)"
+
+    @pytest.mark.parametrize("name", ["x1", "y1", "x2", "y2", "score", "area", "frame"])
+    def test_immutable(self, name):
+        box = Box2D(0.0, 0.0, 1.0, 1.0)
+        with pytest.raises(AttributeError):
+            setattr(box, name, 0.5)
+        with pytest.raises(AttributeError):
+            delattr(box, name)
+        assert box == Box2D(0.0, 0.0, 1.0, 1.0) and box.area == 1.0
+
+    @pytest.mark.parametrize("clone", [
+        lambda b: pickle.loads(pickle.dumps(b)),
+        lambda b: pickle.loads(pickle.dumps(b, protocol=0)),
+        copy.copy,
+        copy.deepcopy,
+    ], ids=["pickle", "pickle-protocol-0", "copy", "deepcopy"])
+    def test_pickle_and_copy_round_trip(self, clone):
+        for box in (Box2D(0.5, 1.0, 2.0, 3.0, score=0.25), Box2D(-1.0, -2.0, 1e-3, 7.5)):
+            twin = clone(box)
+            assert type(twin) is Box2D and twin == box
+            assert twin.area == box.area and twin.score == box.score
+        tube = Tube(TemporalSpan(2, 3), (Box2D(0.0, 0.0, 1.0, 1.0), Box2D(1.0, 1.0, 2.0, 2.0)), label=1)
+        assert pickle.loads(pickle.dumps(tube)) == tube
 
 
 class TestBoxIou:
@@ -235,3 +275,9 @@ class TestTubeIouMatchesScalarTwin:
 def test_box_rejects_area_outside_positive_finite(corners):
     with pytest.raises(ValueError, match="area"):
         Box2D(*corners)
+
+
+@given(free_boxes())
+def test_box_area_is_bit_equal_to_its_formula(corners):
+    x1, y1, x2, y2 = corners
+    assert Box2D(*corners).area == (x2 - x1) * (y2 - y1)

@@ -9,9 +9,7 @@ from __future__ import annotations
 from dataclasses import FrozenInstanceError, dataclass
 from itertools import groupby
 from math import fsum, inf
-from typing import Iterable, Optional, Sequence
-
-import numpy as np
+from typing import Iterable, Optional
 
 
 class _BoxSlots:
@@ -139,11 +137,16 @@ class Tube:
 
 
 def box_iou(a: Box2D, b: Box2D) -> float:
-    """Spatial intersection-over-union of two boxes."""
-    iw = min(a.x2, b.x2) - max(a.x1, b.x1)
+    """Spatial intersection-over-union of two boxes.
+
+    ``min`` and ``max`` are written out as the comparisons they make, so the
+    result is bit-identical to ``min(a.x2, b.x2) - max(a.x1, b.x1)`` and so
+    on; a builtin call would cost more than the rest of the arithmetic.
+    """
+    iw = (b.x2 if b.x2 < a.x2 else a.x2) - (b.x1 if b.x1 > a.x1 else a.x1)
     if iw <= 0.0:
         return 0.0
-    ih = min(a.y2, b.y2) - max(a.y1, b.y1)
+    ih = (b.y2 if b.y2 < a.y2 else a.y2) - (b.y1 if b.y1 > a.y1 else a.y1)
     if ih <= 0.0:
         return 0.0
     inter = iw * ih
@@ -158,42 +161,18 @@ def temporal_iou(a: TemporalSpan, b: TemporalSpan) -> float:
     return inter / (a.length + b.length - inter)
 
 
-def _corners(boxes: Sequence[Box2D]) -> np.ndarray:
-    """(5, n) float64 array of the x1, y1, x2, y2 and area columns of ``boxes``."""
-    return np.array(
-        [
-            [b.x1 for b in boxes],
-            [b.y1 for b in boxes],
-            [b.x2 for b in boxes],
-            [b.y2 for b in boxes],
-            [b.area for b in boxes],
-        ],
-        dtype=np.float64,
-    )
-
-
 def tube_iou(p: Tube, g: Tube) -> float:
     """Spatio-temporal tube overlap.
 
     Temporal IoU of the two spans multiplied by the mean spatial IoU of the
     per-frame box pairs over the temporally overlapping frames. Zero when
     the spans do not overlap (the spatial average is vacuous then).
-
-    The per-frame IoUs are computed on arrays with the same IEEE operations,
-    in the same order, as ``box_iou``, so for float coordinates each one is
-    bit-identical to it. Lanes that ``box_iou`` would cut short may overflow
-    or divide by zero; their values are discarded, so the warnings are off.
     """
     t = temporal_iou(p.span, g.span)
     if t == 0.0:
         return 0.0
     lo = max(p.span.start, g.span.start)
     hi = min(p.span.end, g.span.end)
-    ax1, ay1, ax2, ay2, area_a = _corners(p.boxes[lo - p.span.start : hi - p.span.start + 1])
-    bx1, by1, bx2, by2, area_b = _corners(g.boxes[lo - g.span.start : hi - g.span.start + 1])
-    iw = np.minimum(ax2, bx2) - np.maximum(ax1, bx1)
-    ih = np.minimum(ay2, by2) - np.maximum(ay1, by1)
-    inter = iw * ih
-    with np.errstate(all="ignore"):
-        ious = np.where((iw > 0.0) & (ih > 0.0), inter / (area_a + area_b - inter), 0.0)
-    return t * (fsum(ious.tolist()) / len(ious))
+    pb = p.boxes[lo - p.span.start : hi - p.span.start + 1]
+    gb = g.boxes[lo - g.span.start : hi - g.span.start + 1]
+    return t * (fsum(map(box_iou, pb, gb)) / len(pb))

@@ -18,7 +18,7 @@ from .count_signal import (
     pad_detections,
 )
 from .errors import EmptyFrameError
-from .geometry import Box2D, TemporalSpan, Tube, runs
+from .geometry import Box2D, TemporalSpan, Tube, box_iou, runs
 
 
 @dataclass(frozen=True)
@@ -53,34 +53,15 @@ class LinkingProblem:
 def _iou_table(frames: Sequence[Sequence[Box2D]]) -> list[list[list[float]]]:
     """IoUs of the boxes of consecutive frames, computed once.
 
-    ``table[t][j][i]`` is the IoU of box i of ``frames[t-1]`` with box j of
-    ``frames[t]``; a box of the first frame, or of a frame after an empty
-    one, gets an empty row. Each entry takes ``box_iou``'s operations in
-    ``box_iou``'s order, so it is bit-identical to it. ``min`` and ``max``
-    are written out as the comparisons they make, because a builtin call
-    costs more than the rest of the entry.
+    ``table[t][j][i]`` is ``box_iou`` of box i of ``frames[t-1]`` with box j
+    of ``frames[t]``; a box of the first frame, or of a frame after an empty
+    one, gets an empty row.
     """
     table = []
-    prev: list[tuple[float, float, float, float, float]] = []
+    prev: Sequence[Box2D] = ()
     for boxes in frames:
-        cur = [(b.x1, b.y1, b.x2, b.y2, b.area) for b in boxes]
-        rows = []
-        for bx1, by1, bx2, by2, b_area in cur:
-            row = []
-            for ax1, ay1, ax2, ay2, a_area in prev:
-                iw = (bx2 if bx2 < ax2 else ax2) - (bx1 if bx1 > ax1 else ax1)
-                if iw <= 0.0:
-                    row.append(0.0)
-                    continue
-                ih = (by2 if by2 < ay2 else ay2) - (by1 if by1 > ay1 else ay1)
-                if ih <= 0.0:
-                    row.append(0.0)
-                    continue
-                inter = iw * ih
-                row.append(inter / (a_area + b_area - inter))
-            rows.append(row)
-        table.append(rows)
-        prev = cur
+        table.append([[box_iou(a, b) for a in prev] for b in boxes])
+        prev = boxes
     return table
 
 

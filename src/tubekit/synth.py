@@ -12,10 +12,8 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .count_signal import (
     DetectionCountSeries, FrameDetections, continuous_regions, pad_detections,
@@ -25,14 +23,22 @@ from .evaluation import VideoTube
 from .fusion import (
     CENTER_CROPS, ClipScore, ScoreVector, StreamScoreSet, STREAMS, _elementwise_mean,
 )
-from .geometry import Box2D, TemporalSpan, Tube, box_iou, runs, temporal_iou
+from .formats import MAX_FRAME
+from .geometry import Box2D, TemporalSpan, Tube, box_iou, runs, tube_iou
 from .linking import ExtractionConfig, LinkingProblem
+
+if TYPE_CHECKING:
+    from numpy.random import Generator
 
 CANVAS_W = 320
 CANVAS_H = 240
 CLIP_LEN = 16
 CLIP_STRIDE = 8
 _SCORE_PEAK = 4.0
+# far above the 101 classes of the largest dataset the paper uses
+_MAX_CLASSES = 1000
+# far past any noise that leaves the class peak visible, far below one that overflows a score
+_MAX_NOISE = 1e6
 _MAX_PATHS = 10**6
 _MAX_TUBES_PER_CLASS = 10
 
@@ -50,24 +56,32 @@ class SynthConfig:
     noise: float = 0.5
 
     def __post_init__(self):
-        if self.videos < 0 or self.frames < 1 or self.persons < 0:
-            raise ValueError("videos/persons must be >= 0 and frames >= 1")
+        if self.videos < 0 or self.persons < 0:
+            raise ValueError("videos/persons must be >= 0")
+        # every frame is written, and a detections file may not name one past MAX_FRAME
+        if not 1 <= self.frames <= MAX_FRAME + 1:
+            raise ValueError(f"frames {self.frames} outside [1, {MAX_FRAME + 1}]")
         if not 0.0 <= self.fp_rate <= 1.0:
             raise ValueError(f"fp_rate {self.fp_rate} outside [0, 1]")
         if not 0.0 <= self.miss_rate <= 1.0:
             raise ValueError(f"miss_rate {self.miss_rate} outside [0, 1]")
-        if self.classes < 1:
-            raise ValueError(f"classes must be >= 1, got {self.classes}")
-        if self.jitter < 0 or self.noise < 0:
-            raise ValueError("jitter and noise must be >= 0")
+        if not 1 <= self.classes <= _MAX_CLASSES:
+            raise ValueError(f"classes {self.classes} outside [1, {_MAX_CLASSES}]")
+        # these range checks also turn NaN away
+        if not 0.0 <= self.jitter <= CANVAS_H:
+            raise ValueError(f"jitter {self.jitter} outside [0, {CANVAS_H}]")
+        if not 0.0 <= self.noise <= _MAX_NOISE:
+            raise ValueError(f"noise {self.noise} outside [0, {_MAX_NOISE:g}]")
 
 
-def _video_rng(seed: int, index: int) -> np.random.Generator:
+def _video_rng(seed: int, index: int) -> Generator:
+    import numpy as np  # imported here, so that the pipeline subcommands never load it
+
     digest = hashlib.blake2b(f"{seed}:{index}".encode(), digest_size=8).digest()
     return np.random.default_rng(int.from_bytes(digest, "big"))
 
 
-def _plant_tracks(cfg: SynthConfig, rng: np.random.Generator) -> list[tuple[TemporalSpan, list[Box2D]]]:
+def _plant_tracks(cfg: SynthConfig, rng: Generator) -> list[tuple[TemporalSpan, list[Box2D]]]:
     """Plant ``cfg.persons`` parallel tracks moving together.
 
     The actors share one time span and one random walk and stand a quarter
@@ -103,8 +117,8 @@ def _plant_tracks(cfg: SynthConfig, rng: np.random.Generator) -> list[tuple[Temp
     positions = []
     for f in range(start, end + 1):
         if j > 0 and f > start:
-            x = int(np.clip(x + int(rng.integers(-j, j + 1)), cx - drift, cx + drift))
-            y = int(np.clip(y + int(rng.integers(-j, j + 1)), cy - drift, cy + drift))
+            x = min(max(x + int(rng.integers(-j, j + 1)), cx - drift), cx + drift)
+            y = min(max(y + int(rng.integers(-j, j + 1)), cy - drift), cy + drift)
         positions.append((x, y))
 
     tracks = []
@@ -296,17 +310,6 @@ def naive_extract_tubes(dets: FrameDetections, cfg: ExtractionConfig | None = No
     return tubes
 
 
-def naive_tube_iou(p: Tube, g: Tube) -> float:
-    """Scalar twin of ``tube_iou``: one ``box_iou`` per overlapping frame."""
-    t = temporal_iou(p.span, g.span)
-    if t == 0.0:
-        return 0.0
-    lo = max(p.span.start, g.span.start)
-    hi = min(p.span.end, g.span.end)
-    ious = [box_iou(p.box_at(f), g.box_at(f)) for f in range(lo, hi + 1)]
-    return t * (math.fsum(ious) / len(ious))
-
-
 def naive_frame_scores(scores: StreamScoreSet, video_len: int) -> list[ScoreVector]:
     """Scalar twin of ``frame_scores_from_clips``: every clip scanned for every frame."""
     if video_len <= 0:
@@ -344,7 +347,7 @@ def _naive_match_count(
         for g, (gvid, gtube) in enumerate(gts):
             if matched[g] or gvid != vid:
                 continue
-            iou = naive_tube_iou(tube, gtube)
+            iou = tube_iou(tube, gtube)
             if iou > best_iou:
                 best_iou, best_g = iou, g
         if best_g is not None and best_iou >= delta:

@@ -50,6 +50,28 @@ class TestSynth:
         assert run("synth", "--out-dir", str(tmp_path / "x"), "--fp-rate", "1.5") == 3
         assert "fp_rate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--jitter", "nan"),
+            ("--jitter", "1e308"),
+            ("--noise", "inf"),
+            ("--noise", "1e308"),
+            ("--classes", "1000000000000"),
+            ("--frames", str(MAX_FRAME + 2)),
+        ],
+        ids=["nan-jitter", "huge-jitter", "infinite-noise", "huge-noise", "huge-classes",
+             "frames-past-reader-cap"],
+    )
+    def test_out_of_range_flag_exits_3_naming_it(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "x"
+        argv = ["synth", "--out-dir", str(out), "--videos", "1", "--frames", "16", flag, value]
+        assert run(*argv) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"error: {flag[2:]} " in err
+        assert not out.exists()
+
     def test_parallel_identical(self, tmp_path):
         outs = []
         for n in ("1", "2", "8"):
@@ -308,15 +330,45 @@ def test_bad_number_exits_2_naming_line(tmp_path, capsys, command, bad):
     assert f"{path}, line 2" in capsys.readouterr().err
 
 
+SRC_ENV = dict(os.environ, PYTHONPATH=str(Path(tubekit.__file__).resolve().parent.parent))
+
+
 def test_import_cli_leaves_scipy_unloaded():
-    # scipy.ndimage is slow to import and only mask_to_boxes needs it
-    src = Path(tubekit.__file__).resolve().parent.parent
-    code = "import sys, tubekit.cli; print('scipy' in sys.modules)"
+    # both are slow to import: scipy only mask_to_boxes needs, numpy only synth and tubekit.imaging
+    code = "import sys, tubekit.cli; print('scipy' in sys.modules, 'numpy' in sys.modules)"
     out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-        env=dict(os.environ, PYTHONPATH=str(src)),
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=SRC_ENV,
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"
+
+
+def test_pipeline_subcommands_run_without_numpy(corpus, tmp_path):
+    tubes = tmp_path / "tubes.jsonl"
+    assert run("extract-tubes", str(corpus / "detections.jsonl"), "--out", str(tubes)) == 0
+    truth = {vid: t.label for vid, t in read_tubes(corpus / "gt_tubes.jsonl")}
+    preds = tmp_path / "preds.jsonl"
+    with preds.open("w") as fh:
+        for line in tubes.read_text().splitlines():
+            rec = json.loads(line)
+            fh.write(json.dumps(dict(rec, label=truth[rec["video_id"]])) + "\n")
+    commands = {
+        "extract-tubes": [str(corpus / "detections.jsonl")],
+        "fuse": [str(corpus / "scores.jsonl")],
+        "evaluate": [str(preds), str(corpus / "gt_tubes.jsonl")],
+        "actionness": ["--scores", str(corpus / "scores.jsonl"), "--detections",
+                       str(corpus / "detections.jsonl"), "--class", "0", "--threshold", "0.3"],
+    }
+    # a None entry in sys.modules makes every import of numpy raise ImportError
+    code = "import sys; sys.modules['numpy'] = None; from tubekit.cli import main; sys.exit(main())"
+    for command, args in commands.items():
+        ordinary, blocked = tmp_path / f"{command}.jsonl", tmp_path / f"{command}-no-numpy.jsonl"
+        assert run(command, *args, "--out", str(ordinary)) == 0
+        proc = subprocess.run(
+            [sys.executable, "-c", code, command, *args, "--out", str(blocked)],
+            capture_output=True, text=True, env=SRC_ENV,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert blocked.read_bytes() == ordinary.read_bytes()
 
 
 HUGE_BOX = (0, 0, 1e308, 1e308)  # finite corners, area overflows to infinity

@@ -9,21 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tubekit import formats
+from tubekit.imaging import FlowField, LabelMask, encode_flow, mask_to_boxes
 from tubekit import (
     Box2D,
     ClipScore,
     EvalConfig,
-    FlowField,
     FrameDetections,
-    LabelMask,
     ParseError,
     ScoreVector,
     StreamScoreSet,
     TemporalSpan,
     Tube,
     VocabularyError,
-    encode_flow,
-    mask_to_boxes,
     read_detections,
     read_predictions,
     read_report,

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from tubekit import Box2D, TemporalSpan, Tube, box_iou, temporal_iou, tube_iou
 from tubekit.geometry import runs
-from tubekit.synth import naive_tube_iou
+
+from test_linking import any_box
 
 
 def make_tube(start, end, coords, label=None, score=None):
@@ -113,6 +114,58 @@ class TestBoxIou:
     @given(boxes(), boxes())
     def test_bounded(self, a, b):
         assert 0.0 <= box_iou(a, b) <= 1.0
+
+
+def reference_iou(a, b):
+    """The box IoU as written with the builtin ``min`` and ``max``."""
+    iw = min(a.x2, b.x2) - max(a.x1, b.x1)
+    if iw <= 0.0:
+        return 0.0
+    ih = min(a.y2, b.y2) - max(a.y1, b.y1)
+    if ih <= 0.0:
+        return 0.0
+    inter = iw * ih
+    return inter / (a.area + b.area - inter)
+
+
+zeros = st.sampled_from([0.0, -0.0])
+sides = st.integers(1, 6).map(float)
+
+
+@st.composite
+def zero_edged_box(draw):
+    """A box whose x and y intervals each have a 0.0 or -0.0 end, low or high."""
+    def interval():
+        side, zero = draw(sides), draw(zeros)
+        return (zero, side) if draw(st.booleans()) else (-side, zero)
+
+    (x1, x2), (y1, y2) = interval(), interval()
+    return Box2D(x1, y1, x2, y2)
+
+
+iou_boxes = st.one_of(any_box, zero_edged_box())
+
+
+@st.composite
+def touching_pair(draw):
+    """A box and one sharing its right or bottom edge; a zero edge may change sign."""
+    a = draw(iou_boxes)
+    side = draw(sides)
+    if draw(st.booleans()):
+        x1 = draw(st.sampled_from([a.x2, -a.x2])) if a.x2 == 0.0 else a.x2
+        return a, Box2D(x1, a.y1, max(x1 + side, math.nextafter(x1, math.inf)), a.y2)
+    y1 = draw(st.sampled_from([a.y2, -a.y2])) if a.y2 == 0.0 else a.y2
+    return a, Box2D(a.x1, y1, a.x2, max(y1 + side, math.nextafter(y1, math.inf)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.tuples(iou_boxes, iou_boxes), touching_pair()))
+def test_box_iou_is_bit_equal_to_builtin_min_max(pair):
+    # box_iou writes min and max out as comparisons; this pins them to the builtins,
+    # and through box_iou the linker, tube_iou and the brute-force oracles
+    a, b = pair
+    assert box_iou(a, b).hex() == reference_iou(a, b).hex()
+    assert box_iou(b, a).hex() == reference_iou(b, a).hex()
 
 
 class TestTemporalIou:
@@ -235,15 +288,25 @@ def tube_pairs(draw):
     return make_tube(a_start, a_end, a_coords), make_tube(b_start, b_end, b_coords)
 
 
+def reference_tube_iou(p, g):
+    """Tube IoU from its definition, frame by frame, with ``reference_iou``."""
+    t = temporal_iou(p.span, g.span)
+    if t == 0.0:
+        return 0.0
+    shared = range(max(p.span.start, g.span.start), min(p.span.end, g.span.end) + 1)
+    ious = [reference_iou(p.box_at(f), g.box_at(f)) for f in shared]
+    return t * (math.fsum(ious) / len(ious))
+
+
 class TestTubeIouMatchesScalarTwin:
-    """The array tube IoU equals the per-frame ``box_iou`` loop bit for bit."""
+    """``tube_iou`` equals ``reference_tube_iou`` bit for bit."""
 
     @given(tube_pairs())
     @settings(max_examples=300, deadline=None)
     def test_random_pairs(self, pair):
         a, b = pair
-        assert tube_iou(a, b) == naive_tube_iou(a, b)
-        assert tube_iou(b, a) == naive_tube_iou(b, a)
+        assert tube_iou(a, b) == reference_tube_iou(a, b)
+        assert tube_iou(b, a) == reference_tube_iou(b, a)
 
     @pytest.mark.parametrize(
         "a, b",
@@ -265,7 +328,7 @@ class TestTubeIouMatchesScalarTwin:
         ids=["disjoint-spans", "touching", "nested", "identical", "partial-span"],
     )
     def test_named_cases(self, a, b):
-        assert tube_iou(a, b) == naive_tube_iou(a, b)
+        assert tube_iou(a, b) == reference_tube_iou(a, b)
 
 
 @pytest.mark.parametrize(

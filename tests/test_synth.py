@@ -12,6 +12,7 @@ from tubekit import (
     generate_scene,
     viterbi_link,
 )
+from tubekit.formats import MAX_FRAME
 from tubekit.synth import generate_video
 
 
@@ -23,6 +24,12 @@ class TestConfig:
             SynthConfig(miss_rate=-0.1)
         with pytest.raises(ValueError):
             SynthConfig(classes=0)
+
+    def test_frames_capped_where_the_reader_caps_them(self):
+        # frame MAX_FRAME is the last one read_detections accepts
+        assert SynthConfig(frames=MAX_FRAME + 1).frames == MAX_FRAME + 1
+        with pytest.raises(ValueError, match="frames"):
+            SynthConfig(frames=MAX_FRAME + 2)
 
 
 class TestGenerator:

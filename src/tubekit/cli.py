@@ -12,7 +12,7 @@ import argparse
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import fields
 from pathlib import Path
 
 from .errors import ParseError
@@ -69,6 +69,30 @@ def _require(condition: bool, message: str) -> None:
         raise _FlagError(message)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:  # argparse's own text for a plain int flag
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be >= 1")
+    return value
+
+
+def _add_config_flags(parser: argparse.ArgumentParser, config_type) -> None:
+    """One flag per field of a config dataclass: ``min_tube_len`` is ``--min-tube-len``."""
+    for f in fields(config_type):
+        parser.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=f.default)
+
+
+def _config(config_type, args):
+    """The config named by the flags; its own checks are the flag checks."""
+    try:
+        return config_type(**{f.name: getattr(args, f.name) for f in fields(config_type)})
+    except ValueError as exc:
+        raise _FlagError(str(exc)) from exc
+
+
 def _check_input(path: str) -> Path:
     p = Path(path)
     if not p.is_file():
@@ -84,12 +108,9 @@ def _pmap(fn, items, workers: int):
 
 
 def _cmd_extract_tubes(args) -> int:
-    _require(args.min_tube_len >= 1, "--min-tube-len must be >= 1")
-    _require(args.median_window >= 1, "--median-window must be >= 1")
-    _require(args.parallel >= 1, "--parallel must be >= 1")
+    cfg = _config(ExtractionConfig, args)
     videos = read_detections(_check_input(args.detections))
     videos.sort(key=lambda d: d.video_id)
-    cfg = ExtractionConfig(min_tube_len=args.min_tube_len, median_window=args.median_window)
     per_video = _pmap(lambda d: extract_tubes(d, cfg), videos, args.parallel)
     rows = [(d.video_id, t) for d, tubes in zip(videos, per_video) for t in tubes]
     write_tubes(args.out, rows)
@@ -102,7 +123,6 @@ def _index_scores(sets: list[StreamScoreSet]) -> dict[tuple[str, str, str], Stre
 
 
 def _cmd_fuse(args) -> int:
-    _require(args.parallel >= 1, "--parallel must be >= 1")
     grans = [g.strip() for g in args.granularities.split(",") if g.strip()]
     _require(bool(grans), "--granularities must name at least one granularity")
     for g in grans:
@@ -245,21 +265,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    _require(args.parallel >= 1, "--parallel must be >= 1")
-    try:
-        cfg = SynthConfig(
-            seed=args.seed,
-            videos=args.videos,
-            frames=args.frames,
-            persons=args.persons,
-            jitter=args.jitter,
-            fp_rate=args.fp_rate,
-            miss_rate=args.miss_rate,
-            classes=args.classes,
-            noise=args.noise,
-        )
-    except ValueError as exc:
-        raise _FlagError(str(exc)) from exc
+    cfg = _config(SynthConfig, args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     results = _pmap(lambda i: generate_video(cfg, i), list(range(cfg.videos)), args.parallel)
@@ -275,16 +281,17 @@ def _cmd_synth(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="tubekit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    # per-video work items spread over this many threads
+    parallel = _Parser(add_help=False)
+    parallel.add_argument("--parallel", type=_positive_int, default=1)
 
-    p = sub.add_parser("extract-tubes", parents=[], help="link detections into action tubes")
+    p = sub.add_parser("extract-tubes", parents=[parallel], help="link detections into action tubes")
     p.add_argument("detections", help="detections file (JSON lines)")
     p.add_argument("--out", required=True, help="output tubes file")
-    p.add_argument("--min-tube-len", type=int, default=5)
-    p.add_argument("--median-window", type=int, default=80)
-    p.add_argument("--parallel", type=int, default=1)
+    _add_config_flags(p, ExtractionConfig)
     p.set_defaults(handler=_cmd_extract_tubes)
 
-    p = sub.add_parser("fuse", help="fuse clip scores into per-video predictions")
+    p = sub.add_parser("fuse", parents=[parallel], help="fuse clip scores into per-video predictions")
     p.add_argument("scores", help="scores file (JSON lines)")
     p.add_argument("--out", required=True, help="output predictions file")
     p.add_argument("--method", choices=FUSION_METHODS, default="mean")
@@ -292,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stream", choices=STREAMS, default="rgb")
     p.add_argument("--granularities", default="net16",
                    help="comma-separated subset of net16,net32,netW to average")
-    p.add_argument("--parallel", type=int, default=1)
     p.set_defaults(handler=_cmd_fuse)
 
     p = sub.add_parser("actionness", help="per-frame actionness, spans and tube sums")
@@ -308,22 +314,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="video-mAP of predicted tubes against ground truth")
     p.add_argument("predictions", help="predicted tubes file")
     p.add_argument("gt", help="ground-truth tubes file")
-    p.add_argument("--deltas", default="0.05,0.1,0.2,0.3,0.4,0.5")
+    p.add_argument("--deltas", default=",".join(map(str, EvalConfig.deltas)))
     p.add_argument("--out", required=True, help="output report file")
     p.set_defaults(handler=_cmd_evaluate)
 
-    p = sub.add_parser("synth", help="generate a synthetic corpus with known ground truth")
+    p = sub.add_parser("synth", parents=[parallel], help="generate a synthetic corpus with known ground truth")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--videos", type=int, default=10)
-    p.add_argument("--frames", type=int, default=100)
-    p.add_argument("--persons", type=int, default=2)
-    p.add_argument("--jitter", type=float, default=2.0)
-    p.add_argument("--fp-rate", type=float, default=0.1)
-    p.add_argument("--miss-rate", type=float, default=0.05)
-    p.add_argument("--classes", type=int, default=5)
-    p.add_argument("--noise", type=float, default=0.5)
-    p.add_argument("--parallel", type=int, default=1)
+    _add_config_flags(p, SynthConfig)
     p.set_defaults(handler=_cmd_synth)
     return parser
 
@@ -339,10 +336,7 @@ def main(argv=None) -> int:
     except _FlagError as exc:
         print(f"tubekit {args.command}: error: {exc}", file=sys.stderr)
         return EXIT_FLAGS
-    except ParseError as exc:
-        print(f"tubekit {args.command}: error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
+    except (ParseError, OSError) as exc:
         print(f"tubekit {args.command}: error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

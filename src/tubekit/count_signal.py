@@ -49,7 +49,7 @@ def count_series(dets: FrameDetections) -> list[int]:
     return [len(dets.boxes_on(f)) for f in range(dets.length)]
 
 
-def median_smooth(series: Sequence[int], window: int = 80) -> list[int]:
+def median_smooth(series: Sequence[int], window: int) -> list[int]:
     """Windowed median with the window clamped to the series bounds.
 
     The window at position t covers [t - window//2, t + (window-1)//2]
@@ -122,7 +122,7 @@ class DetectionCountSeries:
     expected: tuple[int, ...]
 
     @classmethod
-    def from_detections(cls, dets: FrameDetections, window: int = 80) -> "DetectionCountSeries":
+    def from_detections(cls, dets: FrameDetections, window: int) -> "DetectionCountSeries":
         raw = count_series(dets)
         smoothed = median_smooth(raw, window)
         return cls(tuple(raw), tuple(smoothed), tuple(expected_counts(raw, smoothed)))

@@ -48,7 +48,6 @@ class EvalReport:
     deltas: tuple[float, ...]
     per_delta: dict[float, tuple[ClassResult, ...]]
     map_by_delta: dict[float, float]
-    ap_method: str = AP_METHOD
 
 
 def _check_scored(preds: Sequence[VideoTube]) -> None:

@@ -9,10 +9,12 @@ All files are line-delimited JSON, one record per line:
                "boxes": [[x1,y1,x2,y2] per frame]}
   report      {"delta", "class", "ap", "pr": [[recall, precision] ...], "map"}
 
-Writers emit a fixed field order and quantize reals to 6 significant
-digits, so identical inputs always produce identical bytes. Readers ignore
-unknown extra fields and reject schema violations, non-finite numbers
-included, with the file, line and field named in the error.
+Every file is written by one writer, ``_write_records``, with one JSON
+encoder built once. The public writers only build records, with a fixed
+field order and reals quantized to 6 significant digits, so identical
+inputs always produce identical bytes. Readers ignore unknown extra
+fields and reject schema violations, non-finite numbers included, with
+the file, line and field named in the error.
 """
 from __future__ import annotations
 
@@ -46,8 +48,15 @@ def quantize(x: float) -> float:
     return float(f"{x:.6g}")
 
 
-def _dump(record: dict) -> str:
-    return json.dumps(record, separators=(",", ":"), allow_nan=False)
+# built once: json.dumps with keyword arguments builds a new encoder per call
+_encode = json.JSONEncoder(separators=(",", ":"), allow_nan=False).encode
+
+
+def _write_records(path, records: Iterable[dict]) -> None:
+    """One compact JSON object per line; every file is written here."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for record in records:
+            fh.write(_encode(record) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -124,22 +133,19 @@ def _tube_box(path, line_no, rb) -> Box2D:
     return _checked_box(path, line_no, *[_number(path, line_no, "boxes", v) for v in rb])
 
 
+def _detection_box_record(b: Box2D) -> dict:
+    rec = {"x1": quantize(b.x1), "y1": quantize(b.y1), "x2": quantize(b.x2), "y2": quantize(b.y2)}
+    if b.score is not None:
+        rec["score"] = quantize(b.score)
+    return rec
+
+
 def write_detections(path, videos: Iterable[FrameDetections]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for dets in videos:
-            for f in range(dets.length):
-                boxes = []
-                for b in dets.boxes_on(f):
-                    rec = {
-                        "x1": quantize(b.x1),
-                        "y1": quantize(b.y1),
-                        "x2": quantize(b.x2),
-                        "y2": quantize(b.y2),
-                    }
-                    if b.score is not None:
-                        rec["score"] = quantize(b.score)
-                    boxes.append(rec)
-                fh.write(_dump({"video_id": dets.video_id, "frame": f, "boxes": boxes}) + "\n")
+    _write_records(path, (
+        {"video_id": dets.video_id, "frame": f, "boxes": [_detection_box_record(b) for b in dets.boxes_on(f)]}
+        for dets in videos
+        for f in range(dets.length)
+    ))
 
 
 def read_detections(path) -> list[FrameDetections]:
@@ -181,23 +187,19 @@ def read_detections(path) -> list[FrameDetections]:
 
 
 def write_scores(path, sets: Iterable[StreamScoreSet]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for s in sets:
-            for e in s.entries:
-                fh.write(
-                    _dump(
-                        {
-                            "video_id": s.video_id,
-                            "stream": s.stream,
-                            "granularity": s.granularity,
-                            "clip_start": e.clip_start,
-                            "crop_id": e.crop_id,
-                            "kind": e.vector.kind,
-                            "values": [quantize(v) for v in e.vector.values],
-                        }
-                    )
-                    + "\n"
-                )
+    _write_records(path, (
+        {
+            "video_id": s.video_id,
+            "stream": s.stream,
+            "granularity": s.granularity,
+            "clip_start": e.clip_start,
+            "crop_id": e.crop_id,
+            "kind": e.vector.kind,
+            "values": [quantize(v) for v in e.vector.values],
+        }
+        for s in sets
+        for e in s.entries
+    ))
 
 
 _SCORE_FIELDS = ("video_id", "stream", "granularity", "crop_id", "kind", "clip_start", "values")
@@ -208,21 +210,21 @@ def _check_class_count(path, line_no, k: int, file_k: int) -> None:
         raise ParseError(path, line_no, "values", f"class count {k} differs from {file_k} seen earlier in the file")
 
 
+def _vocabulary_field(path, line_no, record, name, vocabulary) -> str:
+    """A string field that must be one of ``vocabulary``."""
+    value = _field(path, line_no, record, name, str, "a string")
+    if value not in vocabulary:
+        raise VocabularyError(path, line_no, name, f"unknown {name} {value!r}, expected one of {list(vocabulary)}")
+    return value
+
+
 def _score_entry(path, line_no, record, file_k) -> ClipScore:
     """A scores record checked field by field, in the order of ``_SCORE_FIELDS``."""
     _field(path, line_no, record, "video_id", str, "a string")
-    stream = _field(path, line_no, record, "stream", str, "a string")
-    if stream not in STREAMS:
-        raise VocabularyError(path, line_no, "stream", f"unknown stream {stream!r}, expected one of {list(STREAMS)}")
-    gran = _field(path, line_no, record, "granularity", str, "a string")
-    if gran not in GRANULARITIES:
-        raise VocabularyError(path, line_no, "granularity", f"unknown granularity {gran!r}, expected one of {list(GRANULARITIES)}")
-    crop = _field(path, line_no, record, "crop_id", str, "a string")
-    if crop not in FIXED_CROPS:
-        raise VocabularyError(path, line_no, "crop_id", f"unknown crop_id {crop!r}, expected one of {list(FIXED_CROPS)}")
-    kind = _field(path, line_no, record, "kind", str, "a string")
-    if kind not in KINDS:
-        raise VocabularyError(path, line_no, "kind", f"unknown kind {kind!r}, expected one of {list(KINDS)}")
+    _vocabulary_field(path, line_no, record, "stream", STREAMS)
+    _vocabulary_field(path, line_no, record, "granularity", GRANULARITIES)
+    crop = _vocabulary_field(path, line_no, record, "crop_id", FIXED_CROPS)
+    kind = _vocabulary_field(path, line_no, record, "kind", KINDS)
     clip_start = _field(path, line_no, record, "clip_start", int, "an integer")
     if clip_start < 0:
         raise ParseError(path, line_no, "clip_start", f"negative clip_start {clip_start}")
@@ -241,8 +243,8 @@ def _score_entry(path, line_no, record, file_k) -> ClipScore:
 def read_scores(path) -> list[StreamScoreSet]:
     """Score sets grouped by (video, stream, granularity), entries sorted.
 
-    The class count K must be consistent across the whole file, and a
-    ``prob`` vector must sum to 1 within PROB_SUM_TOL.
+    The class count K must be consistent across the whole file, the kind
+    within each set, and a ``prob`` vector must sum to 1 within PROB_SUM_TOL.
     """
     groups: dict[tuple[str, str, str], list[ClipScore]] = {}
     file_k = None
@@ -272,35 +274,30 @@ def read_scores(path) -> list[StreamScoreSet]:
             total = math.fsum(vector.values)
             if abs(total - 1.0) > PROB_SUM_TOL:
                 raise ParseError(path, line_no, "values", f"probability vector sums to {total}, not 1")
-        groups.setdefault((vid, stream, gran), []).append(entry)
-    sets = []
-    for (vid, stream, gran), entries in groups.items():
-        entries.sort(key=lambda e: (e.clip_start, e.crop_id))
-        try:
-            sets.append(
-                StreamScoreSet(video_id=vid, stream=stream, granularity=gran, entries=tuple(entries))
-            )
-        except ValueError as exc:
-            raise ParseError(path, None, None, f"video {vid!r} {stream}/{gran}: {exc}") from exc
-    return sets
+        entries = groups.setdefault((vid, stream, gran), [])
+        # a set's kind is the kind of its first record
+        if entries and vector.kind != entries[0].vector.kind:
+            raise ParseError(path, line_no, "kind", f"video {vid!r} {stream}/{gran}: mixed raw/prob score kinds in one set")
+        entries.append(entry)
+    return [
+        StreamScoreSet(
+            video_id=vid, stream=stream, granularity=gran,
+            entries=tuple(sorted(entries, key=lambda e: (e.clip_start, e.crop_id))),
+        )
+        for (vid, stream, gran), entries in groups.items()
+    ]
+
+
+def _tube_record(vid: str, tube: Tube) -> dict:
+    record = {"video_id": vid, "label": tube.label, "start": tube.span.start, "end": tube.span.end}
+    if tube.score is not None:
+        record["score"] = quantize(tube.score)
+    record["boxes"] = [[quantize(b.x1), quantize(b.y1), quantize(b.x2), quantize(b.y2)] for b in tube.boxes]
+    return record
 
 
 def write_tubes(path, tubes: Iterable[VideoTube]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for vid, tube in tubes:
-            record = {
-                "video_id": vid,
-                "label": tube.label,
-                "start": tube.span.start,
-                "end": tube.span.end,
-            }
-            if tube.score is not None:
-                record["score"] = quantize(tube.score)
-            record["boxes"] = [
-                [quantize(b.x1), quantize(b.y1), quantize(b.x2), quantize(b.y2)]
-                for b in tube.boxes
-            ]
-            fh.write(_dump(record) + "\n")
+    _write_records(path, (_tube_record(vid, tube) for vid, tube in tubes))
 
 
 def read_tubes(path) -> list[VideoTube]:
@@ -347,21 +344,17 @@ def read_tubes(path) -> list[VideoTube]:
 
 
 def write_report(path, report: EvalReport) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for delta in report.deltas:
-            for result in report.per_delta[delta]:
-                fh.write(
-                    _dump(
-                        {
-                            "delta": quantize(delta),
-                            "class": result.label,
-                            "ap": quantize(result.ap),
-                            "pr": [[quantize(r), quantize(p)] for r, p in result.pr],
-                            "map": quantize(report.map_by_delta[delta]),
-                        }
-                    )
-                    + "\n"
-                )
+    _write_records(path, (
+        {
+            "delta": quantize(delta),
+            "class": result.label,
+            "ap": quantize(result.ap),
+            "pr": [[quantize(r), quantize(p)] for r, p in result.pr],
+            "map": quantize(report.map_by_delta[delta]),
+        }
+        for delta in report.deltas
+        for result in report.per_delta[delta]
+    ))
 
 
 def read_report(path) -> list[dict]:
@@ -376,12 +369,10 @@ def read_report(path) -> list[dict]:
 
 def write_predictions(path, rows: Iterable[tuple[str, int, Sequence[float]]]) -> None:
     """Per-video fused label and score vector, as emitted by the fuse command."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for vid, label, values in rows:
-            fh.write(
-                _dump({"video_id": vid, "label": label, "values": [quantize(v) for v in values]})
-                + "\n"
-            )
+    _write_records(path, (
+        {"video_id": vid, "label": label, "values": [quantize(v) for v in values]}
+        for vid, label, values in rows
+    ))
 
 
 def read_predictions(path) -> list[tuple[str, int, list[float]]]:
@@ -396,19 +387,15 @@ def read_predictions(path) -> list[tuple[str, int, list[float]]]:
 
 def write_actionness(path, rows: Iterable[dict]) -> None:
     """Per-video actionness record with series, gate, spans and tube sums."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(
-                _dump(
-                    {
-                        "video_id": row["video_id"],
-                        "class": row["class"],
-                        "threshold": quantize(row["threshold"]),
-                        "series": [quantize(v) for v in row["series"]],
-                        "human": [bool(h) for h in row["human"]],
-                        "spans": [[s, e] for s, e in row["spans"]],
-                        "tube_sums": [quantize(v) for v in row["tube_sums"]],
-                    }
-                )
-                + "\n"
-            )
+    _write_records(path, (
+        {
+            "video_id": row["video_id"],
+            "class": row["class"],
+            "threshold": quantize(row["threshold"]),
+            "series": [quantize(v) for v in row["series"]],
+            "human": [bool(h) for h in row["human"]],
+            "spans": [[s, e] for s, e in row["spans"]],
+            "tube_sums": [quantize(v) for v in row["tube_sums"]],
+        }
+        for row in rows
+    ))

@@ -23,6 +23,8 @@ FIXED_CROPS = CENTER_CROPS + (
 CROP_SCHEMES = {"center": CENTER_CROPS, "fixed": FIXED_CROPS}
 
 PROB_SUM_TOL = 1e-9
+# frames per scored clip, unless a StreamScoreSet names its own clip_len
+CLIP_LEN = 16
 
 
 @dataclass(frozen=True)
@@ -87,7 +89,7 @@ class StreamScoreSet:
     stream: str
     granularity: str
     entries: tuple[ClipScore, ...]
-    clip_len: int = 16
+    clip_len: int = CLIP_LEN
 
     def __post_init__(self):
         if self.stream not in STREAMS:

@@ -21,7 +21,7 @@ from .count_signal import (
 from .errors import InstanceTooLargeError
 from .evaluation import VideoTube
 from .fusion import (
-    CENTER_CROPS, ClipScore, ScoreVector, StreamScoreSet, STREAMS, _elementwise_mean,
+    CENTER_CROPS, CLIP_LEN, ClipScore, ScoreVector, StreamScoreSet, STREAMS, _elementwise_mean,
 )
 from .formats import MAX_FRAME
 from .geometry import Box2D, TemporalSpan, Tube, box_iou, runs, tube_iou
@@ -32,11 +32,12 @@ if TYPE_CHECKING:
 
 CANVAS_W = 320
 CANVAS_H = 240
-CLIP_LEN = 16
 CLIP_STRIDE = 8
 _SCORE_PEAK = 4.0
 # far above the 101 classes of the largest dataset the paper uses
 _MAX_CLASSES = 1000
+# far above the few dozen actors that fit side by side on the canvas
+_MAX_PERSONS = 100
 # far past any noise that leaves the class peak visible, far below one that overflows a score
 _MAX_NOISE = 1e6
 _MAX_PATHS = 10**6
@@ -56,8 +57,11 @@ class SynthConfig:
     noise: float = 0.5
 
     def __post_init__(self):
-        if self.videos < 0 or self.persons < 0:
-            raise ValueError("videos/persons must be >= 0")
+        if self.videos < 0:
+            raise ValueError(f"videos must be >= 0, got {self.videos}")
+        # every person's boxes are built in memory before anything is written
+        if not 0 <= self.persons <= _MAX_PERSONS:
+            raise ValueError(f"persons {self.persons} outside [0, {_MAX_PERSONS}]")
         # every frame is written, and a detections file may not name one past MAX_FRAME
         if not 1 <= self.frames <= MAX_FRAME + 1:
             raise ValueError(f"frames {self.frames} outside [1, {MAX_FRAME + 1}]")
@@ -184,7 +188,6 @@ def _generate_video(
                 stream=stream,
                 granularity="net16",
                 entries=tuple(entries),
-                clip_len=CLIP_LEN,
             )
         )
     return dets, gt, sets

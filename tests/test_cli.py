@@ -59,9 +59,10 @@ class TestSynth:
             ("--noise", "1e308"),
             ("--classes", "1000000000000"),
             ("--frames", str(MAX_FRAME + 2)),
+            ("--persons", "20000"),
         ],
         ids=["nan-jitter", "huge-jitter", "infinite-noise", "huge-noise", "huge-classes",
-             "frames-past-reader-cap"],
+             "frames-past-reader-cap", "huge-persons"],
     )
     def test_out_of_range_flag_exits_3_naming_it(self, tmp_path, capsys, flag, value):
         out = tmp_path / "x"
@@ -296,6 +297,27 @@ class TestModuleEntryPoint:
             assert proc.returncode == 0
             blob = (out / "detections.jsonl").read_bytes()
         assert blob == (out / "detections.jsonl").read_bytes()
+
+
+# Both checks live where the setting does: --parallel in its argparse type,
+# --median-window in ExtractionConfig. Either way the flag error is exit 3.
+@pytest.mark.parametrize(
+    "command, flag",
+    [("extract-tubes", "--median-window"), ("extract-tubes", "--parallel"),
+     ("fuse", "--parallel"), ("synth", "--parallel")],
+)
+def test_zero_flag_exits_3(corpus, tmp_path, capsys, command, flag):
+    out = tmp_path / "o"
+    if command == "synth":
+        argv = ["synth", "--out-dir", str(out)]
+    else:
+        name = "detections.jsonl" if command == "extract-tubes" else "scores.jsonl"
+        argv = [command, str(corpus / name), "--out", str(out)]
+    assert run(*argv, flag, "0") == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "must be >= 1" in err
+    assert not out.exists()
 
 
 DETECTION_LINE = '{"video_id":"v","frame":%d,"boxes":[{"x1":0,"y1":0,"x2":%s,"y2":10}]}'

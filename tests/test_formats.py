@@ -12,8 +12,10 @@ from tubekit import formats
 from tubekit.imaging import FlowField, LabelMask, encode_flow, mask_to_boxes
 from tubekit import (
     Box2D,
+    ClassResult,
     ClipScore,
     EvalConfig,
+    EvalReport,
     FrameDetections,
     ParseError,
     ScoreVector,
@@ -330,6 +332,90 @@ class TestByteDeterminism:
         assert "0.333333" in text
 
 
+# The exact text of every writer on hand-built inputs: reals that need rounding
+# (1/3, 123456.789, 1e-7, -0.0), optional scores present and absent, both score
+# kinds, a non-ASCII video id and one actionness row. Idempotence and round trips
+# pass for any byte change that repeats on every run; these texts pin the bytes.
+THIRD = 1 / 3
+
+
+def _written(tmp_path, writer, items):
+    path = tmp_path / "out.jsonl"
+    writer(path, items)
+    return path.read_bytes().decode("ascii")
+
+
+class TestExactBytes:
+    def test_detections(self, tmp_path):
+        dets = FrameDetections("v", 3, {
+            0: (Box2D(-0.0, 1e-7, THIRD, 123456.789, score=THIRD), Box2D(1.0, 2.0, 3.0, 4.0)),
+            2: (Box2D(0.5, 0.5, 1.5, 1.5, score=-0.0),),
+        })
+        assert _written(tmp_path, write_detections, [dets]) == (
+            '{"video_id":"v","frame":0,"boxes":[{"x1":-0.0,"y1":1e-07,"x2":0.333333,"y2":123457.0,'
+            '"score":0.333333},{"x1":1.0,"y1":2.0,"x2":3.0,"y2":4.0}]}\n'
+            '{"video_id":"v","frame":1,"boxes":[]}\n'
+            '{"video_id":"v","frame":2,"boxes":[{"x1":0.5,"y1":0.5,"x2":1.5,"y2":1.5,"score":-0.0}]}\n'
+        )
+
+    def test_tubes(self, tmp_path):
+        tubes = [
+            ("v", Tube(span=TemporalSpan(2, 3), label=1,
+                       boxes=(Box2D(-0.0, 1e-7, THIRD, 123456.789), Box2D(1.0, 2.0, 3.0, 4.0)))),
+            ("w", Tube(span=TemporalSpan(0, 0), boxes=(Box2D(0.0, 0.0, 1.0, 1.0),), score=-0.0)),
+        ]
+        assert _written(tmp_path, write_tubes, tubes) == (
+            '{"video_id":"v","label":1,"start":2,"end":3,'
+            '"boxes":[[-0.0,1e-07,0.333333,123457.0],[1.0,2.0,3.0,4.0]]}\n'
+            '{"video_id":"w","label":null,"start":0,"end":0,"score":-0.0,"boxes":[[0.0,0.0,1.0,1.0]]}\n'
+        )
+
+    def test_scores(self, tmp_path):
+        sets = [
+            StreamScoreSet("v", "rgb", "net16", (
+                ClipScore(8, "center_flip", ScoreVector((THIRD, -0.0, 123456.789))),
+            )),
+            StreamScoreSet("v", "flow", "net32", (
+                ClipScore(0, "tl", ScoreVector((THIRD, 2 * THIRD, 1e-7), "prob")),
+            )),
+        ]
+        assert _written(tmp_path, write_scores, sets) == (
+            '{"video_id":"v","stream":"rgb","granularity":"net16","clip_start":8,'
+            '"crop_id":"center_flip","kind":"raw","values":[0.333333,-0.0,123457.0]}\n'
+            '{"video_id":"v","stream":"flow","granularity":"net32","clip_start":0,'
+            '"crop_id":"tl","kind":"prob","values":[0.333333,0.666667,1e-07]}\n'
+        )
+
+    def test_report(self, tmp_path):
+        report = EvalReport(
+            deltas=(0.05, THIRD),
+            per_delta={
+                0.05: (ClassResult(1, THIRD, 3, 1, 1, ((THIRD, 1.0), (THIRD, 0.5))),),
+                THIRD: (ClassResult(0, 0.0, 1, 0, 0, ()),),
+            },
+            map_by_delta={0.05: THIRD, THIRD: -0.0},
+        )
+        assert _written(tmp_path, write_report, report) == (
+            '{"delta":0.05,"class":1,"ap":0.333333,"pr":[[0.333333,1.0],[0.333333,0.5]],"map":0.333333}\n'
+            '{"delta":0.333333,"class":0,"ap":0.0,"pr":[],"map":-0.0}\n'
+        )
+
+    def test_predictions(self, tmp_path):
+        rows = [("v", 2, [THIRD, -0.0, 123456.789]), ("wé", 0, [1e-7])]
+        assert _written(tmp_path, write_predictions, rows) == (
+            '{"video_id":"v","label":2,"values":[0.333333,-0.0,123457.0]}\n'
+            '{"video_id":"w\\u00e9","label":0,"values":[1e-07]}\n'
+        )
+
+    def test_actionness(self, tmp_path):
+        row = {"video_id": "v", "class": 2, "threshold": THIRD, "series": [THIRD, 1e-7, -0.0],
+               "human": [True, False, 1], "spans": [(0, 1)], "tube_sums": [123456.789]}
+        assert _written(tmp_path, formats.write_actionness, [row]) == (
+            '{"video_id":"v","class":2,"threshold":0.333333,"series":[0.333333,1e-07,-0.0],'
+            '"human":[true,false,true],"spans":[[0,1]],"tube_sums":[123457.0]}\n'
+        )
+
+
 # Exact parse-error texts on hostile inputs. Line 1 of every file is valid, so
 # each error names line 2. Each box reports its first bad field in the order
 # x1, y1, x2, y2, score; Box2D's own checks (order, area) come after those.
@@ -529,7 +615,7 @@ def test_read_scores_mixed_kinds_error_text(tmp_path):
     path.write_text(_scores(kind='"prob"', values="[0.25,0.75]"))
     with pytest.raises(ParseError) as err:
         read_scores(path)
-    assert str(err.value) == f"{path}: video 'v' rgb/net16: mixed raw/prob score kinds in one set"
+    assert str(err.value) == f"{path}, line 2, field 'kind': video 'v' rgb/net16: mixed raw/prob score kinds in one set"
 
 
 def test_read_scores_empty_first_vector_error_text(tmp_path):

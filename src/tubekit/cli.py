@@ -174,7 +174,6 @@ def _frame_probs(scores: StreamScoreSet, length: int, cls: int) -> list[float]:
 def _cmd_actionness(args) -> int:
     _require((args.detections is None) != (args.tubes is None),
              "exactly one of --detections and --tubes is required")
-    _require(args.granularity in GRANULARITIES, f"unknown granularity {args.granularity!r}")
     _require(math.isfinite(args.threshold), "--threshold must be finite")
     _require(args.action_class >= 0, "--class must be >= 0")
     sets = _index_scores(read_scores(_check_input(args.scores)))
@@ -237,16 +236,8 @@ def _cmd_evaluate(args) -> int:
         cfg = EvalConfig(deltas=deltas)
     except ValueError as exc:
         raise _FlagError(f"bad --deltas: {exc}") from exc
-    preds = read_tubes(_check_input(args.predictions))
-    gts = read_tubes(_check_input(args.gt))
-    for vid, tube in preds:
-        if tube.label is None:
-            raise ParseError(args.predictions, message=f"prediction in video {vid!r} has no label")
-        if tube.score is None:
-            raise ParseError(args.predictions, message=f"prediction in video {vid!r} has no score")
-    for vid, tube in gts:
-        if tube.label is None:
-            raise ParseError(args.gt, message=f"ground-truth tube in video {vid!r} has no label")
+    preds = read_tubes(_check_input(args.predictions), required=("label", "score"))
+    gts = read_tubes(_check_input(args.gt), required=("label",))
     report = video_map(preds, gts, cfg)
     write_report(args.out, report)
 
@@ -307,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tubes", help="tubes file; alternative human gate and per-tube sums")
     p.add_argument("--class", dest="action_class", type=int, required=True)
     p.add_argument("--threshold", type=float, required=True)
-    p.add_argument("--granularity", default="net16")
+    p.add_argument("--granularity", choices=GRANULARITIES, default="net16")
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_actionness)
 

@@ -115,9 +115,11 @@ def continuous_regions(smoothed: Sequence[int]) -> list[TemporalSpan]:
 
 @dataclass(frozen=True)
 class DetectionCountSeries:
-    """Raw, smoothed and expected per-frame counts of one video."""
+    """Smoothed and expected per-frame counts of one video.
 
-    raw: tuple[int, ...]
+    The raw counts are read only to compute these two, so they are not kept.
+    """
+
     smoothed: tuple[int, ...]
     expected: tuple[int, ...]
 
@@ -125,4 +127,4 @@ class DetectionCountSeries:
     def from_detections(cls, dets: FrameDetections, window: int) -> "DetectionCountSeries":
         raw = count_series(dets)
         smoothed = median_smooth(raw, window)
-        return cls(tuple(raw), tuple(smoothed), tuple(expected_counts(raw, smoothed)))
+        return cls(tuple(smoothed), tuple(expected_counts(raw, smoothed)))

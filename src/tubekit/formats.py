@@ -300,8 +300,13 @@ def write_tubes(path, tubes: Iterable[VideoTube]) -> None:
     _write_records(path, (_tube_record(vid, tube) for vid, tube in tubes))
 
 
-def read_tubes(path) -> list[VideoTube]:
-    """Tube records in file order; used for ground truth and predictions alike."""
+def read_tubes(path, required: Sequence[str] = ()) -> list[VideoTube]:
+    """Tube records in file order; used for ground truth and predictions alike.
+
+    ``required`` names which of ``label`` and ``score`` every record must
+    carry: predictions need both, ground truth needs ``label``. An optional
+    one may be absent or null.
+    """
     tubes: list[VideoTube] = []
     for line_no, record in _iter_records(path):
         vid = _field(path, line_no, record, "video_id", str, "a string")
@@ -310,11 +315,13 @@ def read_tubes(path) -> list[VideoTube]:
         if end > MAX_FRAME:
             raise ParseError(path, line_no, "end", f"frame index {end} above the cap {MAX_FRAME}")
         label = record.get("label")
-        if label is not None and (isinstance(label, bool) or not isinstance(label, int)):
+        if "label" in required:
+            label = _field(path, line_no, record, "label", int, "an integer")
+        elif label is not None and (isinstance(label, bool) or not isinstance(label, int)):
             raise ParseError(path, line_no, "label", f"expected an integer or null, got {label!r}")
         score = record.get("score")
-        if score is not None:
-            score = _number(path, line_no, "score", score)
+        if score is not None or "score" in required:
+            score = _number(path, line_no, "score", _required(path, line_no, record, "score"))
         raw_boxes = _field(path, line_no, record, "boxes", list, "an array")
         try:
             span = TemporalSpan(start, end)

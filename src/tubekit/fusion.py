@@ -23,7 +23,8 @@ FIXED_CROPS = CENTER_CROPS + (
 CROP_SCHEMES = {"center": CENTER_CROPS, "fixed": FIXED_CROPS}
 
 PROB_SUM_TOL = 1e-9
-# frames per scored clip, unless a StreamScoreSet names its own clip_len
+# frames per scored clip: the scores file has no clip-length field, so every
+# score set read or generated has clips of this length
 CLIP_LEN = 16
 
 
@@ -83,21 +84,18 @@ class ClipScore:
 
 @dataclass(frozen=True)
 class StreamScoreSet:
-    """Per-clip, per-crop scores of one stream of one video."""
+    """Per-clip, per-crop scores of one stream of one video; each clip is CLIP_LEN frames."""
 
     video_id: str
     stream: str
     granularity: str
     entries: tuple[ClipScore, ...]
-    clip_len: int = CLIP_LEN
 
     def __post_init__(self):
         if self.stream not in STREAMS:
             raise ValueError(f"unknown stream {self.stream!r}")
         if self.granularity not in GRANULARITIES:
             raise ValueError(f"unknown granularity {self.granularity!r}")
-        if self.clip_len < 1:
-            raise ValueError(f"clip_len must be >= 1, got {self.clip_len}")
         if self.entries:
             k = self.entries[0].vector.k
             kind = self.entries[0].vector.kind
@@ -110,10 +108,6 @@ class StreamScoreSet:
     @property
     def k(self) -> int:
         return self.entries[0].vector.k if self.entries else 0
-
-    @property
-    def kind(self) -> str:
-        return self.entries[0].vector.kind if self.entries else "raw"
 
 
 @dataclass(frozen=True)
@@ -246,16 +240,15 @@ def frame_scores_from_clips(scores: StreamScoreSet, video_len: int) -> list[Scor
         by_start.setdefault(e.clip_start, []).append(e.vector)
     starts = sorted(by_start)
     clips = [_elementwise_mean(by_start[s]) for s in starts]
-    clip_len = scores.clip_len
 
     cuts = {0, video_len}
     for s in starts:
-        cuts.update(c for c in (s, s + clip_len) if c < video_len)
+        cuts.update(c for c in (s, s + CLIP_LEN) if c < video_len)
     cuts = sorted(cuts)
     out: list[ScoreVector] = []
     for a, b in zip(cuts, cuts[1:]):
-        # clips[lo:hi] start in (a - clip_len, a], so they cover every frame of [a, b)
-        lo, hi = bisect_right(starts, a - clip_len), bisect_right(starts, a)
+        # clips[lo:hi] start in (a - CLIP_LEN, a], so they cover every frame of [a, b)
+        lo, hi = bisect_right(starts, a - CLIP_LEN), bisect_right(starts, a)
         if hi > lo:
             vec = clips[lo] if hi - lo == 1 else _elementwise_mean(clips[lo:hi])
             out.extend([vec] * (b - a))
@@ -264,7 +257,7 @@ def frame_scores_from_clips(scores: StreamScoreSet, video_len: int) -> list[Scor
         # clips[hi], which starts at or after b; the earlier one wins a tie
         for f in range(a, b):
             earlier = hi == len(starts) or (
-                hi > 0 and f - (starts[hi - 1] + clip_len - 1) <= starts[hi] - f
+                hi > 0 and f - (starts[hi - 1] + CLIP_LEN - 1) <= starts[hi] - f
             )
             out.append(clips[hi - 1] if earlier else clips[hi])
     return out

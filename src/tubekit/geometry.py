@@ -6,7 +6,7 @@ inclusive integer frame ranges. Everything here is immutable and pure.
 """
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from itertools import groupby
 from math import fsum, inf
 from typing import Iterable, Optional
@@ -18,11 +18,16 @@ class _BoxSlots:
     __slots__ = ("x1", "y1", "x2", "y2", "score", "area")
 
 
+# init=False: __new__ builds the box. No slots=True: it would build a second
+# class, whose frozen __setattr__ (on Python 3.11) names the first class and
+# so raises TypeError, not FrozenInstanceError, when ``area`` is assigned.
+@dataclass(frozen=True, init=False)
 class Box2D(_BoxSlots):
     """One axis-aligned detection rectangle; its container's frame key or offset gives its frame.
 
-    An immutable value: ``==`` and ``hash`` compare the class and the five
-    fields, like a frozen dataclass. ``area`` is computed once, on creation.
+    A frozen dataclass of four corners and an optional score: ``==``,
+    ``hash`` and ``repr`` cover those five fields. ``area`` is a slot, not a
+    field; it is computed once, on creation.
     """
 
     __slots__ = ()
@@ -32,7 +37,6 @@ class Box2D(_BoxSlots):
     x2: float
     y2: float
     score: Optional[float]
-    area: float
 
     def __new__(cls, x1: float, y1: float, x2: float, y2: float, score: Optional[float] = None):
         if not (x1 < x2 and y1 < y2):
@@ -46,7 +50,8 @@ class Box2D(_BoxSlots):
                 f"box ({x1}, {y1}, {x2}, {y2}) has area {area}: a positive finite area required"
             )
         # Filled as the writable base, then retyped: plain slot stores cost about
-        # half of the object.__setattr__ calls that would get past __setattr__ below.
+        # half of the object.__setattr__ calls that would get past the frozen
+        # dataclass's __setattr__.
         self = _BoxSlots()
         self.x1 = x1
         self.y1 = y1
@@ -57,32 +62,9 @@ class Box2D(_BoxSlots):
         self.__class__ = cls
         return self
 
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
     def __reduce__(self):
-        # pickle and copy would restore the slots through __setattr__
+        # pickle and copy would restore the slots through the frozen __setattr__
         return (type(self), (self.x1, self.y1, self.x2, self.y2, self.score))
-
-    def _fields(self) -> tuple:
-        return (self.x1, self.y1, self.x2, self.y2, self.score)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._fields() == other._fields()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        return (
-            f"{type(self).__qualname__}(x1={self.x1!r}, y1={self.y1!r}, x2={self.x2!r}, "
-            f"y2={self.y2!r}, score={self.score!r})"
-        )
 
 
 @dataclass(frozen=True)

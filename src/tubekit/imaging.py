@@ -30,14 +30,6 @@ class LabelMask:
             raise ValueError("mask labels must be >= 0")
         object.__setattr__(self, "labels", arr)
 
-    @property
-    def height(self) -> int:
-        return self.labels.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.labels.shape[1]
-
 
 @dataclass(frozen=True)
 class FlowField:
@@ -55,14 +47,6 @@ class FlowField:
             raise ValueError("flow field contains non-finite values")
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
-
-    @property
-    def height(self) -> int:
-        return self.u.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.u.shape[1]
 
 
 _EIGHT_CONNECTED = np.ones((3, 3), dtype=int)

@@ -136,9 +136,12 @@ def _plant_tracks(cfg: SynthConfig, rng: Generator) -> list[tuple[TemporalSpan, 
     return tracks
 
 
-def _generate_video(
+def generate_video(
     cfg: SynthConfig, index: int
 ) -> tuple[FrameDetections, list[VideoTube], list[StreamScoreSet]]:
+    """One video of the corpus; independent of every other index."""
+    if not 0 <= index < cfg.videos:
+        raise ValueError(f"video index {index} outside [0, {cfg.videos})")
     rng = _video_rng(cfg.seed, index)
     video_id = f"synth{index:04d}"
     true_class = int(rng.integers(0, cfg.classes))
@@ -201,18 +204,11 @@ def generate_scene(
     gt_tubes: list[VideoTube] = []
     score_sets: list[StreamScoreSet] = []
     for index in range(cfg.videos):
-        dets, gt, sets = _generate_video(cfg, index)
+        dets, gt, sets = generate_video(cfg, index)
         detections.append(dets)
         gt_tubes.extend(gt)
         score_sets.extend(sets)
     return detections, gt_tubes, score_sets
-
-
-def generate_video(cfg: SynthConfig, index: int):
-    """One video of the corpus; independent of every other index."""
-    if not 0 <= index < cfg.videos:
-        raise ValueError(f"video index {index} outside [0, {cfg.videos})")
-    return _generate_video(cfg, index)
 
 
 def brute_force_link(problem: LinkingProblem) -> Tube:
@@ -323,17 +319,16 @@ def naive_frame_scores(scores: StreamScoreSet, video_len: int) -> list[ScoreVect
     for e in scores.entries:
         by_start.setdefault(e.clip_start, []).append(e.vector)
     clips = sorted((start, _elementwise_mean(vs)) for start, vs in by_start.items())
-    clip_len = scores.clip_len
 
     out: list[ScoreVector] = []
     for f in range(video_len):
-        covering = [vec for start, vec in clips if start <= f < start + clip_len]
+        covering = [vec for start, vec in clips if start <= f < start + CLIP_LEN]
         if covering:
             out.append(covering[0] if len(covering) == 1 else _elementwise_mean(covering))
             continue
         best_vec, best_dist = None, None
         for start, vec in clips:
-            dist = start - f if f < start else f - (start + clip_len - 1)
+            dist = start - f if f < start else f - (start + CLIP_LEN - 1)
             if best_dist is None or dist < best_dist:
                 best_vec, best_dist = vec, dist
         out.append(best_vec)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import tubekit
 from tubekit.cli import main
-from tubekit.fusion import CENTER_CROPS, FUSION_METHODS, STREAMS
+from tubekit.fusion import CENTER_CROPS, CLIP_LEN, FUSION_METHODS, STREAMS
 from tubekit import read_predictions, read_report, read_tubes
 from tubekit.formats import MAX_FRAME
 
@@ -239,6 +239,19 @@ class TestActionness:
         )
         assert code == 3
 
+    def test_unknown_granularity_exits_3(self, corpus, tmp_path, capsys):
+        out = tmp_path / "o.jsonl"
+        code = run(
+            "actionness", "--scores", str(corpus / "scores.jsonl"),
+            "--detections", str(corpus / "detections.jsonl"),
+            "--class", "0", "--threshold", "0.5", "--granularity", "net8", "--out", str(out),
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "argument --granularity: invalid choice: 'net8'" in err
+        assert not out.exists()
+
     def test_requires_exactly_one_gate_source(self, corpus, tmp_path):
         code = run(
             "actionness", "--scores", str(corpus / "scores.jsonl"),
@@ -275,6 +288,38 @@ class TestEvaluate:
     def test_unscored_predictions_exit_2(self, corpus, tmp_path):
         gt = corpus / "gt_tubes.jsonl"
         assert run("evaluate", str(gt), str(gt), "--out", str(tmp_path / "r.jsonl")) == 2
+
+    @pytest.mark.parametrize(
+        "which, line_no, field, absent, message",
+        [
+            ("predictions", 3, "label", True, "missing required field"),
+            ("predictions", 2, "label", False, "expected an integer, got None"),
+            ("predictions", 2, "score", True, "missing required field"),
+            ("predictions", 3, "score", False, "expected a number, got None"),
+            ("gt", 2, "label", True, "missing required field"),
+        ],
+        ids=["pred-label-absent", "pred-label-null", "pred-score-absent", "pred-score-null", "gt-label-absent"],
+    )
+    def test_missing_label_or_score_names_line_and_field(
+        self, tmp_path, capsys, which, line_no, field, absent, message
+    ):
+        good = '{"video_id":"v","label":0,"start":0,"end":0,"score":0.5,"boxes":[[0,0,10,10]]}'
+        lines = [good] * 3
+        record = json.loads(good)
+        if absent:
+            del record[field]
+        else:
+            record[field] = None
+        lines[line_no - 1] = json.dumps(record)
+        paths = {name: tmp_path / f"{name}.jsonl" for name in ("predictions", "gt")}
+        for name, path in paths.items():
+            path.write_text("\n".join(lines if name == which else [good] * 3) + "\n")
+        out = tmp_path / "r.jsonl"
+        assert run("evaluate", str(paths["predictions"]), str(paths["gt"]), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"{paths[which]}, line {line_no}, field '{field}': {message}" in err
+        assert not out.exists()
 
 
 class TestModuleEntryPoint:
@@ -569,7 +614,7 @@ def test_actionness_applies_softmax_once_per_run_of_frames(tmp_path, monkeypatch
         starts = sorted({e.clip_start for e in s.entries})
         sources = []
         for f in range(length):
-            covering = tuple(x for x in starts if x <= f < x + s.clip_len)
+            covering = tuple(x for x in starts if x <= f < x + CLIP_LEN)
             sources.append(covering or (starts[-1],))  # the uncovered tail takes the last clip
         expected += 1 + sum(sources[f] != sources[f - 1] for f in range(1, length))
     assert expected == 3 * 50

@@ -21,7 +21,7 @@ from tubekit import (
     temporal_localize,
     tube_actionness,
 )
-from tubekit.fusion import FIXED_CROPS
+from tubekit.fusion import CLIP_LEN, FIXED_CROPS
 from tubekit.synth import naive_frame_scores
 
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False, allow_infinity=False)
@@ -198,17 +198,16 @@ class TestFrameScores:
             assert frames[f].values == (0.0, 1.0)
 
     def test_nearest_tie_goes_to_earlier_clip(self):
-        # clips cover {0,1} and {7,8}; frame 4 is 3 frames from both
-        s = StreamScoreSet(
-            video_id="v", stream="rgb", granularity="net16", clip_len=2,
-            entries=(
-                ClipScore(0, "center", ScoreVector((1.0, 0.0))),
-                ClipScore(7, "center", ScoreVector((0.0, 1.0))),
-            ),
-        )
-        frames = frame_scores_from_clips(s, 9)
-        assert frames[4].values == (1.0, 0.0)
-        assert frames[5].values == (0.0, 1.0)  # one frame later the tie breaks
+        # clips cover [0, 15] and [21, 36]; frame 18 is 3 frames from both
+        s = score_set([(0, "center", ScoreVector((1.0, 0.0))), (21, "center", ScoreVector((0.0, 1.0)))])
+        frames = frame_scores_from_clips(s, 37)
+        assert frames[18].values == (1.0, 0.0)
+        assert frames[19].values == (0.0, 1.0)  # one frame later the tie breaks
+
+    def test_has_no_clip_len(self):
+        # the scores file has no clip-length field: every clip is CLIP_LEN frames
+        with pytest.raises(TypeError):
+            StreamScoreSet(video_id="v", stream="rgb", granularity="net16", entries=(), clip_len=8)
 
     def test_crops_average_before_distribution(self):
         s = score_set([(0, "center", ScoreVector((1.0, 0.0))), (0, "center_flip", ScoreVector((0.0, 1.0)))])
@@ -231,17 +230,16 @@ def clip_layouts(draw):
     Small ranges give gaps, nearest-clip distance ties, repeated starts and
     starts at or past the video's end; one set is all raw or all prob.
     """
-    clip_len = draw(st.integers(1, 20))
     video_len = draw(st.integers(1, 60))
     k = draw(st.integers(1, 4))
     prob = draw(st.booleans())
     entries = []
-    for start in draw(st.lists(st.integers(0, video_len + clip_len), min_size=1, max_size=8)):
+    for start in draw(st.lists(st.integers(0, video_len + CLIP_LEN), min_size=1, max_size=8)):
         for crop in draw(st.lists(st.sampled_from(FIXED_CROPS), min_size=1, max_size=3)):
             v = ScoreVector(tuple(draw(st.lists(wide, min_size=k, max_size=k))))
             entries.append(ClipScore(start, crop, softmax(v) if prob else v))
     scores = StreamScoreSet(
-        video_id="v", stream="rgb", granularity="net16", clip_len=clip_len, entries=tuple(entries),
+        video_id="v", stream="rgb", granularity="net16", entries=tuple(entries),
     )
     return scores, video_len
 

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 import pickle
 
@@ -80,6 +81,14 @@ class TestBox2D:
             assert twin.area == box.area and twin.score == box.score
         tube = Tube(TemporalSpan(2, 3), (Box2D(0.0, 0.0, 1.0, 1.0), Box2D(1.0, 1.0, 2.0, 2.0)), label=1)
         assert pickle.loads(pickle.dumps(tube)) == tube
+
+    def test_dataclass_fields_and_replace(self):
+        box = Box2D(0.5, 1.0, 2.0, 3.0, score=0.25)
+        assert [f.name for f in dataclasses.fields(Box2D)] == ["x1", "y1", "x2", "y2", "score"]
+        wider = dataclasses.replace(box, x2=3.0)
+        assert wider == Box2D(0.5, 1.0, 3.0, 3.0, score=0.25) and wider.area == 5.0
+        with pytest.raises(ValueError, match="degenerate box"):
+            dataclasses.replace(box, x2=0.0)
 
 
 class TestBoxIou:

@@ -93,13 +93,6 @@ def _config(config_type, args):
         raise _FlagError(str(exc)) from exc
 
 
-def _check_input(path: str) -> Path:
-    p = Path(path)
-    if not p.is_file():
-        raise ParseError(path, message="input file does not exist")
-    return p
-
-
 def _pmap(fn, items, workers: int):
     if workers <= 1 or len(items) <= 1:
         return [fn(x) for x in items]
@@ -109,17 +102,12 @@ def _pmap(fn, items, workers: int):
 
 def _cmd_extract_tubes(args) -> int:
     cfg = _config(ExtractionConfig, args)
-    videos = read_detections(_check_input(args.detections))
+    videos = read_detections(args.detections)
     videos.sort(key=lambda d: d.video_id)
     per_video = _pmap(lambda d: extract_tubes(d, cfg), videos, args.parallel)
     rows = [(d.video_id, t) for d, tubes in zip(videos, per_video) for t in tubes]
     write_tubes(args.out, rows)
     return EXIT_OK
-
-
-def _index_scores(sets: list[StreamScoreSet]) -> dict[tuple[str, str, str], StreamScoreSet]:
-    # read_scores groups by (video, stream, granularity), so each key names one set
-    return {(s.video_id, s.stream, s.granularity): s for s in sets}
 
 
 def _cmd_fuse(args) -> int:
@@ -129,7 +117,7 @@ def _cmd_fuse(args) -> int:
         _require(g in GRANULARITIES, f"unknown granularity {g!r}")
     _require(len(set(grans)) == len(grans), "--granularities lists a granularity twice")
     crops = CROP_SCHEMES[args.crop_scheme]
-    sets = _index_scores(read_scores(_check_input(args.scores)))
+    sets = read_scores(args.scores)
     video_ids = sorted({vid for vid, _, _ in sets})
     if not video_ids:
         raise ParseError(args.scores, message="no score records found")
@@ -176,7 +164,7 @@ def _cmd_actionness(args) -> int:
              "exactly one of --detections and --tubes is required")
     _require(math.isfinite(args.threshold), "--threshold must be finite")
     _require(args.action_class >= 0, "--class must be >= 0")
-    sets = _index_scores(read_scores(_check_input(args.scores)))
+    sets = read_scores(args.scores)
     if not sets:
         raise ParseError(args.scores, message="no score records found")
     k = next(iter(sets.values())).k  # read_scores checks that K is the same file-wide
@@ -186,10 +174,10 @@ def _cmd_actionness(args) -> int:
     gates: dict[str, list[bool]] = {}
     tubes_by_video: dict[str, list] = {}
     if args.detections is not None:
-        for dets in read_detections(_check_input(args.detections)):
+        for dets in read_detections(args.detections):
             gates[dets.video_id] = [len(dets.boxes_on(f)) > 0 for f in range(dets.length)]
     else:
-        for vid, tube in read_tubes(_check_input(args.tubes)):
+        for vid, tube in read_tubes(args.tubes):
             tubes_by_video.setdefault(vid, []).append(tube)
         for vid, tubes in tubes_by_video.items():
             human = [False] * (max(t.span.end for t in tubes) + 1)
@@ -216,15 +204,9 @@ def _cmd_actionness(args) -> int:
                 for stream in _ACTIONNESS_STREAMS
             ]
             series = compose_actionness(*probs, human)
-            yield {
-                "video_id": vid,
-                "class": args.action_class,
-                "threshold": args.threshold,
-                "series": series.values,
-                "human": series.human_present,
-                "spans": [(s.start, s.end) for s in temporal_localize(series, args.threshold)],
-                "tube_sums": [tube_actionness(t, series) for t in tubes_by_video.get(vid, [])],
-            }
+            spans = [(s.start, s.end) for s in temporal_localize(series, args.threshold)]
+            sums = [tube_actionness(t, series) for t in tubes_by_video.get(vid, [])]
+            yield vid, args.action_class, args.threshold, series, spans, sums
 
     write_actionness(args.out, rows())
     return EXIT_OK
@@ -236,20 +218,16 @@ def _cmd_evaluate(args) -> int:
         cfg = EvalConfig(deltas=deltas)
     except ValueError as exc:
         raise _FlagError(f"bad --deltas: {exc}") from exc
-    preds = read_tubes(_check_input(args.predictions), required=("label", "score"))
-    gts = read_tubes(_check_input(args.gt), required=("label",))
+    preds = read_tubes(args.predictions, required=("label", "score"))
+    gts = read_tubes(args.gt, required=("label",))
     report = video_map(preds, gts, cfg)
     write_report(args.out, report)
 
-    classes = sorted({r.label for rs in report.per_delta.values() for r in rs})
     header = "class".ljust(8) + "".join(f"d={d:<8g}"[:9].ljust(9) for d in report.deltas)
     print(header)
-    for c in classes:
-        cells = []
-        for d in report.deltas:
-            ap = next(r.ap for r in report.per_delta[d] if r.label == c)
-            cells.append(f"{ap:<9.4f}")
-        print(str(c).ljust(8) + "".join(cells))
+    # video_map reports the same sorted classes at every threshold
+    for results in zip(*(report.per_delta[d] for d in report.deltas)):
+        print(str(results[0].label).ljust(8) + "".join(f"{r.ap:<9.4f}" for r in results))
     print("mAP".ljust(8) + "".join(f"{report.map_by_delta[d]:<9.4f}" for d in report.deltas))
     print(f"(AP: {AP_METHOD})")
     return EXIT_OK
@@ -259,13 +237,18 @@ def _cmd_synth(args) -> int:
     cfg = _config(SynthConfig, args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    results = _pmap(lambda i: generate_video(cfg, i), list(range(cfg.videos)), args.parallel)
-    detections = [dets for dets, _, _ in results]
-    gt = [row for _, rows, _ in results for row in rows]
-    scores = [s for _, _, sets in results for s in sets]
-    write_detections(out_dir / "detections.jsonl", detections)
-    write_tubes(out_dir / "gt_tubes.jsonl", gt)
-    write_scores(out_dir / "scores.jsonl", scores)
+    with (
+        open(out_dir / "detections.jsonl", "w", encoding="utf-8") as det_file,
+        open(out_dir / "gt_tubes.jsonl", "w", encoding="utf-8") as gt_file,
+        open(out_dir / "scores.jsonl", "w", encoding="utf-8") as scores_file,
+    ):
+        # videos are made --parallel at a time and written in order, so memory holds one batch
+        for first in range(0, cfg.videos, args.parallel):
+            batch = range(first, min(first + args.parallel, cfg.videos))
+            for dets, gt, sets in _pmap(lambda i: generate_video(cfg, i), batch, args.parallel):
+                write_detections(det_file, [dets])
+                write_tubes(gt_file, gt)
+                write_scores(scores_file, sets)
     return EXIT_OK
 
 

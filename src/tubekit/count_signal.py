@@ -1,8 +1,10 @@
-"""Per-frame detection-count signal: smoothing, expected counts, padding.
+"""Per-frame detection-count signal: smoothing and padding.
 
-The detection count per frame is denoised with a windowed median, the
-expected count is the elementwise max of the raw and smoothed signals, and
-under-populated frames are padded by duplicating their largest box.
+The detection count per frame is denoised with a windowed median, and a
+frame with fewer boxes than the smoothed count is padded up to it by
+duplicating its largest box. A frame with no boxes is never padded, so
+every frame that holds boxes ends with max(raw, smoothed) of them: the
+expected count, without a series of its own.
 """
 from __future__ import annotations
 
@@ -80,13 +82,6 @@ def median_smooth(series: Sequence[int], window: int) -> list[int]:
     return out
 
 
-def expected_counts(raw: Sequence[int], smoothed: Sequence[int]) -> list[int]:
-    """Elementwise max of the raw and smoothed count series."""
-    if len(raw) != len(smoothed):
-        raise ValueError(f"length mismatch: {len(raw)} raw vs {len(smoothed)} smoothed")
-    return [max(a, b) for a, b in zip(raw, smoothed)]
-
-
 def pad_detections(dets: FrameDetections, expected: Sequence[int]) -> FrameDetections:
     """Duplicate the largest box on under-populated frames.
 
@@ -115,16 +110,13 @@ def continuous_regions(smoothed: Sequence[int]) -> list[TemporalSpan]:
 
 @dataclass(frozen=True)
 class DetectionCountSeries:
-    """Smoothed and expected per-frame counts of one video.
+    """Smoothed per-frame counts of one video.
 
-    The raw counts are read only to compute these two, so they are not kept.
+    The raw counts are read only to smooth them, so they are not kept.
     """
 
     smoothed: tuple[int, ...]
-    expected: tuple[int, ...]
 
     @classmethod
     def from_detections(cls, dets: FrameDetections, window: int) -> "DetectionCountSeries":
-        raw = count_series(dets)
-        smoothed = median_smooth(raw, window)
-        return cls(tuple(smoothed), tuple(expected_counts(raw, smoothed)))
+        return cls(tuple(median_smooth(count_series(dets), window)))

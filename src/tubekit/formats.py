@@ -12,7 +12,8 @@ All files are line-delimited JSON, one record per line:
 Every file is written by one writer, ``_write_records``, with one JSON
 encoder built once. The public writers only build records, with a fixed
 field order and reals quantized to 6 significant digits, so identical
-inputs always produce identical bytes. Readers ignore unknown extra
+inputs always produce identical bytes. Each takes a path to write, or an
+open text file to add its lines to. Readers ignore unknown extra
 fields and reject schema violations, non-finite numbers included, with
 the file, line and field named in the error.
 """
@@ -31,6 +32,7 @@ from .fusion import (
     KINDS,
     PROB_SUM_TOL,
     STREAMS,
+    ActionnessSeries,
     ClipScore,
     ScoreVector,
     StreamScoreSet,
@@ -52,11 +54,17 @@ def quantize(x: float) -> float:
 _encode = json.JSONEncoder(separators=(",", ":"), allow_nan=False).encode
 
 
-def _write_records(path, records: Iterable[dict]) -> None:
-    """One compact JSON object per line; every file is written here."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(_encode(record) + "\n")
+def _write_records(out, records: Iterable[dict]) -> None:
+    """One compact JSON object per line; every file is written here.
+
+    ``out`` is a path to write, or an open text file to add the lines to.
+    """
+    if not hasattr(out, "write"):
+        with open(out, "w", encoding="utf-8") as fh:
+            _write_records(fh, records)
+        return
+    for record in records:
+        out.write(_encode(record) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +248,8 @@ def _score_entry(path, line_no, record, file_k) -> ClipScore:
         raise ParseError(path, line_no, "values", str(exc)) from exc
 
 
-def read_scores(path) -> list[StreamScoreSet]:
-    """Score sets grouped by (video, stream, granularity), entries sorted.
+def read_scores(path) -> dict[tuple[str, str, str], StreamScoreSet]:
+    """Score sets keyed by (video, stream, granularity), entries sorted.
 
     The class count K must be consistent across the whole file, the kind
     within each set, and a ``prob`` vector must sum to 1 within PROB_SUM_TOL.
@@ -279,13 +287,13 @@ def read_scores(path) -> list[StreamScoreSet]:
         if entries and vector.kind != entries[0].vector.kind:
             raise ParseError(path, line_no, "kind", f"video {vid!r} {stream}/{gran}: mixed raw/prob score kinds in one set")
         entries.append(entry)
-    return [
-        StreamScoreSet(
+    return {
+        (vid, stream, gran): StreamScoreSet(
             video_id=vid, stream=stream, granularity=gran,
             entries=tuple(sorted(entries, key=lambda e: (e.clip_start, e.crop_id))),
         )
         for (vid, stream, gran), entries in groups.items()
-    ]
+    }
 
 
 def _tube_record(vid: str, tube: Tube) -> dict:
@@ -392,17 +400,20 @@ def read_predictions(path) -> list[tuple[str, int, list[float]]]:
     return rows
 
 
-def write_actionness(path, rows: Iterable[dict]) -> None:
-    """Per-video actionness record with series, gate, spans and tube sums."""
+def write_actionness(
+    path,
+    rows: Iterable[tuple[str, int, float, ActionnessSeries, Sequence[tuple[int, int]], Sequence[float]]],
+) -> None:
+    """Per-video actionness record: class, threshold, series, gate, (start, end) spans and tube sums."""
     _write_records(path, (
         {
-            "video_id": row["video_id"],
-            "class": row["class"],
-            "threshold": quantize(row["threshold"]),
-            "series": [quantize(v) for v in row["series"]],
-            "human": [bool(h) for h in row["human"]],
-            "spans": [[s, e] for s, e in row["spans"]],
-            "tube_sums": [quantize(v) for v in row["tube_sums"]],
+            "video_id": vid,
+            "class": cls,
+            "threshold": quantize(threshold),
+            "series": [quantize(v) for v in series.values],
+            "human": series.human_present,
+            "spans": spans,
+            "tube_sums": [quantize(v) for v in tube_sums],
         }
-        for row in rows
+        for vid, cls, threshold, series, spans, tube_sums in rows
     ))

@@ -123,12 +123,13 @@ def viterbi_link(problem: LinkingProblem) -> Tube:
 def extract_tubes(dets: FrameDetections, cfg: ExtractionConfig | None = None) -> list[Tube]:
     """Full iterative extraction pipeline for one video.
 
-    Counts are smoothed and padded, then regions of the smoothed signal are
-    processed longest-first (ties towards the earliest start). A region
-    whose frames all still hold boxes is linked as ``viterbi_link`` would
-    link it; the chosen boxes are removed and the region is re-queued. A
-    region with emptied frames is split at them into sub-regions. Proposals
-    shorter than ``min_tube_len`` are discarded. Output tubes are sorted by
+    Counts are smoothed and frames that hold boxes are padded up to the
+    smoothed count, then regions of the smoothed signal are processed
+    longest-first (ties towards the earliest start). A region whose frames
+    all still hold boxes is linked as ``viterbi_link`` would link it; the
+    chosen boxes are removed and the region is re-queued. A region with
+    emptied frames is split at them into sub-regions. Proposals shorter
+    than ``min_tube_len`` are discarded. Output tubes are sorted by
     start frame, then by descending length, and carry their mean link score.
 
     The consecutive-frame IoUs are computed once per video. Removing a box
@@ -138,7 +139,7 @@ def extract_tubes(dets: FrameDetections, cfg: ExtractionConfig | None = None) ->
     """
     cfg = cfg or ExtractionConfig()
     counts = DetectionCountSeries.from_detections(dets, cfg.median_window)
-    frames = pad_detections(dets, counts.expected).frames
+    frames = pad_detections(dets, counts.smoothed).frames
     active = {f: list(range(len(boxes))) for f, boxes in frames.items()}
 
     queue: list[TemporalSpan] = [

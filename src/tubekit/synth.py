@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .count_signal import (
-    DetectionCountSeries, FrameDetections, continuous_regions, pad_detections,
+    DetectionCountSeries, FrameDetections, continuous_regions, count_series, pad_detections,
 )
 from .errors import InstanceTooLargeError
 from .evaluation import VideoTube
@@ -282,10 +282,13 @@ def naive_extract_tubes(dets: FrameDetections, cfg: ExtractionConfig | None = No
     Each link recomputes every consecutive-frame ``box_iou`` of the boxes
     still on the region's frames, and the chosen boxes are removed frame by
     frame with ``list.remove``, so the first box equal to a chosen one goes.
+    Frames are padded up to the paper's expected count, max(raw, smoothed),
+    where ``extract_tubes`` pads up to the smoothed count alone.
     """
     cfg = cfg or ExtractionConfig()
     counts = DetectionCountSeries.from_detections(dets, cfg.median_window)
-    padded = pad_detections(dets, counts.expected)
+    expected = [max(raw, smoothed) for raw, smoothed in zip(count_series(dets), counts.smoothed)]
+    padded = pad_detections(dets, expected)
     work = {f: list(boxes) for f, boxes in padded.frames.items()}
     queue = continuous_regions(counts.smoothed)
     tubes: list[Tube] = []

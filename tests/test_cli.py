@@ -74,12 +74,29 @@ class TestSynth:
         assert not out.exists()
 
     def test_parallel_identical(self, tmp_path):
+        # 7 videos: the last batch of --parallel 2 and the only one of --parallel 8 are partial
         outs = []
         for n in ("1", "2", "8"):
             out = tmp_path / f"p{n}"
-            assert run("synth", "--out-dir", str(out), "--seed", "9", "--videos", "6", "--parallel", n) == 0
-            outs.append((out / "detections.jsonl").read_bytes())
+            assert run("synth", "--out-dir", str(out), "--seed", "9", "--videos", "7", "--parallel", n) == 0
+            outs.append([(out / name).read_bytes() for name in ("detections.jsonl", "gt_tubes.jsonl", "scores.jsonl")])
         assert outs[0] == outs[1] == outs[2]
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+    def test_peak_memory_does_not_grow_with_videos(self, tmp_path):
+        # each video is written as soon as it is made, so the peak is one video's; holding
+        # every video until the end grew it by 64 MB from 20 to 200 videos
+        peaks = []
+        for videos in (20, 200):
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "tubekit", "synth", "--out-dir", str(tmp_path / str(videos)),
+                 "--videos", str(videos), "--frames", "300", "--persons", "3", "--fp-rate", "0.3"],
+                env=SRC_ENV,
+            )
+            _, status, usage = os.wait4(proc.pid, 0)
+            assert os.waitstatus_to_exitcode(status) == 0
+            peaks.append(usage.ru_maxrss / 1024)
+        assert peaks[1] - peaks[0] <= 15, f"peak RSS {peaks[0]:.1f} MB at 20 videos, {peaks[1]:.1f} MB at 200"
 
 
 class TestExtractTubes:
@@ -276,6 +293,34 @@ class TestEvaluate:
         assert "mAP" in out
         assert all(row["map"] == 1.0 for row in read_report(report_path))
 
+    def test_table_text(self, tmp_path, capsys):
+        # class 0 found exactly, class 1 at tube IoU 0.4 (4 of its 10 frames), class 2 only predicted
+        box = {0: [0, 0, 10, 10], 1: [100, 100, 110, 110], 2: [200, 200, 210, 210]}
+        gt, preds = tmp_path / "gt.jsonl", tmp_path / "preds.jsonl"
+        write_tube_records(gt, [("v", c, 0, 9, None, box[c]) for c in (0, 1)])
+        write_tube_records(preds, [("v", 0, 0, 9, 0.9, box[0]), ("v", 1, 0, 3, 0.8, box[1]),
+                                   ("v", 2, 0, 9, 0.7, box[2])])
+        assert run("evaluate", str(preds), str(gt), "--deltas", "0.5,0.2", "--out", str(tmp_path / "r.jsonl")) == 0
+        assert capsys.readouterr().out == (
+            "class   d=0.5    d=0.2    \n"
+            "0       1.0000   1.0000   \n"
+            "1       0.0000   1.0000   \n"
+            "2       0.0000   0.0000   \n"
+            "mAP     0.5000   1.0000   \n"
+            "(AP: all-point precision envelope)\n"
+        )
+
+    def test_table_of_1000_classes(self, tmp_path, capsys):
+        gt, preds = tmp_path / "gt.jsonl", tmp_path / "preds.jsonl"
+        write_tube_records(gt, [(f"v{c}", c, 0, 0, None, [0, 0, 10, 10]) for c in range(1000)])
+        write_tube_records(preds, [(f"v{c}", c, 0, 0, 0.5, [0, 0, 10, 10]) for c in range(1000)])
+        assert run("evaluate", str(preds), str(gt), "--deltas", "0.5,0.2", "--out", str(tmp_path / "r.jsonl")) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1 + 1000 + 2
+        assert [line.split() for line in lines[1:1001]] == [[str(c), "1.0000", "1.0000"] for c in range(1000)]
+        assert lines[1001].split() == ["mAP", "1.0000", "1.0000"]
+        assert lines[1002] == "(AP: all-point precision envelope)"
+
     def test_parse_error_exits_2(self, corpus, tmp_path):
         bad = tmp_path / "bad.jsonl"
         bad.write_text("{oops\n")
@@ -320,6 +365,66 @@ class TestEvaluate:
         assert "Traceback" not in err
         assert f"{paths[which]}, line {line_no}, field '{field}': {message}" in err
         assert not out.exists()
+
+
+def write_tube_records(path, rows):
+    """(video, label, start, end, score or None, box) rows; the box is repeated on every frame."""
+    with open(path, "w") as fh:
+        for vid, label, start, end, score, box in rows:
+            rec = {"video_id": vid, "label": label, "start": start, "end": end, "boxes": [box] * (end - start + 1)}
+            if score is not None:
+                rec["score"] = score
+            fh.write(json.dumps(rec) + "\n")
+
+
+# Every input of every subcommand: its argv with BAD in that input's place and the
+# corpus files, all readable, in the others.
+INPUTS = {
+    "extract-tubes-detections": ["extract-tubes", "BAD"],
+    "fuse-scores": ["fuse", "BAD"],
+    "actionness-scores": ["actionness", "--scores", "BAD", "--detections", "{detections}"],
+    "actionness-detections": ["actionness", "--scores", "{scores}", "--detections", "BAD"],
+    "actionness-tubes": ["actionness", "--scores", "{scores}", "--tubes", "BAD"],
+    "evaluate-predictions": ["evaluate", "BAD", "{gt}"],
+    "evaluate-gt": ["evaluate", "{predictions}", "BAD"],
+}
+# open()'s own text for each kind of unreadable path
+UNREADABLE = {"missing": "No such file or directory", "directory": "Is a directory"}
+
+
+@pytest.mark.parametrize("bad_kind", list(UNREADABLE))
+@pytest.mark.parametrize("which", list(INPUTS))
+def test_unreadable_input_exits_2_naming_it(corpus, tmp_path, capsys, which, bad_kind):
+    bad = tmp_path / "nope.jsonl"
+    if bad_kind == "directory":
+        bad.mkdir()
+    predictions = tmp_path / "predictions.jsonl"
+    predictions.write_text("".join(
+        json.dumps(dict(json.loads(line), score=0.5)) + "\n"
+        for line in (corpus / "gt_tubes.jsonl").read_text().splitlines()
+    ))
+    paths = {"detections": corpus / "detections.jsonl", "scores": corpus / "scores.jsonl",
+             "gt": corpus / "gt_tubes.jsonl", "predictions": predictions}
+    argv = [str(bad) if a == "BAD" else a.format(**paths) for a in INPUTS[which]]
+    if argv[0] == "actionness":
+        argv += ["--class", "0", "--threshold", "0.3"]
+    out = tmp_path / "out.jsonl"
+    assert run(*argv, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"{UNREADABLE[bad_kind]}: {str(bad)!r}" in err
+    assert not out.exists()
+
+
+def test_input_read_from_a_pipe(corpus, tmp_path):
+    from_file, from_pipe = tmp_path / "file.jsonl", tmp_path / "pipe.jsonl"
+    assert run("extract-tubes", str(corpus / "detections.jsonl"), "--out", str(from_file)) == 0
+    proc = subprocess.run(
+        [sys.executable, "-m", "tubekit", "extract-tubes", "/dev/stdin", "--out", str(from_pipe)],
+        input=(corpus / "detections.jsonl").read_bytes(), capture_output=True, env=SRC_ENV,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert from_pipe.read_bytes() == from_file.read_bytes()
 
 
 class TestModuleEntryPoint:
@@ -610,7 +715,7 @@ def test_actionness_applies_softmax_once_per_run_of_frames(tmp_path, monkeypatch
     # a run: consecutive frames taking their scores from the same clips
     (length,) = [d.length for d in read_detections(corpus / "detections.jsonl")]
     expected = 0
-    for s in read_scores(corpus / "scores.jsonl"):
+    for s in read_scores(corpus / "scores.jsonl").values():
         starts = sorted({e.clip_start for e in s.entries})
         sources = []
         for f in range(length):

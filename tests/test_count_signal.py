@@ -9,7 +9,6 @@ from tubekit import (
     TemporalSpan,
     continuous_regions,
     count_series,
-    expected_counts,
     median_smooth,
     pad_detections,
 )
@@ -79,27 +78,6 @@ class TestMedianSmooth:
         assert max(out) <= max(series)
 
 
-class TestExpectedCounts:
-    def test_elementwise_max(self):
-        assert expected_counts([2, 0, 2], [1, 1, 1]) == [2, 1, 2]
-
-    def test_identity_on_equal(self):
-        assert expected_counts([1, 2, 3], [1, 2, 3]) == [1, 2, 3]
-
-    def test_zero_raw(self):
-        assert expected_counts([0, 0], [3, 1]) == [3, 1]
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            expected_counts([1, 2], [1])
-
-    @given(series_st)
-    def test_dominates_both_inputs(self, raw):
-        smoothed = median_smooth(raw, 3)
-        exp = expected_counts(raw, smoothed)
-        assert all(e >= r and e >= s for e, r, s in zip(exp, raw, smoothed))
-
-
 class TestPadDetections:
     def test_duplicates_to_expected(self):
         dets = dets_from_counts([1])
@@ -131,17 +109,37 @@ class TestPadDetections:
         out = pad_detections(dets, [2])
         assert out.boxes_on(0) == dets.boxes_on(0)
 
+    def test_pads_to_elementwise_max(self):
+        out = pad_detections(dets_from_counts([2, 1, 2]), [1, 3, 1])
+        assert count_series(out) == [2, 3, 2]
+
+    def test_equal_counts_unchanged(self):
+        dets = dets_from_counts([1, 2, 3])
+        assert pad_detections(dets, [1, 2, 3]) == dets
+
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError):
+            pad_detections(dets_from_counts([1, 2]), [1])
+
+    @given(series_st, st.integers(1, 30))
+    def test_pads_to_max_of_raw_and_smoothed(self, counts, window):
+        # padding to the smoothed count reaches the paper's expected count, max(raw, smoothed)
+        dets = dets_from_counts(counts)
+        smoothed = DetectionCountSeries.from_detections(dets, window).smoothed
+        out = pad_detections(dets, smoothed)
+        assert count_series(out) == [max(c, s) if c else 0 for c, s in zip(counts, smoothed)]
+
     @given(series_st.filter(lambda s: len(s) > 0))
     def test_originals_preserved_and_counts_reached(self, counts):
         dets = dets_from_counts(counts)
         series = DetectionCountSeries.from_detections(dets, 3)
-        out = pad_detections(dets, list(series.expected))
+        out = pad_detections(dets, list(series.smoothed))
         for f in range(dets.length):
             orig = dets.boxes_on(f)
             padded = out.boxes_on(f)
             assert padded[: len(orig)] == orig
             if orig:
-                assert len(padded) >= series.expected[f]
+                assert len(padded) >= series.smoothed[f]
             else:
                 assert padded == ()
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from tubekit import formats
 from tubekit.imaging import FlowField, LabelMask, encode_flow, mask_to_boxes
 from tubekit import (
+    ActionnessSeries,
     Box2D,
     ClassResult,
     ClipScore,
@@ -211,7 +212,7 @@ class TestRoundTrips:
     def test_scores(self, tmp_path):
         path = tmp_path / "s.jsonl"
         write_scores(path, sample_scores())
-        assert read_scores(path) == sample_scores()
+        assert read_scores(path) == {("vid_a", "rgb", "net16"): sample_scores()[0]}
 
     def test_predictions(self, tmp_path):
         path = tmp_path / "p.jsonl"
@@ -322,6 +323,14 @@ class TestByteDeterminism:
         write_tubes(p2, sample_tubes())
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_open_file_takes_the_same_lines(self, tmp_path):
+        p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        write_tubes(p1, sample_tubes())
+        with open(p2, "w", encoding="utf-8") as fh:
+            for row in sample_tubes():
+                write_tubes(fh, [row])
+        assert p1.read_bytes() == p2.read_bytes()
+
     def test_reals_written_with_six_significant_digits(self, tmp_path):
         path = tmp_path / "t.jsonl"
         boxes = (Box2D(0.123456789, 0.0, 10.0, 10.0),)
@@ -408,8 +417,7 @@ class TestExactBytes:
         )
 
     def test_actionness(self, tmp_path):
-        row = {"video_id": "v", "class": 2, "threshold": THIRD, "series": [THIRD, 1e-7, -0.0],
-               "human": [True, False, 1], "spans": [(0, 1)], "tube_sums": [123456.789]}
+        row = ("v", 2, THIRD, ActionnessSeries((THIRD, 1e-7, -0.0), (True, False, True)), [(0, 1)], [123456.789])
         assert _written(tmp_path, formats.write_actionness, [row]) == (
             '{"video_id":"v","class":2,"threshold":0.333333,"series":[0.333333,1e-07,-0.0],'
             '"human":[true,false,true],"spans":[[0,1]],"tube_sums":[123457.0]}\n'
@@ -710,4 +718,4 @@ def test_score_records_match_field_by_field_parse(values, kind, crop, clip_start
     elif kind == "prob" and abs(math.fsum(want.vector.values) - 1.0) > formats.PROB_SUM_TOL:
         assert got.startswith("<path>, line 1, field 'values': probability vector sums to")
     else:
-        assert got == [StreamScoreSet("v", "rgb", "net16", (want,))]
+        assert got == {("v", "rgb", "net16"): StreamScoreSet("v", "rgb", "net16", (want,))}

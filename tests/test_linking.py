@@ -143,7 +143,7 @@ class TestExtractTubes:
         for dets in detections:
             tubes = extract_tubes(dets)
             series = DetectionCountSeries.from_detections(dets, 80)
-            padded = pad_detections(dets, list(series.expected))
+            padded = pad_detections(dets, list(series.smoothed))
             emitted = sum(t.span.length for t in tubes)
             assert emitted <= padded.total_boxes()
             for t in tubes:
@@ -171,7 +171,7 @@ class TestExtractTubes:
             from tubekit import DetectionCountSeries, pad_detections
 
             series = DetectionCountSeries.from_detections(dets, 80)
-            padded = pad_detections(dets, list(series.expected))
+            padded = pad_detections(dets, list(series.smoothed))
             pool = {f: list(boxes) for f, boxes in padded.frames.items()}
             for t in tubes:
                 for f, b in zip(t.span.frames(), t.boxes):

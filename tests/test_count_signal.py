@@ -121,6 +121,11 @@ class TestPadDetections:
         with pytest.raises(ValueError):
             pad_detections(dets_from_counts([1, 2]), [1])
 
+    def test_zero_raw(self):
+        # a frame with no detections has no box to copy, whatever the smoothed count
+        out = pad_detections(dets_from_counts([0, 0]), [3, 1])
+        assert count_series(out) == [0, 0]
+
     @given(series_st, st.integers(1, 30))
     def test_pads_to_max_of_raw_and_smoothed(self, counts, window):
         # padding to the smoothed count reaches the paper's expected count, max(raw, smoothed)

@@ -69,13 +69,19 @@ def _require(condition: bool, message: str) -> None:
         raise _FlagError(message)
 
 
-def _positive_int(text: str) -> int:
+# each worker is an OS thread, and synth holds one video per worker in memory
+_MAX_PARALLEL = 64
+
+
+def _parallel(text: str) -> int:
     try:
         value = int(text)
     except ValueError:  # argparse's own text for a plain int flag
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError("must be >= 1")
+    if value > _MAX_PARALLEL:
+        raise argparse.ArgumentTypeError(f"must be <= {_MAX_PARALLEL}")
     return value
 
 
@@ -257,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     # per-video work items spread over this many threads
     parallel = _Parser(add_help=False)
-    parallel.add_argument("--parallel", type=_positive_int, default=1)
+    parallel.add_argument("--parallel", type=_parallel, default=1)
 
     p = sub.add_parser("extract-tubes", parents=[parallel], help="link detections into action tubes")
     p.add_argument("detections", help="detections file (JSON lines)")

@@ -26,7 +26,3 @@ class VocabularyError(ParseError):
 
 class EmptyFrameError(ValueError):
     """A linking problem contains a frame with no candidate boxes."""
-
-
-class InstanceTooLargeError(ValueError):
-    """A brute-force oracle was asked to enumerate an oversized instance."""

@@ -31,6 +31,9 @@ class EvalConfig:
         for d in self.deltas:
             if not 0.0 < d <= 1.0:
                 raise ValueError(f"IoU threshold {d} outside (0, 1]")
+        # compared as floats, so 0.5 and 0.50 are one threshold
+        if len(set(self.deltas)) != len(self.deltas):
+            raise ValueError("an IoU threshold is given twice")
 
 
 @dataclass(frozen=True)

@@ -72,8 +72,14 @@ def _write_records(out, records: Iterable[dict]) -> None:
 
 
 def _iter_records(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
+    # bytes, decoded a line at a time: text mode decodes ahead of the line it yields,
+    # so its decode errors cannot name a line
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ParseError(path, line_no, None, f"invalid UTF-8 ({exc.reason} at byte {exc.start})") from exc
             if not line.strip():
                 continue
             try:
@@ -81,6 +87,8 @@ def _iter_records(path):
             except ValueError as exc:  # bad syntax, or an integer past the digit limit
                 msg = exc.msg if isinstance(exc, json.JSONDecodeError) else str(exc)
                 raise ParseError(path, line_no, None, f"invalid JSON ({msg})") from exc
+            except RecursionError as exc:
+                raise ParseError(path, line_no, None, "invalid JSON (nesting too deep)") from exc
             if not isinstance(record, dict):
                 raise ParseError(path, line_no, None, "record is not an object")
             yield line_no, record

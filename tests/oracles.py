@@ -1,0 +1,235 @@
+"""Slow, obviously correct references that the tests compare the package against.
+
+Each is a scalar or brute-force twin of a pipeline step: exhaustive path
+enumeration for ``viterbi_link``, from-scratch re-linking for
+``extract_tubes``, a scan of every clip for every frame for
+``frame_scores_from_clips``, prefix-by-prefix matching for ``video_map``'s
+per-class AP, and a sorted window for ``median_smooth``. The brute-force
+twins refuse instances too large to enumerate.
+"""
+from __future__ import annotations
+
+import itertools
+
+from tubekit.count_signal import (
+    DetectionCountSeries, FrameDetections, continuous_regions, count_series, pad_detections,
+)
+from tubekit.evaluation import VideoTube
+from tubekit.fusion import CLIP_LEN, ScoreVector, StreamScoreSet, _elementwise_mean
+from tubekit.geometry import Box2D, Tube, box_iou, runs, tube_iou
+from tubekit.linking import ExtractionConfig, LinkingProblem
+
+_MAX_PATHS = 10**6
+_MAX_TUBES_PER_CLASS = 10
+
+
+class InstanceTooLargeError(ValueError):
+    """A brute-force oracle was asked to enumerate an oversized instance."""
+
+
+def naive_median(series, window):
+    """Reference: sort every clamped window, take the lower median."""
+    n = len(series)
+    out = []
+    for t in range(n):
+        lo = max(0, t - window // 2)
+        hi = min(n - 1, t + (window - 1) // 2)
+        win = sorted(series[lo : hi + 1])
+        out.append(win[(len(win) - 1) // 2])
+    return out
+
+
+def brute_force_link(problem: LinkingProblem) -> Tube:
+    """Exhaustive-enumeration twin of ``viterbi_link``.
+
+    Walks every possible path, accumulating scores in the same
+    left-to-right order as the dynamic program so the optima are
+    bit-identical, and applies the same tie rule (the reversed index
+    sequence of the winner is minimal).
+    """
+    sizes = [len(c) for c in problem.candidates]
+    paths = 1
+    for s in sizes:
+        paths *= s
+        if paths > _MAX_PATHS:
+            raise InstanceTooLargeError(f"more than {_MAX_PATHS} paths to enumerate")
+    n = len(problem.candidates)
+    table = [
+        [
+            [box_iou(a, b) for b in problem.candidates[t + 1]]
+            for a in problem.candidates[t]
+        ]
+        for t in range(n - 1)
+    ]
+    best_total = None
+    best_rev = None
+    best_combo = None
+    for combo in itertools.product(*(range(s) for s in sizes)):
+        total = 0.0
+        for t in range(n - 1):
+            total += table[t][combo[t]][combo[t + 1]]
+        rev = combo[::-1]
+        if best_total is None or total > best_total or (total == best_total and rev < best_rev):
+            best_total, best_rev, best_combo = total, rev, combo
+    boxes = tuple(problem.candidates[t][best_combo[t]] for t in range(n))
+    return Tube(span=problem.span, boxes=boxes, score=best_total / n)
+
+
+def _naive_link(cands: list[list[Box2D]]) -> tuple[list[Box2D], float]:
+    """Scalar Viterbi over candidate lists: ``box_iou`` per pair, lowest index wins ties."""
+    best = [0.0] * len(cands[0])
+    parents: list[list[int]] = []
+    for t in range(1, len(cands)):
+        prev_boxes = cands[t - 1]
+        cur_best: list[float] = []
+        cur_parent: list[int] = []
+        for box in cands[t]:
+            arg, val = 0, best[0] + box_iou(prev_boxes[0], box)
+            for i in range(1, len(prev_boxes)):
+                v = best[i] + box_iou(prev_boxes[i], box)
+                if v > val:
+                    arg, val = i, v
+            cur_best.append(val)
+            cur_parent.append(arg)
+        best = cur_best
+        parents.append(cur_parent)
+    last, total = 0, best[0]
+    for j in range(1, len(best)):
+        if best[j] > total:
+            last, total = j, best[j]
+    chosen = [last]
+    for t in range(len(cands) - 2, -1, -1):
+        chosen.append(parents[t][chosen[-1]])
+    chosen.reverse()
+    return [cands[t][k] for t, k in enumerate(chosen)], total
+
+
+def naive_extract_tubes(dets: FrameDetections, cfg: ExtractionConfig | None = None) -> list[Tube]:
+    """Scalar twin of ``extract_tubes``: every region re-linked from scratch.
+
+    Each link recomputes every consecutive-frame ``box_iou`` of the boxes
+    still on the region's frames, and the chosen boxes are removed frame by
+    frame with ``list.remove``, so the first box equal to a chosen one goes.
+    Frames are padded up to the paper's expected count, max(raw, smoothed),
+    where ``extract_tubes`` pads up to the smoothed count alone.
+    """
+    cfg = cfg or ExtractionConfig()
+    counts = DetectionCountSeries.from_detections(dets, cfg.median_window)
+    expected = [max(raw, smoothed) for raw, smoothed in zip(count_series(dets), counts.smoothed)]
+    padded = pad_detections(dets, expected)
+    work = {f: list(boxes) for f, boxes in padded.frames.items()}
+    queue = continuous_regions(counts.smoothed)
+    tubes: list[Tube] = []
+    while queue:
+        pick = max(range(len(queue)), key=lambda i: (queue[i].length, -queue[i].start))
+        region = queue.pop(pick)
+        if region.length < cfg.min_tube_len:
+            continue
+        pieces = runs((f in work for f in region.frames()), region.start)
+        if len(pieces) == 1 and pieces[0] == region:
+            boxes, total = _naive_link([work[f] for f in region.frames()])
+            tubes.append(Tube(span=region, boxes=tuple(boxes), score=total / region.length))
+            for f, box in zip(region.frames(), boxes):
+                work[f].remove(box)
+                if not work[f]:
+                    del work[f]
+            queue.append(region)
+        else:
+            queue.extend(p for p in pieces if p.length >= cfg.min_tube_len)
+    tubes.sort(key=lambda t: (t.span.start, -t.span.length))
+    return tubes
+
+
+def naive_frame_scores(scores: StreamScoreSet, video_len: int) -> list[ScoreVector]:
+    """Scalar twin of ``frame_scores_from_clips``: every clip scanned for every frame."""
+    if video_len <= 0:
+        raise ValueError(f"video_len must be positive, got {video_len}")
+    if not scores.entries:
+        raise ValueError("score set has no entries")
+    by_start: dict[int, list[ScoreVector]] = {}
+    for e in scores.entries:
+        by_start.setdefault(e.clip_start, []).append(e.vector)
+    clips = sorted((start, _elementwise_mean(vs)) for start, vs in by_start.items())
+
+    out: list[ScoreVector] = []
+    for f in range(video_len):
+        covering = [vec for start, vec in clips if start <= f < start + CLIP_LEN]
+        if covering:
+            out.append(covering[0] if len(covering) == 1 else _elementwise_mean(covering))
+            continue
+        best_vec, best_dist = None, None
+        for start, vec in clips:
+            dist = start - f if f < start else f - (start + CLIP_LEN - 1)
+            if best_dist is None or dist < best_dist:
+                best_vec, best_dist = vec, dist
+        out.append(best_vec)
+    return out
+
+
+def _naive_match_count(
+    ordered_preds: list[VideoTube], gts: list[VideoTube], delta: float
+) -> int:
+    matched = [False] * len(gts)
+    tp = 0
+    for vid, tube in ordered_preds:
+        best_iou, best_g = 0.0, None
+        for g, (gvid, gtube) in enumerate(gts):
+            if matched[g] or gvid != vid:
+                continue
+            iou = tube_iou(tube, gtube)
+            if iou > best_iou:
+                best_iou, best_g = iou, g
+        if best_g is not None and best_iou >= delta:
+            matched[best_g] = True
+            tp += 1
+    return tp
+
+
+def brute_force_eval(
+    preds: list[VideoTube],
+    gts: list[VideoTube],
+    delta: float,
+) -> dict[int, float | None]:
+    """Per-class AP by explicit enumeration of score-order prefixes.
+
+    For every prefix of the score-sorted predictions the matching is redone
+    from scratch, giving one precision-recall point per prefix; the AP is
+    the area under the envelope computed straight from its definition.
+    Test-sized instances only.
+    """
+    classes = sorted({t.label for _, t in gts} | {t.label for _, t in preds})
+    groups = {
+        c: (
+            [(v, t) for v, t in preds if t.label == c],
+            [(v, t) for v, t in gts if t.label == c],
+        )
+        for c in classes
+    }
+    out: dict[int, float | None] = {}
+    for c, (cp, cg) in groups.items():
+        if len(cp) > _MAX_TUBES_PER_CLASS or len(cg) > _MAX_TUBES_PER_CLASS:
+            raise InstanceTooLargeError(
+                f"class {c} has more than {_MAX_TUBES_PER_CLASS} tubes"
+            )
+        if not cg:
+            out[c] = 0.0 if cp else None
+            continue
+        order = sorted(range(len(cp)), key=lambda i: (-cp[i][1].score, i))
+        ordered = [cp[i] for i in order]
+        recalls = []
+        precisions = []
+        for k in range(1, len(ordered) + 1):
+            tp = _naive_match_count(ordered[:k], cg, delta)
+            recalls.append(tp / len(cg))
+            precisions.append(tp / k)
+        ap = 0.0
+        prev_r = 0.0
+        for k in range(len(ordered)):
+            env = max(
+                (precisions[i] for i in range(len(ordered)) if recalls[i] >= recalls[k]),
+                default=0.0,
+            )
+            ap += (recalls[k] - prev_r) * env
+            prev_r = recalls[k]
+        out[c] = ap
+    return out

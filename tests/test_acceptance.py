@@ -24,8 +24,6 @@ from tubekit import (
     Tube,
     actionness,
     aggregate_video,
-    brute_force_eval,
-    brute_force_link,
     extract_tubes,
     ExtractionConfig,
     median_smooth,
@@ -40,6 +38,8 @@ from tubekit import (
     write_tubes,
 )
 from tubekit.cli import main
+
+from oracles import brute_force_eval, brute_force_link, naive_median
 
 CORPUS_ARGS = [
     "--seed", "7", "--videos", "50", "--frames", "100", "--persons", "2",
@@ -124,21 +124,12 @@ def test_criterion_1_viterbi_optimality():
 
 
 def test_criterion_2_median_filter_matches_reference():
-    def naive(series, window):
-        out = []
-        for t in range(len(series)):
-            lo = max(0, t - window // 2)
-            hi = min(len(series) - 1, t + (window - 1) // 2)
-            win = sorted(series[lo: hi + 1])
-            out.append(win[(len(win) - 1) // 2])
-        return out
-
     rng = random.Random(99)
     checked = 0
     for _ in range(1000):
         series = [rng.randint(0, 9) for _ in range(rng.randint(0, 200))]
         window = rng.choice([3, 80, 81])
-        assert median_smooth(series, window) == naive(series, window)
+        assert median_smooth(series, window) == naive_median(series, window)
         checked += 1
     _ok(2, f"{checked} random series exact against the sorted-window reference")
 

@@ -326,9 +326,14 @@ class TestEvaluate:
         bad.write_text("{oops\n")
         assert run("evaluate", str(bad), str(corpus / "gt_tubes.jsonl"), "--out", str(tmp_path / "r.jsonl")) == 2
 
-    def test_bad_delta_exits_3(self, corpus, tmp_path):
+    def test_bad_delta_exits_3(self, corpus, tmp_path, capsys):
         gt = corpus / "gt_tubes.jsonl"
-        assert run("evaluate", str(gt), str(gt), "--deltas", "0.5,2.0", "--out", str(tmp_path / "r.jsonl")) == 3
+        # out of range, and one threshold twice (compared as floats)
+        for deltas in ("0.5,2.0", "0.5,0.50"):
+            out = tmp_path / "r.jsonl"
+            assert run("evaluate", str(gt), str(gt), "--deltas", deltas, "--out", str(out)) == 3
+            assert "bad --deltas:" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_unscored_predictions_exit_2(self, corpus, tmp_path):
         gt = corpus / "gt_tubes.jsonl"
@@ -392,27 +397,55 @@ INPUTS = {
 UNREADABLE = {"missing": "No such file or directory", "directory": "Is a directory"}
 
 
+# a line that no reader can parse: bytes that are not UTF-8, and nesting past the
+# interpreter's recursion limit
+UNPARSABLE = {"undecodable": b"\xff\xfe\n", "too-deep": b"[" * 200_000 + b"\n"}
+
+
+def _input_paths(corpus, tmp_path):
+    predictions = tmp_path / "predictions.jsonl"
+    predictions.write_text("".join(
+        json.dumps(dict(json.loads(line), score=0.5)) + "\n"
+        for line in (corpus / "gt_tubes.jsonl").read_text().splitlines()
+    ))
+    return {"detections": corpus / "detections.jsonl", "scores": corpus / "scores.jsonl",
+            "tubes": corpus / "gt_tubes.jsonl", "gt": corpus / "gt_tubes.jsonl", "predictions": predictions}
+
+
+def _run_with_bad_input(which, bad, paths, out):
+    argv = [str(bad) if a == "BAD" else a.format(**paths) for a in INPUTS[which]]
+    if argv[0] == "actionness":
+        argv += ["--class", "0", "--threshold", "0.3"]
+    return run(*argv, "--out", str(out))
+
+
 @pytest.mark.parametrize("bad_kind", list(UNREADABLE))
 @pytest.mark.parametrize("which", list(INPUTS))
 def test_unreadable_input_exits_2_naming_it(corpus, tmp_path, capsys, which, bad_kind):
     bad = tmp_path / "nope.jsonl"
     if bad_kind == "directory":
         bad.mkdir()
-    predictions = tmp_path / "predictions.jsonl"
-    predictions.write_text("".join(
-        json.dumps(dict(json.loads(line), score=0.5)) + "\n"
-        for line in (corpus / "gt_tubes.jsonl").read_text().splitlines()
-    ))
-    paths = {"detections": corpus / "detections.jsonl", "scores": corpus / "scores.jsonl",
-             "gt": corpus / "gt_tubes.jsonl", "predictions": predictions}
-    argv = [str(bad) if a == "BAD" else a.format(**paths) for a in INPUTS[which]]
-    if argv[0] == "actionness":
-        argv += ["--class", "0", "--threshold", "0.3"]
     out = tmp_path / "out.jsonl"
-    assert run(*argv, "--out", str(out)) == 2
+    assert _run_with_bad_input(which, bad, _input_paths(corpus, tmp_path), out) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert f"{UNREADABLE[bad_kind]}: {str(bad)!r}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad_kind", list(UNPARSABLE))
+@pytest.mark.parametrize("which", list(INPUTS))
+def test_unparsable_line_exits_2_naming_it(corpus, tmp_path, capsys, which, bad_kind):
+    paths = _input_paths(corpus, tmp_path)
+    # a good first record of the same kind, then the bad line
+    good = paths[which.rsplit("-", 1)[1]].read_bytes().split(b"\n", 1)[0] + b"\n"
+    bad = tmp_path / "bad.jsonl"
+    bad.write_bytes(good + UNPARSABLE[bad_kind])
+    out = tmp_path / "out.jsonl"
+    assert _run_with_bad_input(which, bad, paths, out) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"{bad}, line 2: " in err
     assert not out.exists()
 
 
@@ -449,6 +482,13 @@ class TestModuleEntryPoint:
         assert blob == (out / "detections.jsonl").read_bytes()
 
 
+def _argv_writing_to(corpus, command, out):
+    if command == "synth":
+        return ["synth", "--out-dir", str(out)]
+    name = "detections.jsonl" if command == "extract-tubes" else "scores.jsonl"
+    return [command, str(corpus / name), "--out", str(out)]
+
+
 # Both checks live where the setting does: --parallel in its argparse type,
 # --median-window in ExtractionConfig. Either way the flag error is exit 3.
 @pytest.mark.parametrize(
@@ -458,15 +498,26 @@ class TestModuleEntryPoint:
 )
 def test_zero_flag_exits_3(corpus, tmp_path, capsys, command, flag):
     out = tmp_path / "o"
-    if command == "synth":
-        argv = ["synth", "--out-dir", str(out)]
-    else:
-        name = "detections.jsonl" if command == "extract-tubes" else "scores.jsonl"
-        argv = [command, str(corpus / name), "--out", str(out)]
+    argv = _argv_writing_to(corpus, command, out)
     assert run(*argv, flag, "0") == 3
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert "must be >= 1" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["extract-tubes", "fuse", "synth"])
+def test_parallel_above_64_exits_3(corpus, tmp_path, capsys, command):
+    # both values are settled while the flags are parsed, so no thread is started:
+    # --help ends the run after --parallel 64 is accepted
+    out = tmp_path / "o"
+    argv = _argv_writing_to(corpus, command, out)
+    assert run(*argv, "--parallel", "64", "--help") == 0
+    capsys.readouterr()
+    assert run(*argv, "--parallel", "65") == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "must be <= 64" in err
     assert not out.exists()
 
 

@@ -13,17 +13,7 @@ from tubekit import (
     pad_detections,
 )
 
-
-def naive_median(series, window):
-    """Reference: sort every clamped window, take the lower median."""
-    n = len(series)
-    out = []
-    for t in range(n):
-        lo = max(0, t - window // 2)
-        hi = min(n - 1, t + (window - 1) // 2)
-        win = sorted(series[lo : hi + 1])
-        out.append(win[(len(win) - 1) // 2])
-    return out
+from oracles import naive_median
 
 
 def dets_from_counts(counts, video_id="v"):

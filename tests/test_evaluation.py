@@ -10,10 +10,11 @@ from tubekit import (
     TemporalSpan,
     Tube,
     average_precision,
-    brute_force_eval,
     match_predictions,
     video_map,
 )
+
+from oracles import brute_force_eval
 
 
 def tube(start, end, x=0.0, label=0, score=1.0, size=10.0):
@@ -189,6 +190,8 @@ class TestVideoMap:
             EvalConfig(deltas=(0.0,))
         with pytest.raises(ValueError):
             EvalConfig(deltas=(1.2,))
+        with pytest.raises(ValueError, match="twice"):
+            EvalConfig(deltas=(0.5, 0.2, 0.5))
 
 
 def test_video_map_computes_each_same_video_same_class_iou_once(monkeypatch):

@@ -22,7 +22,8 @@ from tubekit import (
     tube_actionness,
 )
 from tubekit.fusion import CLIP_LEN, FIXED_CROPS
-from tubekit.synth import naive_frame_scores
+
+from oracles import naive_frame_scores
 
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False, allow_infinity=False)
 vectors = st.lists(finite, min_size=1, max_size=8).map(lambda v: ScoreVector(tuple(v)))

@@ -14,14 +14,14 @@ from tubekit import (
     SynthConfig,
     TemporalSpan,
     box_iou,
-    brute_force_link,
     extract_tubes,
     generate_scene,
     tube_iou,
     viterbi_link,
 )
 from tubekit.linking import _iou_table
-from tubekit.synth import naive_extract_tubes
+
+from oracles import brute_force_link, naive_extract_tubes
 
 
 def problem_from_coords(start, frames):

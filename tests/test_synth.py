@@ -1,19 +1,20 @@
 import pytest
 
+import tubekit
+from tubekit import synth
 from tubekit import (
     Box2D,
-    InstanceTooLargeError,
     LinkingProblem,
     SynthConfig,
     TemporalSpan,
     box_iou,
-    brute_force_eval,
-    brute_force_link,
     generate_scene,
     viterbi_link,
 )
 from tubekit.formats import MAX_FRAME
 from tubekit.synth import generate_video
+
+from oracles import InstanceTooLargeError, brute_force_eval, brute_force_link
 
 
 class TestConfig:
@@ -166,3 +167,11 @@ class TestBruteForceEval:
         gts = [("v", eval_tube(i, i + 1, 0)) for i in range(0, 44, 4)]
         with pytest.raises(InstanceTooLargeError):
             brute_force_eval([], gts, 0.5)
+
+
+def test_package_ships_the_generator_not_the_oracles():
+    for name in ("brute_force_link", "brute_force_eval", "InstanceTooLargeError"):
+        assert name not in tubekit.__all__
+    assert not [n for n in dir(synth) if n.startswith(("brute_force_", "naive_", "_naive_"))]
+    for name in tubekit.__all__:
+        assert getattr(tubekit, name) is not None

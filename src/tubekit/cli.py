@@ -11,13 +11,13 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 from pathlib import Path
 
 from .errors import ParseError
 from .evaluation import AP_METHOD, EvalConfig, video_map
 from .formats import (
+    _shown,
     read_detections,
     read_scores,
     read_tubes,
@@ -102,6 +102,8 @@ def _config(config_type, args):
 def _pmap(fn, items, workers: int):
     if workers <= 1 or len(items) <= 1:
         return [fn(x) for x in items]
+    from concurrent.futures import ThreadPoolExecutor  # only --parallel > 1 needs it
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 
@@ -137,7 +139,7 @@ def _cmd_fuse(args) -> int:
             if not units:
                 raise ParseError(
                     args.scores,
-                    message=f"video {vid!r} has no {args.stream}/{gran} scores for crop scheme {args.crop_scheme!r}",
+                    message=f"video {_shown(vid)} has no {args.stream}/{gran} scores for crop scheme {args.crop_scheme!r}",
                 )
             label, fused = aggregate_video(units, args.method)
             fused_per_gran.append(fused)
@@ -198,7 +200,7 @@ def _cmd_actionness(args) -> int:
         for stream in _ACTIONNESS_STREAMS:
             if (vid, stream, args.granularity) not in sets:
                 raise ParseError(
-                    args.scores, message=f"missing stream {stream!r} ({args.granularity}) for video {vid!r}"
+                    args.scores, message=f"missing stream {stream!r} ({args.granularity}) for video {_shown(vid)}"
                 )
 
     def rows():

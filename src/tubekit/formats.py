@@ -94,6 +94,19 @@ def _iter_records(path):
             yield line_no, record
 
 
+# longest repr of an input value that an error echoes: a few dozen characters
+# name the fault, and a value can be megabytes long
+_SHOWN_MAX = 80
+
+
+def _shown(value) -> str:
+    """``repr(value)``, cut after _SHOWN_MAX characters with the cut marked."""
+    text = repr(value)
+    if len(text) <= _SHOWN_MAX:
+        return text
+    return f"{text[:_SHOWN_MAX]}... [{len(text)} characters]"
+
+
 def _required(path, line_no, record, name):
     if name not in record:
         raise ParseError(path, line_no, name, "missing required field")
@@ -105,7 +118,7 @@ def _field(path, line_no, record, name, json_type, type_name):
     if type(value) is json_type:  # exact: JSON gives no subclasses, and bool is not an int
         return value
     value = _required(path, line_no, record, name)
-    raise ParseError(path, line_no, name, f"expected {type_name}, got {value!r}")
+    raise ParseError(path, line_no, name, f"expected {type_name}, got {_shown(value)}")
 
 
 def _number(path, line_no, field, value) -> float:
@@ -116,9 +129,9 @@ def _number(path, line_no, field, value) -> float:
         except OverflowError:
             raise ParseError(path, line_no, field, "integer too large for a float") from None
     elif type(value) is not float:
-        raise ParseError(path, line_no, field, f"expected a number, got {value!r}")
+        raise ParseError(path, line_no, field, f"expected a number, got {_shown(value)}")
     if not math.isfinite(value):
-        raise ParseError(path, line_no, field, f"expected a finite number, got {value!r}")
+        raise ParseError(path, line_no, field, f"expected a finite number, got {_shown(value)}")
     return value
 
 
@@ -132,7 +145,7 @@ def _checked_box(path, line_no, x1, y1, x2, y2, score=None) -> Box2D:
 def _detection_box(path, line_no, rb) -> Box2D:
     """A detections box checked field by field: x1, y1, x2, y2, score, then Box2D's checks."""
     if not isinstance(rb, dict):
-        raise ParseError(path, line_no, "boxes", f"box is not an object: {rb!r}")
+        raise ParseError(path, line_no, "boxes", f"box is not an object: {_shown(rb)}")
     x1, y1, x2, y2 = [
         _number(path, line_no, key, _required(path, line_no, rb, key)) for key in ("x1", "y1", "x2", "y2")
     ]
@@ -145,7 +158,7 @@ def _detection_box(path, line_no, rb) -> Box2D:
 def _tube_box(path, line_no, rb) -> Box2D:
     """A tubes box checked value by value, then by Box2D."""
     if not isinstance(rb, list) or len(rb) != 4:
-        raise ParseError(path, line_no, "boxes", f"expected [x1,y1,x2,y2], got {rb!r}")
+        raise ParseError(path, line_no, "boxes", f"expected [x1,y1,x2,y2], got {_shown(rb)}")
     return _checked_box(path, line_no, *[_number(path, line_no, "boxes", v) for v in rb])
 
 
@@ -194,7 +207,7 @@ def read_detections(path) -> list[FrameDetections]:
             boxes.append(_detection_box(path, line_no, rb))
         per_video = frames.setdefault(vid, {})
         if frame in per_video:
-            raise ParseError(path, line_no, "frame", f"duplicate frame {frame} for video {vid!r}")
+            raise ParseError(path, line_no, "frame", f"duplicate frame {frame} for video {_shown(vid)}")
         per_video[frame] = tuple(boxes)
     return [
         FrameDetections(video_id=vid, length=max(per_video) + 1, frames=per_video)
@@ -230,7 +243,7 @@ def _vocabulary_field(path, line_no, record, name, vocabulary) -> str:
     """A string field that must be one of ``vocabulary``."""
     value = _field(path, line_no, record, name, str, "a string")
     if value not in vocabulary:
-        raise VocabularyError(path, line_no, name, f"unknown {name} {value!r}, expected one of {list(vocabulary)}")
+        raise VocabularyError(path, line_no, name, f"unknown {name} {_shown(value)}, expected one of {list(vocabulary)}")
     return value
 
 
@@ -293,7 +306,7 @@ def read_scores(path) -> dict[tuple[str, str, str], StreamScoreSet]:
         entries = groups.setdefault((vid, stream, gran), [])
         # a set's kind is the kind of its first record
         if entries and vector.kind != entries[0].vector.kind:
-            raise ParseError(path, line_no, "kind", f"video {vid!r} {stream}/{gran}: mixed raw/prob score kinds in one set")
+            raise ParseError(path, line_no, "kind", f"video {_shown(vid)} {stream}/{gran}: mixed raw/prob score kinds in one set")
         entries.append(entry)
     return {
         (vid, stream, gran): StreamScoreSet(
@@ -334,7 +347,7 @@ def read_tubes(path, required: Sequence[str] = ()) -> list[VideoTube]:
         if "label" in required:
             label = _field(path, line_no, record, "label", int, "an integer")
         elif label is not None and (isinstance(label, bool) or not isinstance(label, int)):
-            raise ParseError(path, line_no, "label", f"expected an integer or null, got {label!r}")
+            raise ParseError(path, line_no, "label", f"expected an integer or null, got {_shown(label)}")
         score = record.get("score")
         if score is not None or "score" in required:
             score = _number(path, line_no, "score", _required(path, line_no, record, "score"))

@@ -36,6 +36,14 @@ class ScoreVector:
     PROB_SUM_TOL is checked where vectors are read (``read_scores``), not
     here: a mean of such vectors keeps its entries in [0, 1], but its
     rounded sum can miss the tolerance by an ulp.
+
+    ``__post_init__`` checks a vector once, where it enters the program
+    (``read_scores``, ``synth`` and library callers). The vectors this
+    module derives from checked ones are built by ``_trusted``, unchecked,
+    because their checks hold by construction: a softmax entry ``e / total``
+    has ``0 <= e <= total``; a column mean (``_mean``) is finite, and lies
+    in [0, 1] when its entries do; the ``max`` fusion is a max of finite
+    values, and the ``majority`` histogram is votes / n.
     """
 
     values: tuple[float, ...]
@@ -56,6 +64,14 @@ class ScoreVector:
                 raise ValueError("probability vector with negative entries")
             if max(values) > 1.0:
                 raise ValueError("probability vector with entries above 1")
+
+    @classmethod
+    def _trusted(cls, values: tuple[float, ...], kind: str) -> ScoreVector:
+        """A vector from a tuple of floats that already passes the checks, unchecked."""
+        v = object.__new__(cls)
+        object.__setattr__(v, "values", values)
+        object.__setattr__(v, "kind", kind)
+        return v
 
     @property
     def k(self) -> int:
@@ -132,7 +148,7 @@ def softmax(v: ScoreVector) -> ScoreVector:
     m = max(v.values)
     exps = [math.exp(x - m) for x in v.values]
     total = math.fsum(exps)
-    return ScoreVector(values=tuple(e / total for e in exps), kind="prob")
+    return ScoreVector._trusted(tuple(e / total for e in exps), "prob")
 
 
 def _mean_kind(vectors: Sequence[ScoreVector]) -> str:
@@ -157,9 +173,9 @@ def _mean(column: Sequence[float]) -> float:
 
 
 def _elementwise_mean(vectors: Sequence[ScoreVector]) -> ScoreVector:
-    k = vectors[0].k
-    values = tuple(_mean([v.values[c] for v in vectors]) for c in range(k))
-    return ScoreVector(values=values, kind=_mean_kind(vectors))
+    # a column per class, in vector order: the same floats reach fsum in the same order
+    values = tuple(map(_mean, zip(*[v.values for v in vectors], strict=True)))
+    return ScoreVector._trusted(values, _mean_kind(vectors))
 
 
 def _check_units(units: Sequence[ScoreVector], what: str) -> None:
@@ -186,7 +202,7 @@ def aggregate_video(units: Sequence[ScoreVector], method: str) -> tuple[int, Sco
     if method == "max":
         k = units[0].k
         values = tuple(max(u.values[c] for u in units) for c in range(k))
-        fused = ScoreVector(values=values, kind="raw")
+        fused = ScoreVector._trusted(values, "raw")
         return fused.argmax(), fused
     if method == "majority":
         k = units[0].k
@@ -207,7 +223,7 @@ def aggregate_video(units: Sequence[ScoreVector], method: str) -> tuple[int, Sco
                 sums = {c: _scaled_fsum(col, e) for c, col in columns.items()}
             tied.sort(key=lambda c: (-sums[c], c))
         label = tied[0]
-        fused = ScoreVector(values=tuple(v / n for v in votes), kind="prob")
+        fused = ScoreVector._trusted(tuple(v / n for v in votes), "prob")
         return label, fused
     raise ValueError(f"unknown fusion method {method!r}")
 

@@ -10,7 +10,6 @@ byte-identical across runs, platforms and worker counts.
 """
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -70,7 +69,10 @@ class SynthConfig:
 
 
 def _video_rng(seed: int, index: int) -> Generator:
-    import numpy as np  # imported here, so that the pipeline subcommands never load it
+    # imported here, so that the pipeline subcommands never load them
+    import hashlib
+
+    import numpy as np
 
     digest = hashlib.blake2b(f"{seed}:{index}".encode(), digest_size=8).digest()
     return np.random.default_rng(int.from_bytes(digest, "big"))

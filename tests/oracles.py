@@ -15,7 +15,7 @@ from tubekit.count_signal import (
     DetectionCountSeries, FrameDetections, continuous_regions, count_series, pad_detections,
 )
 from tubekit.evaluation import VideoTube
-from tubekit.fusion import CLIP_LEN, ScoreVector, StreamScoreSet, _elementwise_mean
+from tubekit.fusion import CLIP_LEN, ScoreVector, StreamScoreSet, _mean
 from tubekit.geometry import Box2D, Tube, box_iou, runs, tube_iou
 from tubekit.linking import ExtractionConfig, LinkingProblem
 
@@ -140,6 +140,13 @@ def naive_extract_tubes(dets: FrameDetections, cfg: ExtractionConfig | None = No
     return tubes
 
 
+def naive_mean(vectors: list[ScoreVector]) -> ScoreVector:
+    """Twin of ``fusion._elementwise_mean``: one column at a time, built by the checked ``ScoreVector``."""
+    k = vectors[0].k
+    kind = "prob" if all(v.kind == "prob" for v in vectors) else "raw"
+    return ScoreVector(tuple(_mean([v.values[c] for v in vectors]) for c in range(k)), kind)
+
+
 def naive_frame_scores(scores: StreamScoreSet, video_len: int) -> list[ScoreVector]:
     """Scalar twin of ``frame_scores_from_clips``: every clip scanned for every frame."""
     if video_len <= 0:
@@ -149,13 +156,13 @@ def naive_frame_scores(scores: StreamScoreSet, video_len: int) -> list[ScoreVect
     by_start: dict[int, list[ScoreVector]] = {}
     for e in scores.entries:
         by_start.setdefault(e.clip_start, []).append(e.vector)
-    clips = sorted((start, _elementwise_mean(vs)) for start, vs in by_start.items())
+    clips = sorted((start, naive_mean(vs)) for start, vs in by_start.items())
 
     out: list[ScoreVector] = []
     for f in range(video_len):
         covering = [vec for start, vec in clips if start <= f < start + CLIP_LEN]
         if covering:
-            out.append(covering[0] if len(covering) == 1 else _elementwise_mean(covering))
+            out.append(covering[0] if len(covering) == 1 else naive_mean(covering))
             continue
         best_vec, best_dist = None, None
         for start, vec in clips:

@@ -565,6 +565,15 @@ def test_import_cli_leaves_scipy_unloaded():
     assert out.stdout.strip() == "False False"
 
 
+def test_import_cli_leaves_thread_pool_and_hashlib_unloaded():
+    # only --parallel > 1 needs concurrent.futures, and only synth needs hashlib
+    code = "import sys, tubekit.cli; print('concurrent.futures' in sys.modules, 'hashlib' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=SRC_ENV,
+    )
+    assert out.stdout.strip() == "False False"
+
+
 def test_pipeline_subcommands_run_without_numpy(corpus, tmp_path):
     tubes = tmp_path / "tubes.jsonl"
     assert run("extract-tubes", str(corpus / "detections.jsonl"), "--out", str(tubes)) == 0
@@ -742,6 +751,56 @@ def test_negative_clip_start_exits_2_naming_field(tmp_path, capsys):
     assert run("fuse", str(scores), "--out", str(tmp_path / "predictions.jsonl")) == 2
     err = capsys.readouterr().err
     assert f"{scores}, line 1, field 'clip_start': negative clip_start -1" in err
+
+
+LONG_VALUE = "x" * 10**6
+
+
+@pytest.mark.parametrize("command", ["extract-tubes", "fuse", "evaluate"])
+def test_long_value_in_parse_error_is_cut(tmp_path, monkeypatch, capsys, command):
+    # relative paths keep the error line's length independent of the test's directory
+    monkeypatch.chdir(tmp_path)
+    if command == "extract-tubes":
+        path, field = "detections.jsonl", "frame"
+        good = {"video_id": "v", "frame": 0, "boxes": []}
+        argv = ["extract-tubes", path]
+    elif command == "fuse":
+        path, field = "scores.jsonl", "crop_id"
+        good = {"video_id": "v", "stream": "rgb", "granularity": "net16", "clip_start": 0,
+                "crop_id": "center", "kind": "raw", "values": [1.0, 0.0]}
+        argv = ["fuse", path]
+    else:
+        path, field = "predictions.jsonl", "label"
+        good = {"video_id": "v", "label": 0, "start": 0, "end": 0, "score": 0.5, "boxes": [[0, 0, 10, 10]]}
+        Path("gt.jsonl").write_text(json.dumps(good) + "\n")
+        argv = ["evaluate", path, "gt.jsonl"]
+    Path(path).write_text(json.dumps(good) + "\n" + json.dumps(dict(good, **{field: LONG_VALUE})) + "\n")
+    assert run(*argv, "--out", "out.jsonl") == 2
+    err = capsys.readouterr().err
+    assert f"{path}, line 2, field '{field}': " in err
+    assert "[1000002 characters]" in err
+    assert len(err.encode()) < 300
+
+
+@pytest.mark.parametrize("command", ["fuse", "actionness"])
+def test_long_video_id_in_missing_scores_error_is_cut(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    record = {"video_id": LONG_VALUE, "stream": "rgb", "granularity": "net16", "clip_start": 0,
+              "crop_id": "center", "kind": "raw", "values": [1.0, 0.0]}
+    Path("scores.jsonl").write_text(json.dumps(record) + "\n")
+    if command == "fuse":
+        argv = ["fuse", "scores.jsonl", "--granularities", "net16,net32"]
+    else:
+        Path("detections.jsonl").write_text(
+            json.dumps({"video_id": LONG_VALUE, "frame": 0, "boxes": [{"x1": 0, "y1": 0, "x2": 5, "y2": 5}]}) + "\n"
+        )
+        argv = ["actionness", "--scores", "scores.jsonl", "--detections", "detections.jsonl",
+                "--class", "0", "--threshold", "0.3"]
+    assert run(*argv, "--out", "out.jsonl") == 2
+    err = capsys.readouterr().err
+    assert "scores.jsonl: " in err
+    assert "[1000002 characters]" in err
+    assert len(err.encode()) < 300
 
 
 def test_actionness_applies_softmax_once_per_run_of_frames(tmp_path, monkeypatch):

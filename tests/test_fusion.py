@@ -21,9 +21,9 @@ from tubekit import (
     temporal_localize,
     tube_actionness,
 )
-from tubekit.fusion import CLIP_LEN, FIXED_CROPS
+from tubekit.fusion import CLIP_LEN, FIXED_CROPS, _elementwise_mean
 
-from oracles import naive_frame_scores
+from oracles import naive_frame_scores, naive_mean
 
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False, allow_infinity=False)
 vectors = st.lists(finite, min_size=1, max_size=8).map(lambda v: ScoreVector(tuple(v)))
@@ -384,3 +384,50 @@ def test_mean_of_prob_vectors_whose_rounded_sum_misses_the_tolerance():
     assert label == 1
     assert fused.kind == "prob"
     assert abs(math.fsum(fused.values) - 1.0) > 1e-9
+
+
+# finite values, with +-1e308 whose column sums overflow and take _mean's scaled path
+extreme = st.one_of(finite, st.sampled_from([1e308, -1e308]), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def mixed_sets(draw, max_units=6):
+    """1 to max_units vectors of one K, each raw or prob, so one set can mix kinds."""
+    k = draw(st.integers(1, 5))
+    out = []
+    for _ in range(draw(st.integers(1, max_units))):
+        if draw(st.booleans()):
+            out.append(ScoreVector(tuple(draw(st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k))), "prob"))
+        else:
+            out.append(ScoreVector(tuple(draw(st.lists(extreme, min_size=k, max_size=k)))))
+    return out
+
+
+def assert_passes_checks(out):
+    """A vector built unchecked is one that the checked constructor builds equal."""
+    assert all(type(v) is float for v in out.values)
+    assert ScoreVector(out.values, out.kind) == out
+
+
+def bits(v):
+    return v.kind, [x.hex() for x in v.values]
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_sets())
+def test_derived_vectors_pass_the_checks(vectors):
+    for v in vectors:
+        assert_passes_checks(softmax(v))
+    mean = _elementwise_mean(vectors)
+    assert_passes_checks(mean)
+    assert bits(mean) == bits(naive_mean(vectors))
+    for method in ("mean", "max", "majority"):
+        assert_passes_checks(aggregate_video(vectors, method)[1])
+    fused = multigranular_fuse(vectors[:3])
+    assert_passes_checks(fused)
+    assert bits(fused) == bits(naive_mean(vectors[:3]))
+
+
+def test_mean_of_mixed_class_counts_raises():
+    with pytest.raises(ValueError):
+        _elementwise_mean([ScoreVector((1.0, 2.0)), ScoreVector((1.0,))])

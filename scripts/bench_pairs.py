@@ -1,0 +1,188 @@
+#!/usr/bin/env python3
+"""Alternating benchmark pairs: a parent commit against this checkout.
+
+    python3 scripts/bench_pairs.py --parent HEAD~1 --workload long-video \\
+        --pairs 10 --seconds 30 --seed 7 --claim evaluate_s --out BENCH_N.json
+
+The parent's files come from ``git archive REV`` into a temporary directory;
+the change is this checkout as it is on disk. Each pair runs
+``perfbench/run.py --trace 0`` once on each side, the parent first in odd
+pairs and the change first in even pairs, and keeps the JSON line that
+run.py prints last. ``--out`` adds the runs to a BENCH file (made if
+missing, and it must name the same parent and change) and writes a summary
+over all of its runs: per workload, seed and end-to-end metric, the median
+and quartiles of each side and the pairs each side won; a tie counts for
+neither. The exit status is 1 unless every run of this call reports
+``"correct": true`` and ``"failed": 0``.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+ORDER = "alternating pairs: odd pairs ran the parent first, even pairs the change first"
+
+
+def git(*args: str, env: dict | None = None) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, env=env, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def checkout_src_tree() -> str:
+    """The git tree id of src/ as it is on disk, written through a scratch index."""
+    with tempfile.TemporaryDirectory() as tmp:
+        env = dict(os.environ, GIT_INDEX_FILE=str(Path(tmp) / "index"))
+        git("add", "-A", "src", env=env)
+        return git("write-tree", "--prefix=src/", env=env)
+
+
+def export(rev: str, dest: Path) -> None:
+    archive = dest / "tree.tar"
+    git("archive", "--format=tar", "-o", str(archive), rev)
+    subprocess.run(["tar", "-xf", str(archive), "-C", str(dest)], check=True)
+    archive.unlink()
+
+
+def bench(root: Path, workload: str, seed: int, seconds: float) -> dict:
+    """The last JSON line of one perfbench run in ``root``, or a failed result."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=root, stdin=subprocess.DEVNULL, capture_output=True, text=True,
+    )
+    lines = proc.stdout.splitlines()
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, ValueError):
+        result = None
+    if proc.returncode != 0 or not isinstance(result, dict):
+        return {"correct": False, "error": f"exit {proc.returncode}: {proc.stderr[-2000:]}"}
+    return result
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    return tuple(statistics.quantiles(values, n=4))
+
+
+def summarize(runs: list[dict], better: dict[str, str]) -> list[dict]:
+    """Per workload, seed and metric: each side's median and quartiles, and the wins.
+
+    Only pairs in which both runs report the metric count.
+    """
+    sides: dict[tuple, dict[str, dict]] = {}
+    for run in runs:
+        sides.setdefault((run["workload"], run["seed"], run["pair"]), {})[run["side"]] = run["result"]
+    summary = []
+    for workload, seed in sorted({key[:2] for key in sides}):
+        pairs = [sides[key] for key in sorted(sides) if key[:2] == (workload, seed)]
+        for metric, direction in better.items():
+            values = [(p["parent"]["metrics"][metric]["value"], p["change"]["metrics"][metric]["value"])
+                      for p in pairs
+                      if all(metric in p.get(side, {}).get("metrics", {}) for side in ("parent", "change"))]
+            if not values:
+                continue
+            parent = [a for a, _ in values]
+            change = [b for _, b in values]
+            sign = 1 if direction == "lower" else -1
+            change_wins = sum(sign * (a - b) > 0 for a, b in values)
+            parent_wins = sum(sign * (b - a) > 0 for a, b in values)
+            p1, pm, p3 = quartiles(parent)
+            c1, cm, c3 = quartiles(change)
+            summary.append({
+                "workload": workload, "seed": seed, "metric": metric, "better": direction,
+                "pairs": len(values), "change_wins": change_wins, "parent_wins": parent_wins,
+                "ties": len(values) - change_wins - parent_wins,
+                "parent_median": pm, "parent_q1": p1, "parent_q3": p3, "parent_iqr": p3 - p1,
+                "change_median": cm, "change_q1": c1, "change_q3": c3, "change_iqr": c3 - c1,
+            })
+    return summary
+
+
+def main(argv=None) -> int:
+    workloads = json.loads((ROOT / "perfbench" / "workloads.json").read_text(encoding="utf-8"))
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, help="git revision to compare against")
+    parser.add_argument("--workload", required=True, choices=sorted(workloads["workloads"]))
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--seed", type=int, default=workloads["default_seed"])
+    parser.add_argument("--claim", choices=sorted(better), help="the metric the change claims a gain on")
+    parser.add_argument("--out", type=Path, help="BENCH file to add the runs to")
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be >= 1")
+
+    parent = {"commit": git("rev-parse", "--verify", args.parent + "^{commit}")}
+    parent["src_tree"] = git("rev-parse", parent["commit"] + ":src")
+    change = {"src_tree": checkout_src_tree(), "note": "git tree id of src/ in the checkout that ran"}
+    settings = {
+        "command": "python3 perfbench/run.py --workload W --seed S --trace 0",
+        "seconds": args.seconds,
+        "order": ORDER,
+        "machine": f"{os.cpu_count()} CPU {platform.system()}, Python {platform.python_version()}",
+        "result": "the last JSON line that run.py prints",
+    }
+    record = {"parent": parent, "change": change, "settings": settings, "runs": []}
+    if args.out is not None and args.out.exists():
+        record = json.loads(args.out.read_text(encoding="utf-8"))
+        for key, want in (("parent", parent), ("change", change)):
+            if record[key]["src_tree"] != want["src_tree"]:
+                print(f"bench_pairs: {args.out} holds runs of another {key} src/ tree", file=sys.stderr)
+                return 2
+        if record["settings"]["seconds"] != args.seconds:
+            print(f"bench_pairs: {args.out} holds runs of --seconds {record['settings']['seconds']}",
+                  file=sys.stderr)
+            return 2
+    if args.claim:
+        record["claim"] = {"metric": args.claim, "workload": args.workload, "better": better[args.claim]}
+
+    done = max((r["pair"] for r in record["runs"]
+                if (r["workload"], r["seed"]) == (args.workload, args.seed)), default=0)
+    new_runs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        parent_root = Path(tmp)
+        export(parent["commit"], parent_root)
+        for pair in range(done + 1, done + args.pairs + 1):
+            order = ("parent", "change") if pair % 2 else ("change", "parent")
+            for side in order:
+                result = bench(parent_root if side == "parent" else ROOT, args.workload, args.seed, args.seconds)
+                new_runs.append({"workload": args.workload, "seed": args.seed, "pair": pair, "side": side,
+                                 "ran_first": side == order[0], "result": result})
+                print(f"pair {pair} {side}: correct={result.get('correct')} failed={result.get('failed')}",
+                      flush=True)
+
+    record["runs"] += new_runs
+    record["summary"] = summarize(record["runs"], better)
+    if args.out is not None:
+        ordered = {key: record[key] for key in ("claim", "parent", "change", "settings", "summary", "runs")
+                   if key in record}
+        ordered.update(record)  # keys added by hand, such as notes, are kept
+        args.out.write_text(json.dumps(ordered, indent=1) + "\n", encoding="utf-8")
+
+    print(f"{'metric':16s} {'parent median [q1, q3]':32s} {'change median [q1, q3]':32s} wins/ties/losses")
+    for s in record["summary"]:
+        if (s["workload"], s["seed"]) == (args.workload, args.seed):
+            cells = [f"{s[side + '_median']:.4g} [{s[side + '_q1']:.4g}, {s[side + '_q3']:.4g}]"
+                     for side in ("parent", "change")]
+            print(f"{s['metric']:16s} {cells[0]:32s} {cells[1]:32s} {s['change_wins']}/{s['ties']}/{s['parent_wins']}")
+    bad = [r for r in new_runs if not (r["result"].get("correct") is True and r["result"].get("failed") == 0)]
+    for r in bad:
+        print(f"bench_pairs: pair {r['pair']} {r['side']} not correct: {r['result'].get('error', '')}",
+              file=sys.stderr)
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

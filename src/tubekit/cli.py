@@ -9,6 +9,7 @@ video id).
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import sys
 from dataclasses import fields
@@ -313,6 +314,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_FLAGS
+    # No subcommand makes a reference cycle, so reference counting frees all
+    # it allocates and the cyclic collector would only re-scan live objects;
+    # tests/test_cli.py::test_subcommands_leave_no_cyclic_garbage checks this.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.handler(args)
     except _FlagError as exc:
@@ -321,6 +327,9 @@ def main(argv=None) -> int:
     except (ParseError, OSError) as exc:
         print(f"tubekit {args.command}: error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

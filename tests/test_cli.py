@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import math
@@ -601,6 +602,82 @@ def test_pipeline_subcommands_run_without_numpy(corpus, tmp_path):
         )
         assert proc.returncode == 0, proc.stderr
         assert blocked.read_bytes() == ordinary.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def corpora(tmp_path_factory):
+    """A 2-video and a 20-video corpus, each with labeled predictions, extracted tubes
+    and a detections file whose last line does not parse."""
+    made = {}
+    for videos in (2, 20):
+        out = tmp_path_factory.mktemp(f"corpus{videos}")
+        assert run("synth", "--out-dir", str(out), "--seed", "3", "--videos", str(videos),
+                   "--frames", "40", "--persons", "2", "--classes", "3") == 0
+        gt = (out / "gt_tubes.jsonl").read_text().splitlines()
+        (out / "preds.jsonl").write_text("".join(json.dumps(dict(json.loads(r), score=0.9)) + "\n" for r in gt))
+        assert run("extract-tubes", str(out / "detections.jsonl"), "--out", str(out / "tubes.jsonl")) == 0
+        (out / "bad.jsonl").write_text((out / "detections.jsonl").read_text() + "{\n")
+        made[videos] = out
+    return made
+
+
+def _subcommand_argv(case, corpus, videos, out):
+    scores, action = ["--scores", str(corpus / "scores.jsonl")], ["--class", "0", "--threshold", "0.3"]
+    return {
+        "synth": ["synth", "--out-dir", str(out), "--seed", "3", "--videos", str(videos), "--frames", "40"],
+        "extract-tubes": ["extract-tubes", str(corpus / "detections.jsonl")],
+        "extract-tubes-parallel-2": ["extract-tubes", str(corpus / "detections.jsonl"), "--parallel", "2"],
+        "fuse": ["fuse", str(corpus / "scores.jsonl")],
+        "evaluate": ["evaluate", str(corpus / "preds.jsonl"), str(corpus / "gt_tubes.jsonl")],
+        "actionness-tubes": ["actionness", *scores, "--tubes", str(corpus / "tubes.jsonl"), *action],
+        "actionness-detections": ["actionness", *scores, "--detections", str(corpus / "detections.jsonl"), *action],
+        "parse-error": ["extract-tubes", str(corpus / "bad.jsonl")],
+    }[case] + ([] if case == "synth" else ["--out", str(out)])
+
+
+def _cyclic_garbage(argv):
+    """The exit code of ``main(argv)`` and the objects of it that only the cyclic collector frees."""
+    was = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        return main(argv), gc.collect()
+    finally:
+        if was:
+            gc.enable()
+
+
+@pytest.mark.parametrize("case", ["synth", "extract-tubes", "extract-tubes-parallel-2", "fuse", "evaluate",
+                                  "actionness-tubes", "actionness-detections", "parse-error"])
+def test_subcommands_leave_no_cyclic_garbage(corpora, tmp_path, case):
+    # main runs the handler with the collector off, which is sound only while
+    # reference counting frees everything the handler makes. argparse's own
+    # parser is cyclic garbage too, so the check is that the count does not
+    # grow with the corpus (argparse's count differs between Python versions).
+    # A first call may import a module (numpy for synth, concurrent.futures for
+    # --parallel 2), and an import leaves cyclic garbage of its own, once.
+    _cyclic_garbage(_subcommand_argv(case, corpora[2], 2, tmp_path / "warm-up"))
+    counts = {}
+    for videos, corpus in corpora.items():
+        code, counts[videos] = _cyclic_garbage(_subcommand_argv(case, corpus, videos, tmp_path / f"out{videos}"))
+        assert code == (2 if case == "parse-error" else 0)
+    assert counts[2] == counts[20]
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+@pytest.mark.parametrize("case, code", [("fuse", 0), ("parse-error", 2), ("flag-error", 3)])
+def test_main_restores_the_collector_state(corpora, tmp_path, enabled, case, code):
+    if case == "flag-error":  # rejected by the handler, after the collector is turned off
+        argv = ["fuse", str(corpora[2] / "scores.jsonl"), "--granularities", ",", "--out", str(tmp_path / "p")]
+    else:
+        argv = _subcommand_argv(case, corpora[2], 2, tmp_path / "out")
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert main(argv) == code
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 HUGE_BOX = (0, 0, 1e308, 1e308)  # finite corners, area overflows to infinity

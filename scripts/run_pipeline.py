@@ -12,7 +12,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from tubekit import read_predictions, read_report, read_tubes, write_tubes
+from tubekit import read_predictions, read_tubes, write_tubes
 from tubekit.cli import main as tubekit
 
 

@@ -133,7 +133,6 @@ def _cmd_fuse(args) -> int:
 
     def fuse_one(vid: str):
         fused_per_gran = []
-        label = None
         for gran in grans:
             scores = sets.get((vid, args.stream, gran))
             units = [e.vector for e in scores.entries if e.crop_id in crops] if scores else []
@@ -157,14 +156,9 @@ def _cmd_fuse(args) -> int:
 
 
 def _frame_probs(scores: StreamScoreSet, length: int, cls: int) -> list[float]:
-    # a run of frames shares one vector object, so softmax once per run
     probs = []
-    prev = p = None
-    for vec in frame_scores_from_clips(scores, length):
-        if vec is not prev:
-            prev = vec
-            p = (softmax(vec) if vec.kind == "raw" else vec).values[cls]
-        probs.append(p)
+    for n, vec in frame_scores_from_clips(scores, length):
+        probs += [(softmax(vec) if vec.kind == "raw" else vec).values[cls]] * n
     return probs
 
 
@@ -190,9 +184,8 @@ def _cmd_actionness(args) -> int:
             tubes_by_video.setdefault(vid, []).append(tube)
         for vid, tubes in tubes_by_video.items():
             human = [False] * (max(t.span.end for t in tubes) + 1)
-            for tube in tubes:
-                for f in tube.span.frames():
-                    human[f] = True
+            for t in tubes:
+                human[t.span.start:t.span.end + 1] = [True] * t.span.length
             gates[vid] = human
 
     # every stream is looked up before --out is opened, so a missing one leaves no file

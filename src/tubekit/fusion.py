@@ -236,16 +236,17 @@ def multigranular_fuse(vectors: Sequence[ScoreVector]) -> ScoreVector:
     return _elementwise_mean(vectors)
 
 
-def frame_scores_from_clips(scores: StreamScoreSet, video_len: int) -> list[ScoreVector]:
-    """Distribute clip-level scores to every frame of the video.
+def frame_scores_from_clips(scores: StreamScoreSet, video_len: int) -> list[tuple[int, ScoreVector]]:
+    """Distribute clip-level scores to every frame of the video, as runs of frames.
 
     Each clip contributes its crop-mean vector to the frames it covers. A
     frame covered by several clips gets their arithmetic mean, and a frame
     covered by none gets the vector of the nearest covering clip (earlier
     clip wins distance ties).
 
-    Frames between two consecutive clip starts or ends share their covering
-    clips, so each such run of frames shares one vector object.
+    Returns one ``(length, vector)`` per maximal run of frames that take
+    their vector from the same clips, in frame order; the lengths sum to
+    ``video_len``, and neighbouring runs never share a vector object.
     """
     if video_len <= 0:
         raise ValueError(f"video_len must be positive, got {video_len}")
@@ -257,25 +258,22 @@ def frame_scores_from_clips(scores: StreamScoreSet, video_len: int) -> list[Scor
     starts = sorted(by_start)
     clips = [_elementwise_mean(by_start[s]) for s in starts]
 
-    cuts = {0, video_len}
-    for s in starts:
-        cuts.update(c for c in (s, s + CLIP_LEN) if c < video_len)
-    cuts = sorted(cuts)
-    out: list[ScoreVector] = []
+    # Each clip owns the frames [first, end): those it covers, and those of a
+    # gap it is nearest to. mid is the first gap frame strictly nearer the
+    # later clip t than the earlier clip s, so the earlier clip wins a tie.
+    # Both lists are non-decreasing, so the owners of a frame are one slice.
+    firsts, ends = [0], []
+    for s, t in zip(starts, starts[1:]):
+        mid = (s + CLIP_LEN - 1 + t) // 2 + 1
+        firsts.append(min(t, mid))
+        ends.append(max(s + CLIP_LEN, mid))
+    ends.append(math.inf)
+    cuts = sorted({0, video_len, *firsts, *ends})
+    cuts = cuts[:cuts.index(video_len) + 1]
+    out: list[tuple[int, ScoreVector]] = []
     for a, b in zip(cuts, cuts[1:]):
-        # clips[lo:hi] start in (a - CLIP_LEN, a], so they cover every frame of [a, b)
-        lo, hi = bisect_right(starts, a - CLIP_LEN), bisect_right(starts, a)
-        if hi > lo:
-            vec = clips[lo] if hi - lo == 1 else _elementwise_mean(clips[lo:hi])
-            out.extend([vec] * (b - a))
-            continue
-        # uncovered: the nearest clip is clips[hi - 1], which ended before a, or
-        # clips[hi], which starts at or after b; the earlier one wins a tie
-        for f in range(a, b):
-            earlier = hi == len(starts) or (
-                hi > 0 and f - (starts[hi - 1] + CLIP_LEN - 1) <= starts[hi] - f
-            )
-            out.append(clips[hi - 1] if earlier else clips[hi])
+        lo, hi = bisect_right(ends, a), bisect_right(firsts, a)
+        out.append((b - a, clips[lo] if hi - lo == 1 else _elementwise_mean(clips[lo:hi])))
     return out
 
 

@@ -94,11 +94,10 @@ def _plant_tracks(cfg: SynthConfig, rng: Generator) -> list[tuple[TemporalSpan, 
     h_lo = max(60, 12 * j)
     w = int(rng.integers(w_lo, w_lo + 21))
     h = int(rng.integers(h_lo, h_lo + 31))
-    margin = min(5, max(0, cfg.frames // 20))
+    # 2 * margin <= frames - 1 for every frames >= 1, so start <= end
+    margin = min(5, cfg.frames // 20)
     start = int(rng.integers(0, margin + 1))
     end = cfg.frames - 1 - int(rng.integers(0, margin + 1))
-    if end < start:
-        start, end = 0, cfg.frames - 1
 
     offset = max(w // 4, 1)
     drift = 12  # walk stays this close to the base position

@@ -172,6 +172,32 @@ class TestFuse:
         )
         assert code == 3
 
+    def test_two_granularities_average_and_relabel(self, tmp_path):
+        # net16 alone gives label 0; the mean of both granularities is [1, 2, 0]
+        scores = tmp_path / "scores.jsonl"
+        scores.write_text("".join(
+            json.dumps({
+                "video_id": "v", "stream": "rgb", "granularity": gran, "clip_start": 0,
+                "crop_id": crop, "kind": "raw", "values": values,
+            }) + "\n"
+            for gran, values in (("net16", [2, 1, 0]), ("net32", [0, 3, 0]))
+            for crop in CENTER_CROPS
+        ))
+        out = tmp_path / "predictions.jsonl"
+        assert run("fuse", str(scores), "--out", str(out), "--granularities", "net16,net32") == 0
+        assert read_predictions(out) == [("v", 1, [1.0, 2.0, 0.0])]
+
+    @pytest.mark.parametrize("granularities, message", [
+        ("net16,net8", "unknown granularity 'net8'"),
+        ("net16,net16", "--granularities lists a granularity twice"),
+    ], ids=["unknown", "repeated"])
+    def test_bad_granularities_exit_3(self, corpus, tmp_path, capsys, granularities, message):
+        out = tmp_path / "o.jsonl"
+        code = run("fuse", str(corpus / "scores.jsonl"), "--out", str(out), "--granularities", granularities)
+        assert code == 3
+        assert f"tubekit fuse: error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestActionness:
     def test_with_detections(self, corpus, tmp_path):
@@ -398,9 +424,13 @@ INPUTS = {
 UNREADABLE = {"missing": "No such file or directory", "directory": "Is a directory"}
 
 
-# a line that no reader can parse: bytes that are not UTF-8, and nesting past the
-# interpreter's recursion limit
-UNPARSABLE = {"undecodable": b"\xff\xfe\n", "too-deep": b"[" * 200_000 + b"\n"}
+# a line that no reader can parse, and the start of its error: bytes that are not
+# UTF-8, nesting past the interpreter's recursion limit, and JSON that is not an object
+UNPARSABLE = {
+    "undecodable": (b"\xff\xfe\n", "invalid UTF-8"),
+    "too-deep": (b"[" * 200_000 + b"\n", "invalid JSON (nesting too deep)"),
+    "not-an-object": (b"[1, 2]\n", "record is not an object"),
+}
 
 
 def _input_paths(corpus, tmp_path):
@@ -441,12 +471,23 @@ def test_unparsable_line_exits_2_naming_it(corpus, tmp_path, capsys, which, bad_
     # a good first record of the same kind, then the bad line
     good = paths[which.rsplit("-", 1)[1]].read_bytes().split(b"\n", 1)[0] + b"\n"
     bad = tmp_path / "bad.jsonl"
-    bad.write_bytes(good + UNPARSABLE[bad_kind])
+    line, message = UNPARSABLE[bad_kind]
+    bad.write_bytes(good + line)
     out = tmp_path / "out.jsonl"
     assert _run_with_bad_input(which, bad, paths, out) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert f"{bad}, line 2: " in err
+    assert f"{bad}, line 2: {message}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("which", ["fuse-scores", "actionness-scores"])
+def test_empty_scores_file_exits_2(corpus, tmp_path, capsys, which):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    out = tmp_path / "out.jsonl"
+    assert _run_with_bad_input(which, empty, _input_paths(corpus, tmp_path), out) == 2
+    assert f"{empty}: no score records found" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -277,6 +277,16 @@ class TestParseErrors:
             read_scores(path)
         assert "class count" in str(err.value)
 
+    def test_blank_lines_skipped_but_counted(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        good = '{"video_id":"v","frame":0,"boxes":[]}\n'
+        path.write_text("\n" + good + " \t\n\r\n")
+        assert read_detections(path) == [FrameDetections(video_id="v", length=1)]
+        path.write_text("\n" + good + " \t\n\r\n{broken\n")
+        with pytest.raises(ParseError) as err:
+            read_detections(path)
+        assert f"{path}, line 5: invalid JSON" in str(err.value)
+
     def test_tube_box_count_mismatch(self, tmp_path):
         path = tmp_path / "t.jsonl"
         path.write_text('{"video_id":"v","label":0,"start":0,"end":2,"boxes":[[0,0,1,1]]}\n')
@@ -564,6 +574,32 @@ def test_read_tubes_score_error_text(tmp_path, score, boxes, message):
     with pytest.raises(ParseError) as err:
         read_tubes(path)
     assert str(err.value) == f"{path}, line 2, field 'score': {message}"
+
+
+# errors in a record's own fields, not its boxes: (reader, line 2, field, message)
+RECORD_ERRORS = [
+    pytest.param(read_detections, '{"video_id":"v","frame":-1,"boxes":[]}', "frame",
+                 "negative frame index -1", id="detections-negative-frame"),
+    pytest.param(read_tubes, '{"video_id":"v","label":0,"start":-1,"end":0,"boxes":[[0,0,1,1],[0,0,1,1]]}',
+                 "start", "negative start frame -1", id="tubes-negative-start"),
+    pytest.param(read_tubes, '{"video_id":"v","label":"a","start":0,"end":0,"boxes":[[0,0,1,1]]}',
+                 "label", "expected an integer or null, got 'a'", id="tubes-string-label"),
+    pytest.param(read_tubes, '{"video_id":"v","label":true,"start":0,"end":0,"boxes":[[0,0,1,1]]}',
+                 "label", "expected an integer or null, got True", id="tubes-bool-label"),
+]
+FIRST_LINE = {
+    read_detections: '{"video_id":"v","frame":0,"boxes":[]}',
+    read_tubes: '{"video_id":"v","label":null,"start":0,"end":0,"boxes":[[0,0,1,1]]}',
+}
+
+
+@pytest.mark.parametrize("reader, line, field, message", RECORD_ERRORS)
+def test_record_field_error_text(tmp_path, reader, line, field, message):
+    path = tmp_path / "r.jsonl"
+    path.write_text(FIRST_LINE[reader] + "\n" + line + "\n")
+    with pytest.raises(ParseError) as err:
+        reader(path)
+    assert str(err.value) == f"{path}, line 2, field '{field}': {message}"
 
 
 SCORE_ERRORS = [

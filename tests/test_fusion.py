@@ -170,16 +170,21 @@ def score_set(entries, video_id="v", stream="rgb", granularity="net16"):
     )
 
 
+def expand(runs):
+    """One vector per frame from ``frame_scores_from_clips``'s (length, vector) runs."""
+    return [vec for n, vec in runs for _ in range(n)]
+
+
 class TestFrameScores:
     def test_single_clip_covers_all(self):
         s = score_set([(0, "center", ScoreVector((1.0, 3.0)))])
-        frames = frame_scores_from_clips(s, 16)
+        frames = expand(frame_scores_from_clips(s, 16))
         assert len(frames) == 16
         assert all(f.values == (1.0, 3.0) for f in frames)
 
     def test_overlap_averages(self):
         s = score_set([(0, "center", ScoreVector((1.0, 0.0))), (8, "center", ScoreVector((0.0, 1.0)))])
-        frames = frame_scores_from_clips(s, 16)
+        frames = expand(frame_scores_from_clips(s, 16))
         assert frames[0].values == (1.0, 0.0)
         for f in range(8, 16):
             assert frames[f].values == (0.5, 0.5)
@@ -187,21 +192,21 @@ class TestFrameScores:
     def test_tail_frames_take_the_later_clip(self):
         # frames 16,17 fall past the first clip but inside the second
         s = score_set([(0, "center", ScoreVector((1.0, 0.0))), (8, "center", ScoreVector((0.0, 1.0)))])
-        frames = frame_scores_from_clips(s, 18)
+        frames = expand(frame_scores_from_clips(s, 18))
         assert frames[16].values == (0.0, 1.0)
         assert frames[17].values == (0.0, 1.0)
 
     def test_uncovered_frames_take_nearest_clip(self):
         # frames 24..29 are covered by no clip; the clip at 8 ends nearest
         s = score_set([(0, "center", ScoreVector((1.0, 0.0))), (8, "center", ScoreVector((0.0, 1.0)))])
-        frames = frame_scores_from_clips(s, 30)
+        frames = expand(frame_scores_from_clips(s, 30))
         for f in range(24, 30):
             assert frames[f].values == (0.0, 1.0)
 
     def test_nearest_tie_goes_to_earlier_clip(self):
         # clips cover [0, 15] and [21, 36]; frame 18 is 3 frames from both
         s = score_set([(0, "center", ScoreVector((1.0, 0.0))), (21, "center", ScoreVector((0.0, 1.0)))])
-        frames = frame_scores_from_clips(s, 37)
+        frames = expand(frame_scores_from_clips(s, 37))
         assert frames[18].values == (1.0, 0.0)
         assert frames[19].values == (0.0, 1.0)  # one frame later the tie breaks
 
@@ -212,7 +217,7 @@ class TestFrameScores:
 
     def test_crops_average_before_distribution(self):
         s = score_set([(0, "center", ScoreVector((1.0, 0.0))), (0, "center_flip", ScoreVector((0.0, 1.0)))])
-        frames = frame_scores_from_clips(s, 4)
+        frames = expand(frame_scores_from_clips(s, 4))
         assert frames[0].values == (0.5, 0.5)
 
     def test_bad_video_len(self):
@@ -249,7 +254,11 @@ def clip_layouts(draw):
 @given(clip_layouts())
 def test_frame_scores_match_scalar_twin(layout):
     scores, video_len = layout
-    assert frame_scores_from_clips(scores, video_len) == naive_frame_scores(scores, video_len)
+    runs = frame_scores_from_clips(scores, video_len)
+    assert expand(runs) == naive_frame_scores(scores, video_len)
+    assert all(n >= 1 for n, _ in runs)
+    assert sum(n for n, _ in runs) == video_len
+    assert all(a is not b for (_, a), (_, b) in zip(runs, runs[1:]))
 
 
 class TestActionness:

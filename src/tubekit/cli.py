@@ -237,6 +237,12 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_synth(args) -> int:
     cfg = _config(SynthConfig, args)
+    # The generator needs numpy, whose import leaves reference cycles (about 1 MB)
+    # that only the collector frees, and main runs handlers with it off: import
+    # numpy here and collect once, so that they do not stay until exit.
+    import numpy  # noqa: F401
+
+    gc.collect()
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     with (

@@ -16,6 +16,13 @@ inputs always produce identical bytes. Each takes a path to write, or an
 open text file to add its lines to. Readers ignore unknown extra
 fields and reject schema violations, non-finite numbers included, with
 the file, line and field named in the error.
+
+A reader decodes a line with json's scanner when the line is one object
+that ends at its newline, as every writer's line does, and with
+``json.loads`` otherwise, so both accept the same lines with the same
+values. It checks a record once: the common record in one inline test,
+after which its objects are built without a second check; any other
+record is parsed again field by field, which names its first fault.
 """
 from __future__ import annotations
 
@@ -71,6 +78,13 @@ def _write_records(out, records: Iterable[dict]) -> None:
 # line-delimited JSON readers and writers
 
 
+# json.loads(line) is this scanner called at the first non-whitespace character,
+# behind a BOM check, a whitespace regex on each side and the extra-data check.
+# The scanner is CPython's C one when _json is available; scan_once is not
+# documented, and tests/test_formats.py pins that it exists.
+_scan_once = json.JSONDecoder().scan_once
+
+
 def _iter_records(path):
     # bytes, decoded a line at a time: text mode decodes ahead of the line it yields,
     # so its decode errors cannot name a line
@@ -80,18 +94,37 @@ def _iter_records(path):
                 line = raw.decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise ParseError(path, line_no, None, f"invalid UTF-8 ({exc.reason} at byte {exc.start})") from exc
-            if not line.strip():
-                continue
+            # The common line is one object that ends at the newline, or at the end of
+            # the last line, and json.loads gives the same dict for it. Every other
+            # line goes through json.loads: blank lines, whitespace around the object,
+            # a BOM, trailing data, a non-object, and all that fails to scan.
             try:
-                record = json.loads(line)
-            except ValueError as exc:  # bad syntax, or an integer past the digit limit
-                msg = exc.msg if isinstance(exc, json.JSONDecodeError) else str(exc)
-                raise ParseError(path, line_no, None, f"invalid JSON ({msg})") from exc
-            except RecursionError as exc:
-                raise ParseError(path, line_no, None, "invalid JSON (nesting too deep)") from exc
-            if not isinstance(record, dict):
-                raise ParseError(path, line_no, None, "record is not an object")
+                record, end = _scan_once(line, 0)
+            except (StopIteration, ValueError, RecursionError):
+                record = None
+            else:
+                rest = len(line) - end
+                if not (type(record) is dict and (rest == 0 or rest == 1 and line[end] == "\n")):
+                    record = None
+            if record is None:
+                if not line.strip():
+                    continue
+                record = _loads(path, line_no, line)
             yield line_no, record
+
+
+def _loads(path, line_no, line) -> dict:
+    """``json.loads(line)``, with a failure or a non-object as a ParseError."""
+    try:
+        record = json.loads(line)
+    except ValueError as exc:  # bad syntax, or an integer past the digit limit
+        msg = exc.msg if isinstance(exc, json.JSONDecodeError) else str(exc)
+        raise ParseError(path, line_no, None, f"invalid JSON ({msg})") from exc
+    except RecursionError as exc:
+        raise ParseError(path, line_no, None, "invalid JSON (nesting too deep)") from exc
+    if not isinstance(record, dict):
+        raise ParseError(path, line_no, None, "record is not an object")
+    return record
 
 
 # longest repr of an input value that an error echoes: a few dozen characters
@@ -177,17 +210,29 @@ def write_detections(path, videos: Iterable[FrameDetections]) -> None:
     ))
 
 
+_DETECTION_FIELDS = ("video_id", "frame", "boxes")
+
+
+def _detection_fields(path, line_no, record) -> tuple[str, int, list]:
+    """A detections record's video_id, frame and boxes, checked field by field in that order."""
+    vid = _field(path, line_no, record, "video_id", str, "a string")
+    frame = _field(path, line_no, record, "frame", int, "an integer")
+    if frame < 0:
+        raise ParseError(path, line_no, "frame", f"negative frame index {frame}")
+    if frame > MAX_FRAME:
+        raise ParseError(path, line_no, "frame", f"frame index {frame} above the cap {MAX_FRAME}")
+    return vid, frame, _field(path, line_no, record, "boxes", list, "an array")
+
+
 def read_detections(path) -> list[FrameDetections]:
     """Videos in first-appearance order; a video's length is max frame + 1."""
     frames: dict[str, dict[int, tuple[Box2D, ...]]] = {}
     for line_no, record in _iter_records(path):
-        vid = _field(path, line_no, record, "video_id", str, "a string")
-        frame = _field(path, line_no, record, "frame", int, "an integer")
-        if frame < 0:
-            raise ParseError(path, line_no, "frame", f"negative frame index {frame}")
-        if frame > MAX_FRAME:
-            raise ParseError(path, line_no, "frame", f"frame index {frame} above the cap {MAX_FRAME}")
-        raw_boxes = _field(path, line_no, record, "boxes", list, "an array")
+        vid, frame, raw_boxes = map(record.get, _DETECTION_FIELDS)
+        # the checks of _detection_fields in one test; a record that fails it is
+        # parsed again field by field, which names its first fault
+        if not (type(vid) is str and type(frame) is int and 0 <= frame <= MAX_FRAME and type(raw_boxes) is list):
+            vid, frame, raw_boxes = _detection_fields(path, line_no, record)
         boxes = []
         for rb in raw_boxes:
             # Box2D refuses every non-finite coordinate, so float coordinates that it
@@ -279,20 +324,19 @@ def read_scores(path) -> dict[tuple[str, str, str], StreamScoreSet]:
     file_k = None
     for line_no, record in _iter_records(path):
         vid, stream, gran, crop, kind, clip_start, values = map(record.get, _SCORE_FIELDS)
-        # ClipScore and ScoreVector check the crop, kind, clip_start and values; any
-        # record that fails the checks here or theirs is parsed again field by field,
-        # which names its first fault.
-        entry = None
+        # The checks of ClipScore and ScoreVector, made once, here, on a record whose
+        # values are all floats. Every other record, integer values included, is
+        # parsed field by field, which names its first fault.
         if (
             type(vid) is str and stream in STREAMS and gran in GRANULARITIES
-            and type(clip_start) is int and type(values) is list
-            and all(type(v) is float for v in values)
+            and crop in FIXED_CROPS and kind in KINDS
+            and type(clip_start) is int and clip_start >= 0
+            and type(values) is list and values
+            and all(type(v) is float for v in values) and all(map(math.isfinite, values))
+            and (kind == "raw" or 0.0 <= min(values) and max(values) <= 1.0)
         ):
-            try:
-                entry = ClipScore(clip_start, crop, ScoreVector(tuple(values), kind))
-            except ValueError:
-                pass
-        if entry is None:
+            entry = ClipScore._trusted(clip_start, crop, ScoreVector._trusted(tuple(values), kind))
+        else:
             entry = _score_entry(path, line_no, record, file_k)
         vector = entry.vector
         if file_k is None:

@@ -38,12 +38,14 @@ class ScoreVector:
     rounded sum can miss the tolerance by an ulp.
 
     ``__post_init__`` checks a vector once, where it enters the program
-    (``read_scores``, ``synth`` and library callers). The vectors this
-    module derives from checked ones are built by ``_trusted``, unchecked,
-    because their checks hold by construction: a softmax entry ``e / total``
-    has ``0 <= e <= total``; a column mean (``_mean``) is finite, and lies
-    in [0, 1] when its entries do; the ``max`` fusion is a max of finite
-    values, and the ``majority`` histogram is votes / n.
+    (``synth`` and library callers; ``read_scores`` makes the same checks
+    inline on a record of float values, then uses ``_trusted``). The
+    vectors this module derives from checked ones are built by
+    ``_trusted``, unchecked, because their checks hold by construction: a
+    softmax entry ``e / total`` has ``0 <= e <= total``; a column mean
+    (``_mean``) is finite, and lies in [0, 1] when its entries do; the
+    ``max`` fusion is a max of finite values, and the ``majority``
+    histogram is votes / n.
     """
 
     values: tuple[float, ...]
@@ -96,6 +98,14 @@ class ClipScore:
             raise ValueError(f"negative clip_start {self.clip_start}")
         if self.crop_id not in FIXED_CROPS:
             raise ValueError(f"unknown crop_id {self.crop_id!r}")
+
+    @classmethod
+    def _trusted(cls, clip_start: int, crop_id: str, vector: ScoreVector) -> ClipScore:
+        """A clip score whose fields already pass the checks, unchecked (``read_scores``)."""
+        c = object.__new__(cls)
+        # one dict update instead of three frozen-field assignments
+        c.__dict__.update(clip_start=clip_start, crop_id=crop_id, vector=vector)
+        return c
 
 
 @dataclass(frozen=True)

@@ -4,16 +4,19 @@ Each is a scalar or brute-force twin of a pipeline step: exhaustive path
 enumeration for ``viterbi_link``, from-scratch re-linking for
 ``extract_tubes``, a scan of every clip for every frame for
 ``frame_scores_from_clips``, prefix-by-prefix matching for ``video_map``'s
-per-class AP, and a sorted window for ``median_smooth``. The brute-force
-twins refuse instances too large to enumerate.
+per-class AP, a sorted window for ``median_smooth``, and ``json.loads``
+on every line for the readers' line decoding. The brute-force twins refuse
+instances too large to enumerate.
 """
 from __future__ import annotations
 
 import itertools
+import json
 
 from tubekit.count_signal import (
     DetectionCountSeries, FrameDetections, continuous_regions, count_series, pad_detections,
 )
+from tubekit.errors import ParseError
 from tubekit.evaluation import VideoTube
 from tubekit.fusion import CLIP_LEN, ScoreVector, StreamScoreSet, _mean
 from tubekit.geometry import Box2D, Tube, box_iou, runs, tube_iou
@@ -240,3 +243,25 @@ def brute_force_eval(
             prev_r = recalls[k]
         out[c] = ap
     return out
+
+
+def loads_records(path):
+    """Twin of ``formats._iter_records``: every line through ``json.loads``, blank lines skipped."""
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ParseError(path, line_no, None, f"invalid UTF-8 ({exc.reason} at byte {exc.start})") from exc
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except ValueError as exc:
+                msg = exc.msg if isinstance(exc, json.JSONDecodeError) else str(exc)
+                raise ParseError(path, line_no, None, f"invalid JSON ({msg})") from exc
+            except RecursionError as exc:
+                raise ParseError(path, line_no, None, "invalid JSON (nesting too deep)") from exc
+            if not isinstance(record, dict):
+                raise ParseError(path, line_no, None, "record is not an object")
+            yield line_no, record

@@ -695,8 +695,9 @@ def test_subcommands_leave_no_cyclic_garbage(corpora, tmp_path, case):
     # reference counting frees everything the handler makes. argparse's own
     # parser is cyclic garbage too, so the check is that the count does not
     # grow with the corpus (argparse's count differs between Python versions).
-    # A first call may import a module (numpy for synth, concurrent.futures for
-    # --parallel 2), and an import leaves cyclic garbage of its own, once.
+    # A first call may import a module (concurrent.futures for --parallel 2),
+    # and an import leaves cyclic garbage of its own, once; synth collects
+    # numpy's itself (test_synth_leaves_no_more_cyclic_garbage_than_argparse).
     _cyclic_garbage(_subcommand_argv(case, corpora[2], 2, tmp_path / "warm-up"))
     counts = {}
     for videos, corpus in corpora.items():
@@ -719,6 +720,30 @@ def test_main_restores_the_collector_state(corpora, tmp_path, enabled, case, cod
         assert gc.isenabled() is enabled
     finally:
         (gc.enable if was else gc.disable)()
+
+
+SYNTH_GARBAGE = """
+import gc, sys
+from tubekit.cli import build_parser, main
+argv = ["synth", "--out-dir", sys.argv[1], "--videos", "2", "--frames", "40"]
+gc.collect()
+gc.disable()
+build_parser().parse_args(argv)
+parser_garbage = gc.collect()
+print(main(argv), parser_garbage, gc.collect())
+"""
+
+
+def test_synth_leaves_no_more_cyclic_garbage_than_argparse(tmp_path):
+    # In a fresh interpreter synth imports numpy with main's collector off, and
+    # numpy's import makes reference cycles; main's argparse parser is cyclic
+    # garbage in any case, so synth may leave no more than a parser's worth.
+    proc = subprocess.run([sys.executable, "-c", SYNTH_GARBAGE, str(tmp_path / "corpus")],
+                          capture_output=True, text=True, env=SRC_ENV)
+    assert proc.returncode == 0, proc.stderr
+    code, parser_garbage, synth_garbage = map(int, proc.stdout.split())
+    assert code == 0
+    assert synth_garbage <= parser_garbage
 
 
 HUGE_BOX = (0, 0, 1e308, 1e308)  # finite corners, area overflows to infinity

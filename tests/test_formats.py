@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import loads_records
 from tubekit import formats
-from tubekit.imaging import FlowField, LabelMask, encode_flow, mask_to_boxes
+from tubekit.imaging import LabelMask, mask_to_boxes
 from tubekit import (
     ActionnessSeries,
     Box2D,
@@ -120,40 +121,6 @@ class TestMaskToBoxes:
             LabelMask(np.zeros((0, 5), dtype=int))
         with pytest.raises(ValueError):
             LabelMask(np.full((4, 4), -1))
-
-
-class TestEncodeFlow:
-    def test_zero_flow(self):
-        field = FlowField(u=np.zeros((4, 4)), v=np.zeros((4, 4)))
-        img = encode_flow(field)
-        assert img.shape == (4, 4, 3)
-        assert img.dtype == np.uint8
-        assert (img[..., 0] == 128).all()
-        assert (img[..., 1] == 128).all()
-        assert (img[..., 2] == 0).all()
-
-    def test_unit_flow(self):
-        field = FlowField(u=np.ones((2, 2)), v=np.zeros((2, 2)))
-        img = encode_flow(field)
-        assert (img[..., 0] == 144).all()
-        assert (img[..., 1] == 128).all()
-        assert (img[..., 2] == 16).all()
-
-    def test_clamping(self):
-        field = FlowField(u=np.full((2, 2), 20.0), v=np.full((2, 2), -20.0))
-        img = encode_flow(field)
-        assert (img[..., 0] == 255).all()
-        assert (img[..., 1] == 0).all()
-
-    def test_monotone_until_clamp(self):
-        us = np.linspace(-7, 7, 50)
-        field = FlowField(u=us.reshape(1, -1), v=np.zeros((1, 50)))
-        ch1 = encode_flow(field)[0, :, 0].astype(int)
-        assert (np.diff(ch1) >= 0).all()
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            FlowField(u=np.array([[np.nan]]), v=np.array([[0.0]]))
 
 
 def sample_detections():
@@ -755,3 +722,120 @@ def test_score_records_match_field_by_field_parse(values, kind, crop, clip_start
         assert got.startswith("<path>, line 1, field 'values': probability vector sums to")
     else:
         assert got == {("v", "rgb", "net16"): StreamScoreSet("v", "rgb", "net16", (want,))}
+
+
+# The readers decode a line with json's scanner, and fall back on json.loads
+# for any line that is not one object ending at the newline; oracles.loads_records
+# is json.loads on every line, the reference.
+def test_json_scanner_is_there():
+    # scan_once is not documented: pin what _iter_records relies on
+    scan_once = json.JSONDecoder().scan_once
+    assert scan_once('{"a":[1,2.5]}\n', 0) == ({"a": [1, 2.5]}, 13)
+    with pytest.raises(StopIteration):
+        scan_once(" {}", 0)
+    if json.scanner.c_make_scanner is not None:
+        assert type(formats._scan_once) is json.scanner.c_make_scanner
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=True, allow_infinity=True) | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+# a record as some writer might put it on a line: either separators, ASCII or
+# not, and whitespace around the object or not
+RANDOM_LINES = st.builds(
+    lambda value, compact, ascii_only, before, after: (
+        before + json.dumps(value, separators=(",", ":") if compact else None, ensure_ascii=ascii_only) + after
+    ),
+    st.one_of(st.dictionaries(st.text(max_size=6), JSON_VALUES, max_size=4), JSON_VALUES),
+    st.booleans(), st.booleans(),
+    st.sampled_from(["", "", " ", "\t", "\ufeff", "\x0c"]),
+    st.sampled_from(["", "", " ", "\r", "\t", " x", "{}", "\x0c"]),
+)
+HOSTILE_LINES = [
+    '{"a":NaN}', '{"a":Infinity}', '{"a":-Infinity}', '{"a":1e400}', '{"a":-1e400}',
+    '{"a":' + "1" * 5001 + "}", '{"a":' + "[" * 200_000, "[" * 200_000, '{"a":' + "[" * 500 + "]" * 500 + "}",
+    '\ufeff{"a":1}', '{"a":1}\r', '{"a":1}  ', '{"a":1} x', '{"a":1}{"b":2}', '{"a":1}]', "", "   ", "\r",
+    "\xa0", '{"a":"\t"}', '{"a":"\\ud800"}', '{"a":1,"a":2}', "[1, 2]", '"s"', "1", "null", "{", '{"a":',
+    "{}", '  {"a":1}',
+]
+
+
+def _records_or_error(read, path):
+    """The (line, repr of the record) pairs ``read`` yields, then the text of the ParseError that ended it."""
+    out = []
+    try:
+        for line_no, record in read(path):
+            out.append((line_no, repr(record)))
+    except ParseError as exc:
+        out.append(str(exc))
+    return out
+
+
+@given(st.lists(st.one_of(RANDOM_LINES, st.sampled_from(HOSTILE_LINES)), min_size=1, max_size=4), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_line_decoding_matches_json_loads(lines, last_newline):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "f.jsonl"
+        path.write_bytes(("\n".join(lines) + ("\n" if last_newline else "")).encode("utf-8", "surrogatepass"))
+        assert _records_or_error(formats._iter_records, path) == _records_or_error(loads_records, path)
+
+
+def test_written_lines_take_the_scanner_path(tmp_path, monkeypatch):
+    def refuse(path, line_no, line):
+        raise AssertionError(f"line {line_no} fell back on json.loads: {line!r}")
+
+    write_detections(tmp_path / "d.jsonl", sample_detections())
+    write_tubes(tmp_path / "t.jsonl", sample_tubes())
+    write_scores(tmp_path / "s.jsonl", sample_scores())
+    # the last line of a file need not end with a newline
+    (tmp_path / "cut.jsonl").write_text((tmp_path / "d.jsonl").read_text().rstrip("\n"))
+    want = [read_detections(tmp_path / "d.jsonl"), read_tubes(tmp_path / "t.jsonl"),
+            read_scores(tmp_path / "s.jsonl"), read_detections(tmp_path / "d.jsonl")]
+    monkeypatch.setattr(formats, "_loads", refuse)
+    assert [read_detections(tmp_path / "d.jsonl"), read_tubes(tmp_path / "t.jsonl"),
+            read_scores(tmp_path / "s.jsonl"), read_detections(tmp_path / "cut.jsonl")] == want
+
+
+# read_scores checks a record of float values once, itself, and builds the entry
+# with the unchecked constructors; it must take exactly the records the checked
+# constructors take, and build equal objects of identical floats.
+SCORE_FLOATS = st.one_of(
+    st.floats(-2.0, 2.0),
+    st.sampled_from([0.0, -0.0, 1.0, 1.0000000000000002, -5e-324, 5e-324, 1e308, -1e308,
+                     math.nan, math.inf, -math.inf]),
+)
+
+
+@given(
+    st.lists(st.one_of(SCORE_FLOATS, SCORE_FLOATS, st.sampled_from([0, 1, 2, -1, True, False])), max_size=4),
+    st.sampled_from(["raw", "prob", "logit"]),
+    st.sampled_from(["center", "br_flip", "middle"]),
+    st.sampled_from([0, 16, 10**30, -1, -16]),
+)
+@settings(max_examples=400, deadline=None)
+def test_trusted_score_entries_match_the_checked_constructors(values, kind, crop, clip_start):
+    try:
+        checked = ClipScore(clip_start, crop, ScoreVector(tuple(values), kind))
+    except ValueError:
+        checked = None
+    takes = checked is not None and all(type(v) is float for v in values)
+    record = {"video_id": "v", "stream": "rgb", "granularity": "net16", "clip_start": clip_start,
+              "crop_id": crop, "kind": kind, "values": values}
+    built = []
+    trusted = ClipScore._trusted
+
+    def spy(*args):
+        built.append(trusted(*args))
+        return built[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ClipScore, "_trusted", spy)
+        got, _ = _read_or_error(read_scores, json.dumps(record) + "\n")
+    assert bool(built) == takes
+    if takes:
+        (entry,) = built
+        assert entry == checked
+        assert [v.hex() for v in entry.vector.values] == [v.hex() for v in checked.vector.values]
+        assert type(entry.vector.values) is tuple

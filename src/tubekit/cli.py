@@ -119,6 +119,14 @@ def _cmd_extract_tubes(args) -> int:
     return EXIT_OK
 
 
+def _read_score_sets(path) -> dict[tuple[str, str, str], StreamScoreSet]:
+    """``read_scores``, with a file that holds no record as a parse error."""
+    sets = read_scores(path)
+    if not sets:
+        raise ParseError(path, message="no score records found")
+    return sets
+
+
 def _cmd_fuse(args) -> int:
     grans = [g.strip() for g in args.granularities.split(",") if g.strip()]
     _require(bool(grans), "--granularities must name at least one granularity")
@@ -126,10 +134,8 @@ def _cmd_fuse(args) -> int:
         _require(g in GRANULARITIES, f"unknown granularity {g!r}")
     _require(len(set(grans)) == len(grans), "--granularities lists a granularity twice")
     crops = CROP_SCHEMES[args.crop_scheme]
-    sets = read_scores(args.scores)
+    sets = _read_score_sets(args.scores)
     video_ids = sorted({vid for vid, _, _ in sets})
-    if not video_ids:
-        raise ParseError(args.scores, message="no score records found")
 
     def fuse_one(vid: str):
         fused_per_gran = []
@@ -167,9 +173,7 @@ def _cmd_actionness(args) -> int:
              "exactly one of --detections and --tubes is required")
     _require(math.isfinite(args.threshold), "--threshold must be finite")
     _require(args.action_class >= 0, "--class must be >= 0")
-    sets = read_scores(args.scores)
-    if not sets:
-        raise ParseError(args.scores, message="no score records found")
+    sets = _read_score_sets(args.scores)
     k = next(iter(sets.values())).k  # read_scores checks that K is the same file-wide
     _require(args.action_class < k, f"--class must be < {k} (class count of the scores file)")
 
@@ -178,7 +182,7 @@ def _cmd_actionness(args) -> int:
     tubes_by_video: dict[str, list] = {}
     if args.detections is not None:
         for dets in read_detections(args.detections):
-            gates[dets.video_id] = [len(dets.boxes_on(f)) > 0 for f in range(dets.length)]
+            gates[dets.video_id] = [f in dets.frames for f in range(dets.length)]  # frames with boxes
     else:
         for vid, tube in read_tubes(args.tubes):
             tubes_by_video.setdefault(vid, []).append(tube)

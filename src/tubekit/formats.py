@@ -43,6 +43,7 @@ from .fusion import (
     ClipScore,
     ScoreVector,
     StreamScoreSet,
+    _unchecked,
 )
 from .geometry import Box2D, TemporalSpan, Tube
 
@@ -319,8 +320,11 @@ def read_scores(path) -> dict[tuple[str, str, str], StreamScoreSet]:
 
     The class count K must be consistent across the whole file, the kind
     within each set, and a ``prob`` vector must sum to 1 within PROB_SUM_TOL.
+    A set holds at most one record per (clip_start, crop_id). The sets are
+    built unchecked: each record was checked here, with its line number.
     """
-    groups: dict[tuple[str, str, str], list[ClipScore]] = {}
+    # per set: the kind of its first record, and its entries by unit
+    groups: dict[tuple[str, str, str], tuple[str, dict[tuple[int, str], ClipScore]]] = {}
     file_k = None
     for line_no, record in _iter_records(path):
         vid, stream, gran, crop, kind, clip_start, values = map(record.get, _SCORE_FIELDS)
@@ -335,10 +339,11 @@ def read_scores(path) -> dict[tuple[str, str, str], StreamScoreSet]:
             and all(type(v) is float for v in values) and all(map(math.isfinite, values))
             and (kind == "raw" or 0.0 <= min(values) and max(values) <= 1.0)
         ):
-            entry = ClipScore._trusted(clip_start, crop, ScoreVector._trusted(tuple(values), kind))
+            vector = _unchecked(ScoreVector, values=tuple(values), kind=kind)
+            entry = _unchecked(ClipScore, clip_start=clip_start, crop_id=crop, vector=vector)
         else:
             entry = _score_entry(path, line_no, record, file_k)
-        vector = entry.vector
+            vector = entry.vector
         if file_k is None:
             file_k = vector.k
         else:
@@ -347,17 +352,19 @@ def read_scores(path) -> dict[tuple[str, str, str], StreamScoreSet]:
             total = math.fsum(vector.values)
             if abs(total - 1.0) > PROB_SUM_TOL:
                 raise ParseError(path, line_no, "values", f"probability vector sums to {total}, not 1")
-        entries = groups.setdefault((vid, stream, gran), [])
-        # a set's kind is the kind of its first record
-        if entries and vector.kind != entries[0].vector.kind:
+        set_kind, units = groups.setdefault((vid, stream, gran), (vector.kind, {}))
+        if vector.kind != set_kind:
             raise ParseError(path, line_no, "kind", f"video {_shown(vid)} {stream}/{gran}: mixed raw/prob score kinds in one set")
-        entries.append(entry)
+        unit = (entry.clip_start, entry.crop_id)
+        if unit in units:
+            raise ParseError(path, line_no, "crop_id", f"video {_shown(vid)} {stream}/{gran}: repeated record for clip_start {unit[0]}, crop_id {unit[1]!r}")
+        units[unit] = entry
     return {
-        (vid, stream, gran): StreamScoreSet(
-            video_id=vid, stream=stream, granularity=gran,
-            entries=tuple(sorted(entries, key=lambda e: (e.clip_start, e.crop_id))),
+        (vid, stream, gran): _unchecked(
+            StreamScoreSet, video_id=vid, stream=stream, granularity=gran,
+            entries=tuple(units[u] for u in sorted(units)),
         )
-        for (vid, stream, gran), entries in groups.items()
+        for (vid, stream, gran), (_, units) in groups.items()
     }
 
 

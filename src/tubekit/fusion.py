@@ -28,6 +28,13 @@ PROB_SUM_TOL = 1e-9
 CLIP_LEN = 16
 
 
+def _unchecked(cls, **fields):
+    """``cls(**fields)`` for a frozen dataclass, without its checks: see ``ScoreVector``."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)  # one update instead of a frozen-field assignment per field
+    return obj
+
+
 @dataclass(frozen=True)
 class ScoreVector:
     """K class scores, either raw logits or probabilities.
@@ -37,11 +44,11 @@ class ScoreVector:
     here: a mean of such vectors keeps its entries in [0, 1], but its
     rounded sum can miss the tolerance by an ulp.
 
-    ``__post_init__`` checks a vector once, where it enters the program
-    (``synth`` and library callers; ``read_scores`` makes the same checks
-    inline on a record of float values, then uses ``_trusted``). The
-    vectors this module derives from checked ones are built by
-    ``_trusted``, unchecked, because their checks hold by construction: a
+    One rule for every score value (vector, clip score, set): the checked
+    constructors take values from outside (``synth``, library callers, the
+    reader's field-by-field path); ``_unchecked`` builds those whose checks
+    hold by construction or were already made by the reader. A vector this
+    module derives from checked ones passes them by construction: a
     softmax entry ``e / total`` has ``0 <= e <= total``; a column mean
     (``_mean``) is finite, and lies in [0, 1] when its entries do; the
     ``max`` fusion is a max of finite values, and the ``majority``
@@ -67,14 +74,6 @@ class ScoreVector:
             if max(values) > 1.0:
                 raise ValueError("probability vector with entries above 1")
 
-    @classmethod
-    def _trusted(cls, values: tuple[float, ...], kind: str) -> ScoreVector:
-        """A vector from a tuple of floats that already passes the checks, unchecked."""
-        v = object.__new__(cls)
-        object.__setattr__(v, "values", values)
-        object.__setattr__(v, "kind", kind)
-        return v
-
     @property
     def k(self) -> int:
         return len(self.values)
@@ -99,14 +98,6 @@ class ClipScore:
         if self.crop_id not in FIXED_CROPS:
             raise ValueError(f"unknown crop_id {self.crop_id!r}")
 
-    @classmethod
-    def _trusted(cls, clip_start: int, crop_id: str, vector: ScoreVector) -> ClipScore:
-        """A clip score whose fields already pass the checks, unchecked (``read_scores``)."""
-        c = object.__new__(cls)
-        # one dict update instead of three frozen-field assignments
-        c.__dict__.update(clip_start=clip_start, crop_id=crop_id, vector=vector)
-        return c
-
 
 @dataclass(frozen=True)
 class StreamScoreSet:
@@ -123,13 +114,9 @@ class StreamScoreSet:
         if self.granularity not in GRANULARITIES:
             raise ValueError(f"unknown granularity {self.granularity!r}")
         if self.entries:
-            k = self.entries[0].vector.k
-            kind = self.entries[0].vector.kind
-            for e in self.entries:
-                if e.vector.k != k:
-                    raise ValueError(f"mixed class counts: {e.vector.k} vs {k}")
-                if e.vector.kind != kind:
-                    raise ValueError("mixed raw/prob score kinds in one set")
+            _check_units([e.vector for e in self.entries], "hold")
+            if len({e.vector.kind for e in self.entries}) > 1:
+                raise ValueError("mixed raw/prob score kinds in one set")
 
     @property
     def k(self) -> int:
@@ -158,7 +145,7 @@ def softmax(v: ScoreVector) -> ScoreVector:
     m = max(v.values)
     exps = [math.exp(x - m) for x in v.values]
     total = math.fsum(exps)
-    return ScoreVector._trusted(tuple(e / total for e in exps), "prob")
+    return _unchecked(ScoreVector, values=tuple(e / total for e in exps), kind="prob")
 
 
 def _mean_kind(vectors: Sequence[ScoreVector]) -> str:
@@ -185,7 +172,7 @@ def _mean(column: Sequence[float]) -> float:
 def _elementwise_mean(vectors: Sequence[ScoreVector]) -> ScoreVector:
     # a column per class, in vector order: the same floats reach fsum in the same order
     values = tuple(map(_mean, zip(*[v.values for v in vectors], strict=True)))
-    return ScoreVector._trusted(values, _mean_kind(vectors))
+    return _unchecked(ScoreVector, values=values, kind=_mean_kind(vectors))
 
 
 def _check_units(units: Sequence[ScoreVector], what: str) -> None:
@@ -212,7 +199,7 @@ def aggregate_video(units: Sequence[ScoreVector], method: str) -> tuple[int, Sco
     if method == "max":
         k = units[0].k
         values = tuple(max(u.values[c] for u in units) for c in range(k))
-        fused = ScoreVector._trusted(values, "raw")
+        fused = _unchecked(ScoreVector, values=values, kind="raw")
         return fused.argmax(), fused
     if method == "majority":
         k = units[0].k
@@ -233,7 +220,7 @@ def aggregate_video(units: Sequence[ScoreVector], method: str) -> tuple[int, Sco
                 sums = {c: _scaled_fsum(col, e) for c, col in columns.items()}
             tied.sort(key=lambda c: (-sums[c], c))
         label = tied[0]
-        fused = ScoreVector._trusted(tuple(v / n for v in votes), "prob")
+        fused = _unchecked(ScoreVector, values=tuple(v / n for v in votes), kind="prob")
         return label, fused
     raise ValueError(f"unknown fusion method {method!r}")
 

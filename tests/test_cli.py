@@ -888,6 +888,19 @@ def test_fuse_majority_tie_of_huge_scores(tmp_path):
     assert rows[0]["label"] == 1
 
 
+def test_fuse_refuses_a_repeated_score_unit(tmp_path, capsys):
+    scores, out = tmp_path / "scores.jsonl", tmp_path / "predictions.jsonl"
+    write_score_records(scores, [[1.0, 0.0], [0.0, 1.5]])
+    assert run("fuse", str(scores), "--out", str(out)) == 0
+    assert strict_rows(out) == [{"video_id": "v", "label": 1, "values": [0.5, 0.75]}]
+    # the center record again: counted twice, it would turn the label to 0
+    with scores.open("a") as fh:
+        fh.write(scores.read_text().splitlines()[0] + "\n")
+    assert run("fuse", str(scores), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert f"{scores}, line 3, field 'crop_id': video 'v' rgb/net16: repeated record for clip_start 0, crop_id 'center'" in err
+
+
 def test_negative_clip_start_exits_2_naming_field(tmp_path, capsys):
     scores = tmp_path / "scores.jsonl"
     write_score_records(scores, [[1.0, 0.0]], starts=(-1,))
@@ -1020,21 +1033,25 @@ def score_records(draw):
     for vid in draw(st.lists(st.sampled_from(FUZZ_VIDEOS), min_size=1, max_size=2, unique=True)):
         for stream in STREAMS:
             kind = draw(st.sampled_from(["raw", "prob"]))
-            # gaps between clips, duplicate starts and starts past the video's end
-            for start in draw(st.lists(st.integers(0, 40), min_size=1, max_size=4)):
-                for crop in draw(st.lists(st.sampled_from(CENTER_CROPS), min_size=1, max_size=2)):
-                    values = draw(prob_vector(k) if kind == "prob"
-                                  else st.lists(raw_value, min_size=k, max_size=k))
-                    records.append({"video_id": vid, "stream": stream, "granularity": "net16",
-                                    "clip_start": start, "crop_id": crop, "kind": kind,
-                                    "values": values})
-    mutation = draw(st.sampled_from([None, None, "number", "field"]))
+            # gaps between clips, starts with one crop or two, and starts past the
+            # video's end; a set holds one record per (start, crop)
+            units = draw(st.lists(st.tuples(st.integers(0, 40), st.sampled_from(CENTER_CROPS)),
+                                  min_size=1, max_size=6, unique=True))
+            for start, crop in units:
+                values = draw(prob_vector(k) if kind == "prob"
+                              else st.lists(raw_value, min_size=k, max_size=k))
+                records.append({"video_id": vid, "stream": stream, "granularity": "net16",
+                                "clip_start": start, "crop_id": crop, "kind": kind,
+                                "values": values})
+    mutation = draw(st.sampled_from([None, None, "number", "field", "repeat"]))
     if mutation is not None:
         record = draw(st.sampled_from(records))
         if mutation == "number":
             record["values"][draw(st.integers(0, k - 1))] = draw(bad_number)
-        else:
+        elif mutation == "field":
             record[draw(fields)] = draw(bad_field)
+        else:
+            records.insert(draw(st.integers(0, len(records))), dict(record))
     return k, records
 
 

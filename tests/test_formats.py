@@ -629,6 +629,26 @@ def test_read_scores_mixed_kinds_error_text(tmp_path):
     assert str(err.value) == f"{path}, line 2, field 'kind': video 'v' rgb/net16: mixed raw/prob score kinds in one set"
 
 
+@pytest.mark.parametrize("values", ["[0.5,0.5]", "[1,0]"], ids=["floats", "integers"])
+def test_read_scores_repeated_unit_error_text(tmp_path, values):
+    # both records are (clip_start 0, crop 'center'), in the same set
+    path = tmp_path / "s.jsonl"
+    path.write_text(_scores(clip_start="0", values=values))
+    with pytest.raises(ParseError) as err:
+        read_scores(path)
+    assert str(err.value) == (
+        f"{path}, line 2, field 'crop_id': video 'v' rgb/net16: repeated record for clip_start 0, crop_id 'center'"
+    )
+
+
+def test_read_scores_same_unit_in_two_sets(tmp_path):
+    path = tmp_path / "s.jsonl"
+    path.write_text(_scores(clip_start="0", stream='"flow"'))
+    sets = read_scores(path)
+    assert sorted(sets) == [("v", "flow", "net16"), ("v", "rgb", "net16")]
+    assert [len(s.entries) for s in sets.values()] == [1, 1]
+
+
 def test_read_scores_empty_first_vector_error_text(tmp_path):
     path = tmp_path / "s.jsonl"
     path.write_text(_scores(values="[]").splitlines()[1] + "\n")
@@ -799,7 +819,7 @@ def test_written_lines_take_the_scanner_path(tmp_path, monkeypatch):
 
 
 # read_scores checks a record of float values once, itself, and builds the entry
-# with the unchecked constructors; it must take exactly the records the checked
+# with fusion._unchecked; it must take exactly the records the checked
 # constructors take, and build equal objects of identical floats.
 SCORE_FLOATS = st.one_of(
     st.floats(-2.0, 2.0),
@@ -824,14 +844,16 @@ def test_trusted_score_entries_match_the_checked_constructors(values, kind, crop
     record = {"video_id": "v", "stream": "rgb", "granularity": "net16", "clip_start": clip_start,
               "crop_id": crop, "kind": kind, "values": values}
     built = []
-    trusted = ClipScore._trusted
+    unchecked = formats._unchecked
 
-    def spy(*args):
-        built.append(trusted(*args))
-        return built[-1]
+    def spy(cls, **fields):
+        obj = unchecked(cls, **fields)
+        if cls is ClipScore:
+            built.append(obj)
+        return obj
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ClipScore, "_trusted", spy)
+        mp.setattr(formats, "_unchecked", spy)
         got, _ = _read_or_error(read_scores, json.dumps(record) + "\n")
     assert bool(built) == takes
     if takes:

@@ -21,7 +21,7 @@ from tubekit import (
     temporal_localize,
     tube_actionness,
 )
-from tubekit.fusion import CLIP_LEN, FIXED_CROPS, _elementwise_mean
+from tubekit.fusion import CLIP_LEN, FIXED_CROPS, GRANULARITIES, STREAMS, _elementwise_mean, _unchecked
 
 from oracles import naive_frame_scores, naive_mean
 
@@ -224,6 +224,21 @@ class TestFrameScores:
         s = score_set([(0, "center", ScoreVector((1.0,)))])
         with pytest.raises(ValueError):
             frame_scores_from_clips(s, 0)
+
+
+# the checks that a score set built by a library caller still gets
+@pytest.mark.parametrize("fields, entries, message", [
+    ({"stream": "depth"}, [(0, "center", ScoreVector((1.0, 0.0)))], "unknown stream 'depth'"),
+    ({"granularity": "net64"}, [(0, "center", ScoreVector((1.0, 0.0)))], "unknown granularity 'net64'"),
+    ({}, [(0, "center", ScoreVector((1.0, 0.0))), (0, "center_flip", ScoreVector((1.0, 0.0, 0.0)))],
+     "mixed class counts: 3 vs 2"),
+    ({}, [(0, "center", ScoreVector((1.0, 0.0))), (8, "center", ScoreVector((1.0, 0.0), "prob"))],
+     "mixed raw/prob score kinds in one set"),
+], ids=["unknown-stream", "unknown-granularity", "mixed-class-counts", "mixed-kinds"])
+def test_checked_score_set_error_text(fields, entries, message):
+    with pytest.raises(ValueError) as err:
+        score_set(entries, **fields)
+    assert str(err.value) == message
 
 
 wide = st.one_of(finite, st.floats(min_value=-1e308, max_value=1e308, allow_nan=False))
@@ -440,3 +455,28 @@ def test_derived_vectors_pass_the_checks(vectors):
 def test_mean_of_mixed_class_counts_raises():
     with pytest.raises(ValueError):
         _elementwise_mean([ScoreVector((1.0, 2.0)), ScoreVector((1.0,))])
+
+
+def assert_same_value(cls, fields):
+    unchecked, checked = _unchecked(cls, **fields), cls(**fields)
+    assert unchecked == checked
+    assert vars(unchecked) == vars(checked)
+    assert hash(unchecked) == hash(checked)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.sampled_from(["raw", "prob"]), st.data())
+def test_unchecked_builds_what_the_checked_constructors_build(k, kind, data):
+    entry = st.floats(0.0, 1.0) if kind == "prob" else wide
+    clips = []
+    for _ in range(data.draw(st.integers(0, 3))):
+        vector = {"values": tuple(data.draw(st.lists(entry, min_size=k, max_size=k))), "kind": kind}
+        assert_same_value(ScoreVector, vector)
+        clip = {"clip_start": data.draw(st.integers(0, 100)), "crop_id": data.draw(st.sampled_from(FIXED_CROPS)),
+                "vector": ScoreVector(**vector)}
+        assert_same_value(ClipScore, clip)
+        clips.append(ClipScore(**clip))
+    assert_same_value(StreamScoreSet, {
+        "video_id": "v", "stream": data.draw(st.sampled_from(STREAMS)),
+        "granularity": data.draw(st.sampled_from(GRANULARITIES)), "entries": tuple(clips),
+    })

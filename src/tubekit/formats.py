@@ -10,12 +10,16 @@ All files are line-delimited JSON, one record per line:
   report      {"delta", "class", "ap", "pr": [[recall, precision] ...], "map"}
 
 Every file is written by one writer, ``_write_records``, with one JSON
-encoder built once. The public writers only build records, with a fixed
-field order and reals quantized to 6 significant digits, so identical
-inputs always produce identical bytes. Each takes a path to write, or an
-open text file to add its lines to. Readers ignore unknown extra
-fields and reject schema violations, non-finite numbers included, with
-the file, line and field named in the error.
+encoder built once, at import: json's C encoder without the
+circular-reference check, since every record is a fresh acyclic tree of
+dicts, lists, strings and numbers. A line is what ``json.dumps(record,
+separators=(",", ":"), allow_nan=False)`` returns. The public writers
+only build records, with a fixed field order and reals quantized to 6
+significant digits, so identical inputs always produce identical
+bytes. Each takes a path to write, or an open text file to add its lines
+to. Readers ignore unknown extra fields and reject schema violations,
+non-finite numbers included, with the file, line and field named in the
+error.
 
 A reader decodes a line with json's scanner when the line is one object
 that ends at its newline, as every writer's line does, and with
@@ -58,8 +62,31 @@ def quantize(x: float) -> float:
     return float(f"{x:.6g}")
 
 
-# built once: json.dumps with keyword arguments builds a new encoder per call
-_encode = json.JSONEncoder(separators=(",", ":"), allow_nan=False).encode
+def _make_encode():
+    """``json.dumps(record, separators=(",", ":"), allow_nan=False)`` as one prebuilt encoder.
+
+    ``JSONEncoder.encode`` builds a C encoder, a float formatter and a
+    circular-reference dict on every call. This builds the C encoder once,
+    with no markers dict: the writers' records are acyclic. Without ``_json``
+    it falls back on the pure-Python encoder, which writes the same bytes.
+    """
+    c_make_encoder = json.encoder.c_make_encoder
+    if c_make_encoder is None:
+        return json.JSONEncoder(separators=(",", ":"), allow_nan=False, check_circular=False).encode
+    # the arguments JSONEncoder.iterencode passes: markers, default, string encoder,
+    # indent, key and item separators, sort_keys, skipkeys, allow_nan
+    iterencode = c_make_encoder(
+        None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii,
+        None, ":", ",", False, False, False,
+    )
+
+    def encode(record) -> str:
+        return "".join(iterencode(record, 0))
+
+    return encode
+
+
+_encode = _make_encode()
 
 
 def _write_records(out, records: Iterable[dict]) -> None:
@@ -205,7 +232,7 @@ def _detection_box_record(b: Box2D) -> dict:
 
 def write_detections(path, videos: Iterable[FrameDetections]) -> None:
     _write_records(path, (
-        {"video_id": dets.video_id, "frame": f, "boxes": [_detection_box_record(b) for b in dets.boxes_on(f)]}
+        {"video_id": dets.video_id, "frame": f, "boxes": [_detection_box_record(b) for b in dets.frames.get(f, ())]}
         for dets in videos
         for f in range(dets.length)
     ))

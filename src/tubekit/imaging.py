@@ -2,7 +2,7 @@
 
 Masks become person boxes by connected components. This is the only part
 of tubekit, besides ``synth``, that needs numpy, and ``mask_to_boxes`` is
-the only one that needs scipy.
+the only one that needs scipy, which the ``tubekit[masks]`` extra installs.
 """
 from __future__ import annotations
 
@@ -41,7 +41,10 @@ def mask_to_boxes(mask: LabelMask, min_pixels: int = 25) -> list[Box2D]:
     """
     if min_pixels < 1:
         raise ValueError(f"min_pixels must be >= 1, got {min_pixels}")
-    from scipy import ndimage  # imported here: it is slow to import and only used here
+    try:
+        from scipy import ndimage  # imported here: it is slow to import and only used here
+    except ImportError as exc:
+        raise ImportError("mask_to_boxes needs scipy, which pip install 'tubekit[masks]' installs") from exc
 
     fg = mask.labels >= 1
     labeled, n = ndimage.label(fg, structure=_EIGHT_CONNECTED)

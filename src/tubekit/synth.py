@@ -110,12 +110,16 @@ def _plant_tracks(cfg: SynthConfig, rng: Generator) -> list[tuple[TemporalSpan, 
     cy = min(max(cy, pad_y), CANVAS_H - pad_y)
 
     x, y = cx, cy
-    positions = []
-    for f in range(start, end + 1):
-        if j > 0 and f > start:
-            x = min(max(x + int(rng.integers(-j, j + 1)), cx - drift), cx + drift)
-            y = min(max(y + int(rng.integers(-j, j + 1)), cy - drift), cy + drift)
-        positions.append((x, y))
+    positions = [(x, y)]
+    if j > 0:
+        # One block of (dx, dy) steps: numpy fills it from the stream in the order of
+        # one scalar draw each, x before y, so the walk is the per-step walk.
+        for dx, dy in rng.integers(-j, j + 1, size=(end - start, 2)).tolist():
+            x = min(max(x + dx, cx - drift), cx + drift)
+            y = min(max(y + dy, cy - drift), cy + drift)
+            positions.append((x, y))
+    else:
+        positions *= end - start + 1
 
     tracks = []
     for person in range(cfg.persons):
@@ -123,7 +127,7 @@ def _plant_tracks(cfg: SynthConfig, rng: Generator) -> list[tuple[TemporalSpan, 
         for px, py in positions:
             x1 = px + person * offset - w // 2
             y1 = py - h // 2
-            boxes.append(Box2D(x1=float(x1), y1=float(y1), x2=float(x1 + w), y2=float(y1 + h)))
+            boxes.append(Box2D(float(x1), float(y1), float(x1 + w), float(y1 + h)))
         tracks.append((TemporalSpan(start, end), boxes))
     return tracks
 
@@ -157,34 +161,29 @@ def generate_video(
             fh = int(rng.integers(10, 61))
             fx = int(rng.integers(0, CANVAS_W - fw))
             fy = int(rng.integers(0, CANVAS_H - fh))
-            kept.append(Box2D(x1=float(fx), y1=float(fy), x2=float(fx + fw), y2=float(fy + fh)))
+            kept.append(Box2D(float(fx), float(fy), float(fx + fw), float(fy + fh)))
         if kept:
             frames[f] = kept
     dets = FrameDetections(video_id=video_id, length=cfg.frames, frames={k: tuple(v) for k, v in frames.items()})
 
     clip_starts = list(range(0, max(cfg.frames - CLIP_LEN, 0) + 1, CLIP_STRIDE)) or [0]
-    sets = []
-    for stream in STREAMS:
-        entries = []
-        for start in clip_starts:
-            for crop in CENTER_CROPS:
-                values = cfg.noise * rng.standard_normal(cfg.classes)
-                values[true_class] += _SCORE_PEAK
-                entries.append(
-                    ClipScore(
-                        clip_start=start,
-                        crop_id=crop,
-                        vector=ScoreVector(values=tuple(float(v) for v in values), kind="raw"),
-                    )
-                )
-        sets.append(
-            StreamScoreSet(
-                video_id=video_id,
-                stream=stream,
-                granularity="net16",
-                entries=tuple(entries),
-            )
+    # One block of every clip score, stream by clip by crop by class: numpy fills it
+    # from the stream in the order of one standard_normal(classes) draw per clip and crop.
+    values = cfg.noise * rng.standard_normal((len(STREAMS), len(clip_starts), len(CENTER_CROPS), cfg.classes))
+    values[..., true_class] += _SCORE_PEAK
+    sets = [
+        StreamScoreSet(
+            video_id=video_id,
+            stream=stream,
+            granularity="net16",
+            entries=tuple(
+                ClipScore(clip_start=start, crop_id=crop, vector=ScoreVector(values=tuple(v), kind="raw"))
+                for start, per_clip in zip(clip_starts, per_stream)
+                for crop, v in zip(CENTER_CROPS, per_clip)
+            ),
         )
+        for stream, per_stream in zip(STREAMS, values.tolist())
+    ]
     return dets, gt, sets
 
 

@@ -4,9 +4,10 @@ Each is a scalar or brute-force twin of a pipeline step: exhaustive path
 enumeration for ``viterbi_link``, from-scratch re-linking for
 ``extract_tubes``, a scan of every clip for every frame for
 ``frame_scores_from_clips``, prefix-by-prefix matching for ``video_map``'s
-per-class AP, a sorted window for ``median_smooth``, and ``json.loads``
-on every line for the readers' line decoding. The brute-force twins refuse
-instances too large to enumerate.
+per-class AP, a sorted window for ``median_smooth``, ``json.loads``
+on every line for the readers' line decoding, and one scalar draw per
+walk step and per clip score for ``synth.generate_video``. The brute-force
+twins refuse instances too large to enumerate.
 """
 from __future__ import annotations
 
@@ -18,9 +19,10 @@ from tubekit.count_signal import (
 )
 from tubekit.errors import ParseError
 from tubekit.evaluation import VideoTube
-from tubekit.fusion import CLIP_LEN, ScoreVector, StreamScoreSet, _mean
-from tubekit.geometry import Box2D, Tube, box_iou, runs, tube_iou
+from tubekit.fusion import CENTER_CROPS, CLIP_LEN, STREAMS, ClipScore, ScoreVector, StreamScoreSet, _mean
+from tubekit.geometry import Box2D, TemporalSpan, Tube, box_iou, runs, tube_iou
 from tubekit.linking import ExtractionConfig, LinkingProblem
+from tubekit.synth import _SCORE_PEAK, CANVAS_H, CANVAS_W, CLIP_STRIDE, SynthConfig, _video_rng
 
 _MAX_PATHS = 10**6
 _MAX_TUBES_PER_CLASS = 10
@@ -265,3 +267,103 @@ def loads_records(path):
             if not isinstance(record, dict):
                 raise ParseError(path, line_no, None, "record is not an object")
             yield line_no, record
+
+
+def _scalar_plant_tracks(cfg: SynthConfig, rng) -> list[tuple[TemporalSpan, list[Box2D]]]:
+    """Twin of ``synth._plant_tracks``: one scalar draw per walk coordinate."""
+    if cfg.persons == 0:
+        return []
+    j = int(round(cfg.jitter))
+    w_lo = max(30, 8 * j)
+    h_lo = max(60, 12 * j)
+    w = int(rng.integers(w_lo, w_lo + 21))
+    h = int(rng.integers(h_lo, h_lo + 31))
+    margin = min(5, cfg.frames // 20)
+    start = int(rng.integers(0, margin + 1))
+    end = cfg.frames - 1 - int(rng.integers(0, margin + 1))
+
+    offset = max(w // 4, 1)
+    drift = 12
+    span_x = (cfg.persons - 1) * offset
+    pad_x = w // 2 + drift + 1
+    pad_y = h // 2 + drift + 1
+    cx = (CANVAS_W - span_x) // 2 + int(rng.integers(-10, 11))
+    cy = CANVAS_H // 2 + int(rng.integers(-10, 11))
+    cx = min(max(cx, pad_x), CANVAS_W - span_x - pad_x)
+    cy = min(max(cy, pad_y), CANVAS_H - pad_y)
+
+    x, y = cx, cy
+    positions = []
+    for f in range(start, end + 1):
+        if j > 0 and f > start:
+            x = min(max(x + int(rng.integers(-j, j + 1)), cx - drift), cx + drift)
+            y = min(max(y + int(rng.integers(-j, j + 1)), cy - drift), cy + drift)
+        positions.append((x, y))
+
+    tracks = []
+    for person in range(cfg.persons):
+        boxes = []
+        for px, py in positions:
+            x1 = px + person * offset - w // 2
+            y1 = py - h // 2
+            boxes.append(Box2D(x1=float(x1), y1=float(y1), x2=float(x1 + w), y2=float(y1 + h)))
+        tracks.append((TemporalSpan(start, end), boxes))
+    return tracks
+
+
+def scalar_generate_video(
+    cfg: SynthConfig, index: int
+) -> tuple[FrameDetections, list[VideoTube], list[StreamScoreSet]]:
+    """Twin of ``synth.generate_video``: every walk step and every clip score its own draw."""
+    rng = _video_rng(cfg.seed, index)
+    video_id = f"synth{index:04d}"
+    true_class = int(rng.integers(0, cfg.classes))
+
+    tracks = _scalar_plant_tracks(cfg, rng)
+    gt = [
+        (video_id, Tube(span=span, boxes=tuple(boxes), label=true_class))
+        for span, boxes in tracks
+    ]
+
+    frames: dict[int, list[Box2D]] = {}
+    for f in range(cfg.frames):
+        kept: list[Box2D] = []
+        for span, boxes in tracks:
+            if span.start <= f <= span.end:
+                box = boxes[f - span.start]
+                if rng.random() >= cfg.miss_rate:
+                    kept.append(box)
+        if rng.random() < cfg.fp_rate:
+            fw = int(rng.integers(10, 61))
+            fh = int(rng.integers(10, 61))
+            fx = int(rng.integers(0, CANVAS_W - fw))
+            fy = int(rng.integers(0, CANVAS_H - fh))
+            kept.append(Box2D(x1=float(fx), y1=float(fy), x2=float(fx + fw), y2=float(fy + fh)))
+        if kept:
+            frames[f] = kept
+    dets = FrameDetections(video_id=video_id, length=cfg.frames, frames={k: tuple(v) for k, v in frames.items()})
+
+    clip_starts = list(range(0, max(cfg.frames - CLIP_LEN, 0) + 1, CLIP_STRIDE)) or [0]
+    sets = []
+    for stream in STREAMS:
+        entries = []
+        for start in clip_starts:
+            for crop in CENTER_CROPS:
+                values = cfg.noise * rng.standard_normal(cfg.classes)
+                values[true_class] += _SCORE_PEAK
+                entries.append(
+                    ClipScore(
+                        clip_start=start,
+                        crop_id=crop,
+                        vector=ScoreVector(values=tuple(float(v) for v in values), kind="raw"),
+                    )
+                )
+        sets.append(
+            StreamScoreSet(
+                video_id=video_id,
+                stream=stream,
+                granularity="net16",
+                entries=tuple(entries),
+            )
+        )
+    return dets, gt, sets

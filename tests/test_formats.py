@@ -1,7 +1,10 @@
+import io
 import json
 import math
+import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -69,6 +72,11 @@ def flood_fill_boxes(mask, min_pixels):
 
 
 class TestMaskToBoxes:
+    @pytest.fixture(autouse=True, scope="class")
+    def scipy(self):
+        # mask_to_boxes needs the [masks] extra
+        pytest.importorskip("scipy")
+
     def test_background_only(self):
         assert mask_to_boxes(LabelMask(np.zeros((20, 20), dtype=int))) == []
 
@@ -121,6 +129,12 @@ class TestMaskToBoxes:
             LabelMask(np.zeros((0, 5), dtype=int))
         with pytest.raises(ValueError):
             LabelMask(np.full((4, 4), -1))
+
+
+def test_mask_to_boxes_without_scipy_names_the_extra(monkeypatch):
+    monkeypatch.setitem(sys.modules, "scipy", None)
+    with pytest.raises(ImportError, match=r"tubekit\[masks\]"):
+        mask_to_boxes(LabelMask(np.ones((4, 4), dtype=int)))
 
 
 def sample_detections():
@@ -399,6 +413,132 @@ class TestExactBytes:
             '{"video_id":"v","class":2,"threshold":0.333333,"series":[0.333333,1e-07,-0.0],'
             '"human":[true,false,true],"spans":[[0,1]],"tube_sums":[123457.0]}\n'
         )
+
+
+# The writers encode every record with one prebuilt C encoder, formats._encode;
+# json.dumps with the same options is the reference, and the pure-Python fallback
+# (formats._make_encode where json has no C encoder) must write the same bytes.
+ODD_ID = 'vé\x00\x1f\t\n"\\ \ud800\U0001f600'
+
+
+def _dumps(value) -> str:
+    return json.dumps(value, separators=(",", ":"), allow_nan=False)
+
+
+def _outcome(encode, value) -> str:
+    """The text ``encode`` returns for ``value``, or the repr of its ValueError."""
+    try:
+        return encode(value)
+    except ValueError as exc:
+        return repr(exc)
+
+
+def _python_fallback_outcomes(values) -> tuple[list[str], list[str]]:
+    """Outcomes of the fallback encoder and of json.dumps, both without json's C encoder."""
+    with mock.patch.object(json.encoder, "c_make_encoder", None):
+        fallback = formats._make_encode()
+        return [_outcome(fallback, v) for v in values], [_outcome(_dumps, v) for v in values]
+
+
+def _every_writer_record(monkeypatch) -> list:
+    """The records that each writer hands the encoder for hand-built inputs with an odd video id."""
+    records = []
+    encode = formats._encode
+
+    def keep(record):
+        records.append(record)
+        return encode(record)
+
+    monkeypatch.setattr(formats, "_encode", keep)
+    sink = io.StringIO()
+    write_detections(sink, [FrameDetections(ODD_ID, 2, {
+        0: (Box2D(-0.0, 1e-7, THIRD, 123456.789, score=THIRD), Box2D(1.0, 2.0, 3.0, 4.0)),
+    })])
+    write_tubes(sink, [
+        (ODD_ID, Tube(span=TemporalSpan(2, 2), boxes=(Box2D(0.0, 0.0, 1.0, 1.0),))),
+        (ODD_ID, Tube(span=TemporalSpan(0, 0), boxes=(Box2D(0.0, 0.0, 1.0, 1.0),), label=3, score=-0.0)),
+    ])
+    write_scores(sink, [
+        StreamScoreSet(ODD_ID, "rgb", "net16", (ClipScore(8, "center_flip", ScoreVector((THIRD, -0.0, 1e300))),)),
+        StreamScoreSet(ODD_ID, "flow", "netW", (ClipScore(0, "tl", ScoreVector((0.25, 0.75), "prob")),)),
+    ])
+    write_report(sink, EvalReport(
+        deltas=(0.05, THIRD),
+        per_delta={0.05: (ClassResult(1, THIRD, 3, 1, 1, ((THIRD, 1.0),)),), THIRD: (ClassResult(0, 0.0, 1, 0, 0, ()),)},
+        map_by_delta={0.05: THIRD, THIRD: -0.0},
+    ))
+    write_predictions(sink, [(ODD_ID, 2, (THIRD, -0.0)), (ODD_ID, 0, [5e-324])])
+    formats.write_actionness(sink, [
+        (ODD_ID, 2, THIRD, ActionnessSeries((THIRD, -0.0), (True, False)), [(0, 1), (3, 3)], (123456.789,)),
+        (ODD_ID, 0, 0.5, ActionnessSeries((), ()), [], []),
+    ])
+    monkeypatch.undo()
+    assert sink.getvalue() == "".join(_dumps(r) + "\n" for r in records)
+    return records
+
+
+def test_json_c_encoder_is_there(monkeypatch):
+    # c_make_encoder and its arguments are not documented: pin what _make_encode relies on
+    assert json.encoder.c_make_encoder.__module__ == "_json"
+    made = []
+
+    def spy(*args):
+        made.append(args)
+        return c_make_encoder(*args)
+
+    c_make_encoder = json.encoder.c_make_encoder
+    monkeypatch.setattr(json.encoder, "c_make_encoder", spy)
+    encode = formats._make_encode()
+    assert encode({"a": (1, 2.5, None, True, "é")}) == '{"a":[1,2.5,null,true,"\\u00e9"]}'
+    assert encode({}) == "{}"
+    assert len(made) == 1
+
+
+def test_encoder_writes_what_json_dumps_writes(monkeypatch):
+    records = _every_writer_record(monkeypatch)
+    # detections 2, tubes 2, scores 2, report 2, predictions 2, actionness 2
+    assert len(records) == 12
+    want = [_dumps(r) for r in records]
+    assert [formats._encode(r) for r in records] == want
+    fallback, dumps = _python_fallback_outcomes(records)
+    assert fallback == dumps == want
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_encoder_refuses_non_finite_reals_as_json_dumps_does(bad):
+    values = [bad, {"values": [0.5, bad]}, {"spans": [(0, bad)]}, {"video_id": "v", "score": bad}]
+    for value in values:
+        with pytest.raises(ValueError) as c_error:
+            formats._encode(value)
+        with pytest.raises(ValueError) as dumps_error:
+            _dumps(value)
+        assert repr(c_error.value) == repr(dumps_error.value)
+    fallback, dumps = _python_fallback_outcomes(values)
+    assert fallback == dumps
+    assert all(text.startswith("ValueError(") for text in fallback)
+
+
+ENCODABLE = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=True, allow_infinity=True) | st.text(),
+    lambda inner: (
+        st.lists(inner, max_size=3) | st.lists(inner, max_size=3).map(tuple)
+        | st.dictionaries(st.text(max_size=4), inner, max_size=3)
+    ),
+    max_leaves=8,
+)
+
+
+@given(st.lists(ENCODABLE, min_size=1, max_size=3))
+@settings(max_examples=300, deadline=None)
+def test_encoder_matches_json_dumps_on_any_acyclic_value(values):
+    want = [_outcome(_dumps, v) for v in values]
+    assert [_outcome(formats._encode, v) for v in values] == want
+    fallback, dumps = _python_fallback_outcomes(values)
+    assert fallback == dumps
+    # the C and the Python encoders write the same text and refuse the same values,
+    # though their messages may differ
+    for f, w in zip(fallback, want):
+        assert f == w or f.startswith("ValueError(") and w.startswith("ValueError(")
 
 
 # Exact parse-error texts on hostile inputs. Line 1 of every file is valid, so

@@ -18,6 +18,7 @@ from pathlib import Path
 from .errors import ParseError
 from .evaluation import AP_METHOD, EvalConfig, video_map
 from .formats import (
+    _real,
     _shown,
     read_detections,
     read_scores,
@@ -229,12 +230,14 @@ def _cmd_evaluate(args) -> int:
     report = video_map(preds, gts, cfg)
     write_report(args.out, report)
 
-    header = "class".ljust(8) + "".join(f"d={d:<8g}"[:9].ljust(9) for d in report.deltas)
-    print(header)
+    # each threshold as the report writes it, in a column wide enough for it and a space
+    labels = [f"d={_real(d)}" for d in report.deltas]
+    widths = [max(9, len(label) + 1) for label in labels]
+    print("class".ljust(8) + "".join(label.ljust(w) for label, w in zip(labels, widths)))
     # video_map reports the same sorted classes at every threshold
     for results in zip(*(report.per_delta[d] for d in report.deltas)):
-        print(str(results[0].label).ljust(8) + "".join(f"{r.ap:<9.4f}" for r in results))
-    print("mAP".ljust(8) + "".join(f"{report.map_by_delta[d]:<9.4f}" for d in report.deltas))
+        print(str(results[0].label).ljust(8) + "".join(f"{r.ap:<{w}.4f}" for r, w in zip(results, widths)))
+    print("mAP".ljust(8) + "".join(f"{report.map_by_delta[d]:<{w}.4f}" for d, w in zip(report.deltas, widths)))
     print(f"(AP: {AP_METHOD})")
     return EXIT_OK
 

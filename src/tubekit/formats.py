@@ -9,17 +9,19 @@ All files are line-delimited JSON, one record per line:
                "boxes": [[x1,y1,x2,y2] per frame]}
   report      {"delta", "class", "ap", "pr": [[recall, precision] ...], "map"}
 
-Every file is written by one writer, ``_write_records``, with one JSON
-encoder built once, at import: json's C encoder without the
-circular-reference check, since every record is a fresh acyclic tree of
-dicts, lists, strings and numbers. A line is what ``json.dumps(record,
-separators=(",", ":"), allow_nan=False)`` returns. The public writers
-only build records, with a fixed field order and reals quantized to 6
-significant digits, so identical inputs always produce identical
-bytes. Each takes a path to write, or an open text file to add its lines
-to. Readers ignore unknown extra fields and reject schema violations,
-non-finite numbers included, with the file, line and field named in the
-error.
+Every file is written by one writer, ``_write_records``, from lines that
+the public writers render as text, with a fixed field order: a string is
+json's own ``encode_basestring_ascii`` of it, an integer its digits, and
+a real ``_real(x)``, its ``%.6g`` text, which is ``repr(quantize(x))``:
+6 significant digits. A part shared by many lines, such as a video's
+``"video_id"`` prefix, is rendered once. So a line is what
+``json.dumps(record, separators=(",", ":"), allow_nan=False)`` returns
+for the record with its reals quantized, and identical inputs always
+produce identical bytes. A non-finite real raises json's ValueError
+before any of its line is written. Each writer takes a path to write, or
+an open text file to add its lines to. Readers ignore unknown extra
+fields and reject schema violations, non-finite numbers included, with
+the file, line and field named in the error.
 
 A reader decodes a line with json's scanner when the line is one object
 that ends at its newline, as every writer's line does, and with
@@ -62,44 +64,53 @@ def quantize(x: float) -> float:
     return float(f"{x:.6g}")
 
 
-def _make_encode():
-    """``json.dumps(record, separators=(",", ":"), allow_nan=False)`` as one prebuilt encoder.
+def _real(x: float) -> str:
+    """``json.dumps(quantize(x), allow_nan=False)``, from one conversion to text.
 
-    ``JSONEncoder.encode`` builds a C encoder, a float formatter and a
-    circular-reference dict on every call. This builds the C encoder once,
-    with no markers dict: the writers' records are acyclic. Without ``_json``
-    it falls back on the pure-Python encoder, which writes the same bytes.
+    ``%.6g`` and repr write the same digits for a double that 6 digits name
+    exactly, and json writes a float as its repr. They differ only in form: an
+    integral ``%.6g`` text lacks repr's ``.0``; repr writes 1e6 to 1e16 in
+    fixed notation; and a subnormal may round to fewer digits. Those texts, and
+    ``inf`` and ``nan``, on which json raises its ValueError, take json's path.
     """
-    c_make_encoder = json.encoder.c_make_encoder
-    if c_make_encoder is None:
-        return json.JSONEncoder(separators=(",", ":"), allow_nan=False, check_circular=False).encode
-    # the arguments JSONEncoder.iterencode passes: markers, default, string encoder,
-    # indent, key and item separators, sort_keys, skipkeys, allow_nan
-    iterencode = c_make_encoder(
-        None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii,
-        None, ":", ",", False, False, False,
-    )
-
-    def encode(record) -> str:
-        return "".join(iterencode(record, 0))
-
-    return encode
+    s = "%.6g" % x
+    if "e" in s:
+        # 1e-307 is above the subnormals (< 2.2250738585072014e-308) and all that rounds into them
+        if 1e-307 < abs(x) < 1e-4 or abs(x) >= 1e16:
+            return s
+    elif "." in s:
+        return s
+    elif "n" not in s:  # not inf or nan
+        return s + ".0"
+    return json.dumps(float(s), allow_nan=False)
 
 
-_encode = _make_encode()
+# A longer array is joined a slice at a time: str.join lists every part first,
+# and a string per real of a million-frame series is some 50 MB.
+_JOIN_SLICE = 4096
 
 
-def _write_records(out, records: Iterable[dict]) -> None:
-    """One compact JSON object per line; every file is written here.
+def _reals(values: Sequence[float]) -> str:
+    """The reals of a JSON array, without its brackets."""
+    if len(values) <= _JOIN_SLICE:
+        return ",".join(map(_real, values))
+    return ",".join([_reals(values[i:i + _JOIN_SLICE]) for i in range(0, len(values), _JOIN_SLICE)])
+
+
+# json's own string encoder, with the ensure_ascii escapes that json.dumps writes
+_string = json.encoder.encode_basestring_ascii
+
+
+def _write_records(out, lines: Iterable[str]) -> None:
+    """Write each record's line, newline included; every file is written here.
 
     ``out`` is a path to write, or an open text file to add the lines to.
     """
     if not hasattr(out, "write"):
         with open(out, "w", encoding="utf-8") as fh:
-            _write_records(fh, records)
+            fh.writelines(lines)
         return
-    for record in records:
-        out.write(_encode(record) + "\n")
+    out.writelines(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -223,19 +234,22 @@ def _tube_box(path, line_no, rb) -> Box2D:
     return _checked_box(path, line_no, *[_number(path, line_no, "boxes", v) for v in rb])
 
 
-def _detection_box_record(b: Box2D) -> dict:
-    rec = {"x1": quantize(b.x1), "y1": quantize(b.y1), "x2": quantize(b.x2), "y2": quantize(b.y2)}
-    if b.score is not None:
-        rec["score"] = quantize(b.score)
-    return rec
+def _detection_box_text(b: Box2D) -> str:
+    corners = _real(b.x1), _real(b.y1), _real(b.x2), _real(b.y2)
+    if b.score is None:
+        return '{"x1":%s,"y1":%s,"x2":%s,"y2":%s}' % corners
+    return '{"x1":%s,"y1":%s,"x2":%s,"y2":%s,"score":%s}' % (*corners, _real(b.score))
 
 
 def write_detections(path, videos: Iterable[FrameDetections]) -> None:
-    _write_records(path, (
-        {"video_id": dets.video_id, "frame": f, "boxes": [_detection_box_record(b) for b in dets.frames.get(f, ())]}
-        for dets in videos
-        for f in range(dets.length)
-    ))
+    def lines():
+        for dets in videos:
+            head = '{"video_id":%s,"frame":' % _string(dets.video_id)
+            for f in range(dets.length):
+                boxes = ",".join(map(_detection_box_text, dets.frames.get(f, ())))
+                yield f'{head}{f},"boxes":[{boxes}]}}\n'
+
+    _write_records(path, lines())
 
 
 _DETECTION_FIELDS = ("video_id", "frame", "boxes")
@@ -289,19 +303,18 @@ def read_detections(path) -> list[FrameDetections]:
 
 
 def write_scores(path, sets: Iterable[StreamScoreSet]) -> None:
-    _write_records(path, (
-        {
-            "video_id": s.video_id,
-            "stream": s.stream,
-            "granularity": s.granularity,
-            "clip_start": e.clip_start,
-            "crop_id": e.crop_id,
-            "kind": e.vector.kind,
-            "values": [quantize(v) for v in e.vector.values],
-        }
-        for s in sets
-        for e in s.entries
-    ))
+    def lines():
+        for s in sets:
+            head = '{"video_id":%s,"stream":%s,"granularity":%s,"clip_start":' % (
+                _string(s.video_id), _string(s.stream), _string(s.granularity),
+            )
+            for e in s.entries:
+                yield (
+                    f'{head}{e.clip_start:d},"crop_id":{_string(e.crop_id)},"kind":{_string(e.vector.kind)},'
+                    f'"values":[{_reals(e.vector.values)}]}}\n'
+                )
+
+    _write_records(path, lines())
 
 
 _SCORE_FIELDS = ("video_id", "stream", "granularity", "crop_id", "kind", "clip_start", "values")
@@ -395,16 +408,18 @@ def read_scores(path) -> dict[tuple[str, str, str], StreamScoreSet]:
     }
 
 
-def _tube_record(vid: str, tube: Tube) -> dict:
-    record = {"video_id": vid, "label": tube.label, "start": tube.span.start, "end": tube.span.end}
-    if tube.score is not None:
-        record["score"] = quantize(tube.score)
-    record["boxes"] = [[quantize(b.x1), quantize(b.y1), quantize(b.x2), quantize(b.y2)] for b in tube.boxes]
-    return record
+def _tube_line(vid: str, tube: Tube) -> str:
+    label = "null" if tube.label is None else "%d" % tube.label
+    score = "" if tube.score is None else ',"score":' + _real(tube.score)
+    boxes = ",".join([f"[{_real(b.x1)},{_real(b.y1)},{_real(b.x2)},{_real(b.y2)}]" for b in tube.boxes])
+    return (
+        f'{{"video_id":{_string(vid)},"label":{label},'
+        f'"start":{tube.span.start:d},"end":{tube.span.end:d}{score},"boxes":[{boxes}]}}\n'
+    )
 
 
 def write_tubes(path, tubes: Iterable[VideoTube]) -> None:
-    _write_records(path, (_tube_record(vid, tube) for vid, tube in tubes))
+    _write_records(path, (_tube_line(vid, tube) for vid, tube in tubes))
 
 
 def read_tubes(path, required: Sequence[str] = ()) -> list[VideoTube]:
@@ -458,17 +473,15 @@ def read_tubes(path, required: Sequence[str] = ()) -> list[VideoTube]:
 
 
 def write_report(path, report: EvalReport) -> None:
-    _write_records(path, (
-        {
-            "delta": quantize(delta),
-            "class": result.label,
-            "ap": quantize(result.ap),
-            "pr": [[quantize(r), quantize(p)] for r, p in result.pr],
-            "map": quantize(report.map_by_delta[delta]),
-        }
-        for delta in report.deltas
-        for result in report.per_delta[delta]
-    ))
+    def lines():
+        for delta in report.deltas:
+            head = '{"delta":%s,"class":' % _real(delta)
+            tail = ',"map":%s}\n' % _real(report.map_by_delta[delta])
+            for result in report.per_delta[delta]:
+                pr = ",".join([f"[{_real(r)},{_real(p)}]" for r, p in result.pr])
+                yield f'{head}{result.label:d},"ap":{_real(result.ap)},"pr":[{pr}]{tail}'
+
+    _write_records(path, lines())
 
 
 def read_report(path) -> list[dict]:
@@ -484,7 +497,7 @@ def read_report(path) -> list[dict]:
 def write_predictions(path, rows: Iterable[tuple[str, int, Sequence[float]]]) -> None:
     """Per-video fused label and score vector, as emitted by the fuse command."""
     _write_records(path, (
-        {"video_id": vid, "label": label, "values": [quantize(v) for v in values]}
+        f'{{"video_id":{_string(vid)},"label":{label:d},"values":[{_reals(values)}]}}\n'
         for vid, label, values in rows
     ))
 
@@ -504,15 +517,17 @@ def write_actionness(
     rows: Iterable[tuple[str, int, float, ActionnessSeries, Sequence[tuple[int, int]], Sequence[float]]],
 ) -> None:
     """Per-video actionness record: class, threshold, series, gate, (start, end) spans and tube sums."""
-    _write_records(path, (
-        {
-            "video_id": vid,
-            "class": cls,
-            "threshold": quantize(threshold),
-            "series": [quantize(v) for v in series.values],
-            "human": series.human_present,
-            "spans": spans,
-            "tube_sums": [quantize(v) for v in tube_sums],
-        }
-        for vid, cls, threshold, series, spans, tube_sums in rows
-    ))
+    _write_records(path, (_actionness_line(*row) for row in rows))
+
+
+_BOOLS = ("false", "true")  # indexed by a bool
+
+
+def _actionness_line(vid, cls, threshold, series, spans, tube_sums) -> str:
+    human = ",".join(map(_BOOLS.__getitem__, series.human_present))
+    span_pairs = ",".join([f"[{start:d},{end:d}]" for start, end in spans])
+    return (
+        f'{{"video_id":{_string(vid)},"class":{cls:d},"threshold":{_real(threshold)},'
+        f'"series":[{_reals(series.values)}],"human":[{human}],'
+        f'"spans":[{span_pairs}],"tube_sums":[{_reals(tube_sums)}]}}\n'
+    )

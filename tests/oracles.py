@@ -5,8 +5,9 @@ enumeration for ``viterbi_link``, from-scratch re-linking for
 ``extract_tubes``, a scan of every clip for every frame for
 ``frame_scores_from_clips``, prefix-by-prefix matching for ``video_map``'s
 per-class AP, a sorted window for ``median_smooth``, ``json.loads``
-on every line for the readers' line decoding, and one scalar draw per
-walk step and per clip score for ``synth.generate_video``. The brute-force
+on every line for the readers' line decoding, one scalar draw per
+walk step and per clip score for ``synth.generate_video``, and dict
+records through ``json.dumps`` for the writers. The brute-force
 twins refuse instances too large to enumerate.
 """
 from __future__ import annotations
@@ -19,6 +20,7 @@ from tubekit.count_signal import (
 )
 from tubekit.errors import ParseError
 from tubekit.evaluation import VideoTube
+from tubekit.formats import quantize
 from tubekit.fusion import CENTER_CROPS, CLIP_LEN, STREAMS, ClipScore, ScoreVector, StreamScoreSet, _mean
 from tubekit.geometry import Box2D, TemporalSpan, Tube, box_iou, runs, tube_iou
 from tubekit.linking import ExtractionConfig, LinkingProblem
@@ -367,3 +369,88 @@ def scalar_generate_video(
             )
         )
     return dets, gt, sets
+
+
+# Twins of the writers: each builds the records that the writers once handed
+# json's encoder, with every real quantized, and ``dumped_lines`` writes them as
+# json.dumps does. Every writer's text must equal it.
+
+
+def _detection_box_record(b: Box2D) -> dict:
+    rec = {"x1": quantize(b.x1), "y1": quantize(b.y1), "x2": quantize(b.x2), "y2": quantize(b.y2)}
+    if b.score is not None:
+        rec["score"] = quantize(b.score)
+    return rec
+
+
+def detection_records(videos):
+    return [
+        {"video_id": dets.video_id, "frame": f, "boxes": [_detection_box_record(b) for b in dets.frames.get(f, ())]}
+        for dets in videos
+        for f in range(dets.length)
+    ]
+
+
+def score_records(sets):
+    return [
+        {
+            "video_id": s.video_id,
+            "stream": s.stream,
+            "granularity": s.granularity,
+            "clip_start": e.clip_start,
+            "crop_id": e.crop_id,
+            "kind": e.vector.kind,
+            "values": [quantize(v) for v in e.vector.values],
+        }
+        for s in sets
+        for e in s.entries
+    ]
+
+
+def tube_records(tubes):
+    records = []
+    for vid, tube in tubes:
+        record = {"video_id": vid, "label": tube.label, "start": tube.span.start, "end": tube.span.end}
+        if tube.score is not None:
+            record["score"] = quantize(tube.score)
+        record["boxes"] = [[quantize(b.x1), quantize(b.y1), quantize(b.x2), quantize(b.y2)] for b in tube.boxes]
+        records.append(record)
+    return records
+
+
+def report_records(report):
+    return [
+        {
+            "delta": quantize(delta),
+            "class": result.label,
+            "ap": quantize(result.ap),
+            "pr": [[quantize(r), quantize(p)] for r, p in result.pr],
+            "map": quantize(report.map_by_delta[delta]),
+        }
+        for delta in report.deltas
+        for result in report.per_delta[delta]
+    ]
+
+
+def prediction_records(rows):
+    return [{"video_id": vid, "label": label, "values": [quantize(v) for v in values]} for vid, label, values in rows]
+
+
+def actionness_records(rows):
+    return [
+        {
+            "video_id": vid,
+            "class": cls,
+            "threshold": quantize(threshold),
+            "series": [quantize(v) for v in series.values],
+            "human": series.human_present,
+            "spans": spans,
+            "tube_sums": [quantize(v) for v in tube_sums],
+        }
+        for vid, cls, threshold, series, spans, tube_sums in rows
+    ]
+
+
+def dumped_lines(records) -> str:
+    """Each record as ``json.dumps(record, separators=(",", ":"), allow_nan=False)``, a line each."""
+    return "".join(json.dumps(r, separators=(",", ":"), allow_nan=False) + "\n" for r in records)

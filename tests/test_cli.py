@@ -348,6 +348,29 @@ class TestEvaluate:
         assert lines[1001].split() == ["mAP", "1.0000", "1.0000"]
         assert lines[1002] == "(AP: all-point precision envelope)"
 
+    @pytest.mark.parametrize("deltas, table", [
+        # labels longer than the 9-character column widen it, one space after each
+        ("0.123456,0.123459", (
+            "class   d=0.123456 d=0.123459 \n"
+            "0       1.0000     1.0000     \n"
+            "mAP     1.0000     1.0000     \n"
+        )),
+        # a subnormal threshold reads as the report writes it
+        ("1e-320", (
+            "class   d=1e-320 \n"
+            "0       1.0000   \n"
+            "mAP     1.0000   \n"
+        )),
+    ], ids=["six-digit", "subnormal"])
+    def test_table_names_each_threshold_as_the_report_does(self, tmp_path, capsys, deltas, table):
+        gt, preds, report = tmp_path / "gt.jsonl", tmp_path / "preds.jsonl", tmp_path / "r.jsonl"
+        write_tube_records(gt, [("v", 0, 0, 9, None, [0, 0, 10, 10])])
+        write_tube_records(preds, [("v", 0, 0, 9, 0.9, [0, 0, 10, 10])])
+        assert run("evaluate", str(preds), str(gt), "--deltas", deltas, "--out", str(report)) == 0
+        assert capsys.readouterr().out == table + "(AP: all-point precision envelope)\n"
+        written = [f"d={line.split(',')[0].split(':')[1]}" for line in report.read_text().splitlines()]
+        assert written == table.split("\n")[0].split()[1:]
+
     def test_parse_error_exits_2(self, corpus, tmp_path):
         bad = tmp_path / "bad.jsonl"
         bad.write_text("{oops\n")

@@ -4,15 +4,17 @@ import math
 import sys
 import tempfile
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import loads_records
 from tubekit import formats
+from tubekit.formats import quantize
+from tubekit.synth import SynthConfig, generate_video
 from tubekit.imaging import LabelMask, mask_to_boxes
 from tubekit import (
     ActionnessSeries,
@@ -415,130 +417,178 @@ class TestExactBytes:
         )
 
 
-# The writers encode every record with one prebuilt C encoder, formats._encode;
-# json.dumps with the same options is the reference, and the pure-Python fallback
-# (formats._make_encode where json has no C encoder) must write the same bytes.
-ODD_ID = 'vé\x00\x1f\t\n"\\ \ud800\U0001f600'
+# The writers render each line as text; tests/oracles.py builds the dict
+# records they once handed json's encoder, and json.dumps of those records with
+# the same options is the reference for every line. formats._real renders a real.
+ODD_ID = 'vé\x00\x1f\t\n"\\ \ud800\U0001f600'
+LINE_RECORDS = {  # writer -> its twin in tests/oracles.py
+    write_detections: oracles.detection_records,
+    write_scores: oracles.score_records,
+    write_tubes: oracles.tube_records,
+    write_report: oracles.report_records,
+    write_predictions: oracles.prediction_records,
+    formats.write_actionness: oracles.actionness_records,
+}
 
 
-def _dumps(value) -> str:
-    return json.dumps(value, separators=(",", ":"), allow_nan=False)
-
-
-def _outcome(encode, value) -> str:
-    """The text ``encode`` returns for ``value``, or the repr of its ValueError."""
+def _outcome(render, *args) -> str:
+    """The text ``render(*args)`` returns, or the repr of its ValueError."""
     try:
-        return encode(value)
+        return render(*args)
     except ValueError as exc:
         return repr(exc)
 
 
-def _python_fallback_outcomes(values) -> tuple[list[str], list[str]]:
-    """Outcomes of the fallback encoder and of json.dumps, both without json's C encoder."""
-    with mock.patch.object(json.encoder, "c_make_encoder", None):
-        fallback = formats._make_encode()
-        return [_outcome(fallback, v) for v in values], [_outcome(_dumps, v) for v in values]
-
-
-def _every_writer_record(monkeypatch) -> list:
-    """The records that each writer hands the encoder for hand-built inputs with an odd video id."""
-    records = []
-    encode = formats._encode
-
-    def keep(record):
-        records.append(record)
-        return encode(record)
-
-    monkeypatch.setattr(formats, "_encode", keep)
+def _lines(writer, items) -> str:
     sink = io.StringIO()
-    write_detections(sink, [FrameDetections(ODD_ID, 2, {
-        0: (Box2D(-0.0, 1e-7, THIRD, 123456.789, score=THIRD), Box2D(1.0, 2.0, 3.0, 4.0)),
-    })])
-    write_tubes(sink, [
-        (ODD_ID, Tube(span=TemporalSpan(2, 2), boxes=(Box2D(0.0, 0.0, 1.0, 1.0),))),
-        (ODD_ID, Tube(span=TemporalSpan(0, 0), boxes=(Box2D(0.0, 0.0, 1.0, 1.0),), label=3, score=-0.0)),
-    ])
-    write_scores(sink, [
-        StreamScoreSet(ODD_ID, "rgb", "net16", (ClipScore(8, "center_flip", ScoreVector((THIRD, -0.0, 1e300))),)),
-        StreamScoreSet(ODD_ID, "flow", "netW", (ClipScore(0, "tl", ScoreVector((0.25, 0.75), "prob")),)),
-    ])
-    write_report(sink, EvalReport(
-        deltas=(0.05, THIRD),
-        per_delta={0.05: (ClassResult(1, THIRD, 3, 1, 1, ((THIRD, 1.0),)),), THIRD: (ClassResult(0, 0.0, 1, 0, 0, ()),)},
-        map_by_delta={0.05: THIRD, THIRD: -0.0},
-    ))
-    write_predictions(sink, [(ODD_ID, 2, (THIRD, -0.0)), (ODD_ID, 0, [5e-324])])
-    formats.write_actionness(sink, [
-        (ODD_ID, 2, THIRD, ActionnessSeries((THIRD, -0.0), (True, False)), [(0, 1), (3, 3)], (123456.789,)),
-        (ODD_ID, 0, 0.5, ActionnessSeries((), ()), [], []),
-    ])
-    monkeypatch.undo()
-    assert sink.getvalue() == "".join(_dumps(r) + "\n" for r in records)
-    return records
+    writer(sink, items)
+    return sink.getvalue()
 
 
-def test_json_c_encoder_is_there(monkeypatch):
-    # c_make_encoder and its arguments are not documented: pin what _make_encode relies on
-    assert json.encoder.c_make_encoder.__module__ == "_json"
-    made = []
+def _every_writer_input() -> list:
+    """(writer, items) for hand-built inputs of each writer with an odd video id."""
+    return [
+        (write_detections, [FrameDetections(ODD_ID, 2, {
+            0: (Box2D(-0.0, 1e-7, THIRD, 123456.789, score=THIRD), Box2D(1.0, 2.0, 3.0, 4.0)),
+        })]),
+        (write_tubes, [
+            (ODD_ID, Tube(span=TemporalSpan(2, 2), boxes=(Box2D(0.0, 0.0, 1.0, 1.0),))),
+            (ODD_ID, Tube(span=TemporalSpan(0, 0), boxes=(Box2D(0.0, 0.0, 1.0, 1.0),), label=3, score=-0.0)),
+        ]),
+        (write_scores, [
+            StreamScoreSet(ODD_ID, "rgb", "net16", (ClipScore(8, "center_flip", ScoreVector((THIRD, -0.0, 1e300))),)),
+            StreamScoreSet(ODD_ID, "flow", "netW", (ClipScore(0, "tl", ScoreVector((0.25, 0.75), "prob")),)),
+        ]),
+        (write_report, EvalReport(
+            deltas=(0.05, THIRD),
+            per_delta={0.05: (ClassResult(1, THIRD, 3, 1, 1, ((THIRD, 1.0),)),), THIRD: (ClassResult(0, 0.0, 1, 0, 0, ()),)},
+            map_by_delta={0.05: THIRD, THIRD: -0.0},
+        )),
+        (write_predictions, [(ODD_ID, 2, (THIRD, -0.0)), (ODD_ID, 0, [5e-324])]),
+        (formats.write_actionness, [
+            (ODD_ID, 2, THIRD, ActionnessSeries((THIRD, -0.0), (True, False)), [(0, 1), (3, 3)], (123456.789,)),
+            (ODD_ID, 0, 0.5, ActionnessSeries((), ()), [], []),
+        ]),
+    ]
 
-    def spy(*args):
-        made.append(args)
-        return c_make_encoder(*args)
 
-    c_make_encoder = json.encoder.c_make_encoder
-    monkeypatch.setattr(json.encoder, "c_make_encoder", spy)
-    encode = formats._make_encode()
-    assert encode({"a": (1, 2.5, None, True, "é")}) == '{"a":[1,2.5,null,true,"\\u00e9"]}'
-    assert encode({}) == "{}"
-    assert len(made) == 1
+def test_json_string_encoder_is_there():
+    # the writers encode strings with json's own encoder, which json.dumps calls
+    # with ensure_ascii; pin that it is the C one and writes what json.dumps writes
+    assert formats._string is json.encoder.c_encode_basestring_ascii
+    for text in (ODD_ID, "", "v", "é" * 3, "\x7f\x80\uffff"):
+        assert formats._string(text) == json.dumps(text) == json.encoder.py_encode_basestring_ascii(text)
 
 
-def test_encoder_writes_what_json_dumps_writes(monkeypatch):
-    records = _every_writer_record(monkeypatch)
+def test_writers_write_what_json_dumps_writes():
+    inputs = _every_writer_input()
+    assert {writer for writer, _ in inputs} == set(LINE_RECORDS)
+    records = [LINE_RECORDS[writer](items) for writer, items in inputs]
     # detections 2, tubes 2, scores 2, report 2, predictions 2, actionness 2
-    assert len(records) == 12
-    want = [_dumps(r) for r in records]
-    assert [formats._encode(r) for r in records] == want
-    fallback, dumps = _python_fallback_outcomes(records)
-    assert fallback == dumps == want
+    assert [len(r) for r in records] == [2] * 6
+    for (writer, items), recs in zip(inputs, records):
+        assert _lines(writer, items) == oracles.dumped_lines(recs)
+
+
+def test_synth_corpus_lines_are_what_json_dumps_writes():
+    cfg = SynthConfig(videos=4, frames=40, persons=2, fp_rate=0.3, miss_rate=0.1, classes=5, seed=11)
+    videos = [generate_video(cfg, i) for i in range(cfg.videos)]
+    dets = [d for d, _, _ in videos]
+    gt = [t for _, tubes, _ in videos for t in tubes]
+    sets = [s for _, _, ss in videos for s in ss]
+    for writer, items in ((write_detections, dets), (write_tubes, gt), (write_scores, sets)):
+        assert _lines(writer, items) == oracles.dumped_lines(LINE_RECORDS[writer](items))
+
+
+def test_series_longer_than_a_join_slice():
+    n = 2 * formats._JOIN_SLICE + 3
+    row = ("v", 0, 0.5, ActionnessSeries(tuple(f / 7 for f in range(n)), tuple(f % 3 == 0 for f in range(n))),
+           [(0, n - 1)], [n / 7])
+    assert _lines(formats.write_actionness, [row]) == oracles.dumped_lines(oracles.actionness_records([row]))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_encoder_refuses_non_finite_reals_as_json_dumps_does(bad):
-    values = [bad, {"values": [0.5, bad]}, {"spans": [(0, bad)]}, {"video_id": "v", "score": bad}]
-    for value in values:
-        with pytest.raises(ValueError) as c_error:
-            formats._encode(value)
-        with pytest.raises(ValueError) as dumps_error:
-            _dumps(value)
-        assert repr(c_error.value) == repr(dumps_error.value)
-    fallback, dumps = _python_fallback_outcomes(values)
-    assert fallback == dumps
-    assert all(text.startswith("ValueError(") for text in fallback)
+    with pytest.raises(ValueError) as dumps_error:
+        json.dumps(bad, allow_nan=False)
+    want = repr(dumps_error.value)
+    assert _outcome(formats._real, bad) == want
+    good = [("v", 0, [0.5])]
+    for writer, items in [
+        (write_predictions, good + [("v", 1, [0.5, bad])]),
+        (formats.write_actionness, [("v", 0, bad, ActionnessSeries((), ()), [], [])]),
+        (formats.write_actionness, [("v", 0, 0.5, ActionnessSeries((0.5, bad), (True, True)), [], [])]),
+        (formats.write_actionness, [("v", 0, 0.5, ActionnessSeries((), ()), [], [1.0, bad])]),
+        (write_report, EvalReport((0.5,), {0.5: (ClassResult(0, 0.5, 1, 1, 0, ((1.0, bad),)),)}, {0.5: 0.5})),
+    ]:
+        # the lines before the bad one are written, and nothing of the bad one
+        sink = io.StringIO()
+        assert _outcome(writer, sink, items) == want
+        assert _outcome(oracles.dumped_lines, LINE_RECORDS[writer](items)) == want
+        assert sink.getvalue() == (_lines(writer, good) if writer is write_predictions else "")
 
 
-ENCODABLE = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=True, allow_infinity=True) | st.text(),
-    lambda inner: (
-        st.lists(inner, max_size=3) | st.lists(inner, max_size=3).map(tuple)
-        | st.dictionaries(st.text(max_size=4), inner, max_size=3)
-    ),
-    max_leaves=8,
+# doubles at the edges of each form of the %.6g text: zeros, subnormals, the
+# smallest normal, the fixed-notation range [1e-4, 1e6), repr's fixed range up
+# to 1e16, the largest double, and integers
+REAL_EDGES = [
+    0.0, -0.0, 5e-324, -5e-324, 1e-320, 2.2250738585072014e-308, 2.225074e-308, 2.22507e-308,
+    math.nextafter(2.2250738585072014e-308, 0.0), math.nextafter(2.2250738585072014e-308, 1.0),
+    1e-307, math.nextafter(1e-307, 0.0), 9.999995e-05, 9.9999949e-05, 1e-4, math.nextafter(1e-4, 0.0),
+    999999.5, 999999.4, 1e6, 1e15, 9.999995e15, 9.9999949e15, 1e16, math.nextafter(1e16, 0.0),
+    1e300, 1.7976931348623157e308, 1 / 3, 123456.789, 1e-7,
+] + [float(n) for n in (1, 10, 99, 100, 12345, 123456, 999999, 10**6)]
+
+
+@pytest.mark.parametrize("x", REAL_EDGES + [-x for x in REAL_EDGES], ids=repr)
+def test_real_on_the_edges_of_each_form(x):
+    assert formats._real(x) == json.dumps(quantize(x))
+
+
+def test_real_on_integers():
+    for n in range(-10**6, 10**6 + 1, 997):
+        assert formats._real(float(n)) == formats._real(n) == json.dumps(quantize(n))
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@settings(max_examples=2000, deadline=None)
+def test_real_is_json_dumps_of_quantize(x):
+    assert formats._real(x) == json.dumps(quantize(x), allow_nan=False)
+
+
+BOX = st.tuples(
+    st.floats(-1e6, 1e6), st.floats(-1e6, 1e6), st.floats(1e-3, 1e6), st.floats(1e-3, 1e6),
+    st.none() | st.floats(allow_nan=False, allow_infinity=False),
+).map(lambda b: Box2D(b[0], b[1], b[0] + b[2], b[1] + b[3], b[4]))
+ANY_REAL = st.floats(allow_nan=True, allow_infinity=True)
+
+
+@given(
+    st.text(max_size=6),
+    st.lists(st.lists(BOX, max_size=3), max_size=3),
+    st.lists(st.tuples(st.integers(-2**70, 2**70), st.lists(ANY_REAL, max_size=4)), max_size=3),
+    st.lists(st.tuples(ANY_REAL, st.booleans()), max_size=5),
+    st.lists(st.tuples(ANY_REAL, ANY_REAL), max_size=3),
 )
-
-
-@given(st.lists(ENCODABLE, min_size=1, max_size=3))
 @settings(max_examples=300, deadline=None)
-def test_encoder_matches_json_dumps_on_any_acyclic_value(values):
-    want = [_outcome(_dumps, v) for v in values]
-    assert [_outcome(formats._encode, v) for v in values] == want
-    fallback, dumps = _python_fallback_outcomes(values)
-    assert fallback == dumps
-    # the C and the Python encoders write the same text and refuse the same values,
-    # though their messages may differ
-    for f, w in zip(fallback, want):
-        assert f == w or f.startswith("ValueError(") and w.startswith("ValueError(")
+def test_writer_lines_match_json_dumps_on_any_input(vid, frames, predictions, series, pr):
+    inputs = [
+        (write_detections, [FrameDetections(vid, len(frames), {f: tuple(b) for f, b in enumerate(frames) if b})]),
+        (write_tubes, [(vid, Tube(TemporalSpan(3, 3 + len(b) - 1), tuple(b), label=len(b), score=b[0].score))
+                       for b in frames if b]),
+        (write_predictions, [(vid, label, values) for label, values in predictions]),
+        (formats.write_actionness, [(
+            vid, 1, series[0][0] if series else 0.5,
+            ActionnessSeries(tuple(v for v, _ in series), tuple(h for _, h in series)),
+            [(f, f + 1) for f in range(len(series))], [v for v, _ in pr],
+        )]),
+        (write_report, EvalReport(
+            (0.5, 0.25), {0.5: (ClassResult(0, pr[0][1] if pr else 0.0, 1, 1, 0, tuple(pr)),), 0.25: ()},
+            {0.5: series[-1][0] if series else 1.0, 0.25: 0.0},
+        )),
+    ]
+    for writer, items in inputs:
+        assert _outcome(_lines, writer, items) == _outcome(oracles.dumped_lines, LINE_RECORDS[writer](items))
 
 
 # Exact parse-error texts on hostile inputs. Line 1 of every file is valid, so

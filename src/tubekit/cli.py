@@ -36,6 +36,7 @@ from .fusion import (
     GRANULARITIES,
     STREAMS,
     StreamScoreSet,
+    _majority_label,
     aggregate_video,
     compose_actionness,
     frame_scores_from_clips,
@@ -139,7 +140,7 @@ def _cmd_fuse(args) -> int:
     video_ids = sorted({vid for vid, _, _ in sets})
 
     def fuse_one(vid: str):
-        fused_per_gran = []
+        fused_per_gran, groups = [], []
         for gran in grans:
             scores = sets.get((vid, args.stream, gran))
             units = [e.vector for e in scores.entries if e.crop_id in crops] if scores else []
@@ -150,9 +151,11 @@ def _cmd_fuse(args) -> int:
                 )
             label, fused = aggregate_video(units, args.method)
             fused_per_gran.append(fused)
+            groups.append(units)
         if len(fused_per_gran) > 1:
             final = multigranular_fuse(fused_per_gran)
-            label = final.argmax()
+            # averaged vote histograms keep the vote rule: a tie goes to the higher mean score
+            label = _majority_label(final.values, groups) if args.method == "majority" else final.argmax()
         else:
             final = fused_per_gran[0]
         return vid, label, final.values
@@ -178,23 +181,16 @@ def _cmd_actionness(args) -> int:
     k = next(iter(sets.values())).k  # read_scores checks that K is the same file-wide
     _require(args.action_class < k, f"--class must be < {k} (class count of the scores file)")
 
-    # human-presence gate per video: either detection boxes or tube coverage
-    gates: dict[str, list[bool]] = {}
-    tubes_by_video: dict[str, list] = {}
+    # per video, what its human-presence gate is made from: its detections or its tubes
     if args.detections is not None:
-        for dets in read_detections(args.detections):
-            gates[dets.video_id] = [f in dets.frames for f in range(dets.length)]  # frames with boxes
+        sources = {dets.video_id: dets for dets in read_detections(args.detections)}
     else:
+        sources = {}
         for vid, tube in read_tubes(args.tubes):
-            tubes_by_video.setdefault(vid, []).append(tube)
-        for vid, tubes in tubes_by_video.items():
-            human = [False] * (max(t.span.end for t in tubes) + 1)
-            for t in tubes:
-                human[t.span.start:t.span.end + 1] = [True] * t.span.length
-            gates[vid] = human
+            sources.setdefault(vid, []).append(tube)
 
     # every stream is looked up before --out is opened, so a missing one leaves no file
-    videos = sorted(gates)
+    videos = sorted(sources)
     for vid in videos:
         for stream in _ACTIONNESS_STREAMS:
             if (vid, stream, args.granularity) not in sets:
@@ -202,20 +198,26 @@ def _cmd_actionness(args) -> int:
                     args.scores, message=f"missing stream {stream!r} ({args.granularity}) for video {_shown(vid)}"
                 )
 
-    def rows():
-        # one video's per-frame lists at a time: they grow with its last frame
-        for vid in videos:
-            human = gates.pop(vid)
-            probs = [
-                _frame_probs(sets[vid, stream, args.granularity], len(human), args.action_class)
-                for stream in _ACTIONNESS_STREAMS
-            ]
-            series = compose_actionness(*probs, human)
-            spans = [(s.start, s.end) for s in temporal_localize(series, args.threshold)]
-            sums = [tube_actionness(t, series) for t in tubes_by_video.get(vid, [])]
-            yield vid, args.action_class, args.threshold, series, spans, sums
+    def row(vid):
+        # a video's per-frame lists grow with its last frame: locals here, they go with the call
+        if args.detections is not None:
+            dets, tubes = sources[vid], []
+            human = [f in dets.frames for f in range(dets.length)]  # frames with boxes
+        else:
+            tubes = sources[vid]
+            human = [False] * (max(t.span.end for t in tubes) + 1)  # frames that a tube covers
+            for t in tubes:
+                human[t.span.start:t.span.end + 1] = [True] * t.span.length
+        probs = [
+            _frame_probs(sets[vid, stream, args.granularity], len(human), args.action_class)
+            for stream in _ACTIONNESS_STREAMS
+        ]
+        series = compose_actionness(*probs, human)
+        spans = [(s.start, s.end) for s in temporal_localize(series, args.threshold)]
+        sums = [tube_actionness(t, series) for t in tubes]
+        return vid, args.action_class, args.threshold, series, spans, sums
 
-    write_actionness(args.out, rows())
+    write_actionness(args.out, map(row, videos))
     return EXIT_OK
 
 

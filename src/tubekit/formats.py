@@ -8,6 +8,10 @@ All files are line-delimited JSON, one record per line:
   tubes       {"video_id", "label", "start", "end", "score"?,
                "boxes": [[x1,y1,x2,y2] per frame]}
   report      {"delta", "class", "ap", "pr": [[recall, precision] ...], "map"}
+  predictions {"video_id", "label", "values": [K reals]}
+  actionness  {"video_id", "class", "threshold", "series": [reals per frame],
+               "human": [bools per frame], "spans": [[start, end] ...],
+               "tube_sums": [reals per tube]}
 
 Every file is written by one writer, ``_write_records``, from lines that
 the public writers render as text, with a fixed field order: a string is
@@ -34,6 +38,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import starmap
 from typing import Iterable, Sequence
 
 from .count_signal import FrameDetections
@@ -485,11 +490,23 @@ def write_report(path, report: EvalReport) -> None:
 
 
 def read_report(path) -> list[dict]:
-    """Raw report records, mainly for tests and downstream tooling."""
+    """Raw report records, mainly for tests and downstream tooling.
+
+    Each record is checked, field by field in the written order, before it is
+    returned: a finite ``delta``, an integer ``class``, a finite ``ap``, ``pr``
+    as [recall, precision] pairs of finite numbers, and a finite ``map``.
+    """
     rows = []
     for line_no, record in _iter_records(path):
-        for key in ("delta", "class", "ap", "pr", "map"):
-            _required(path, line_no, record, key)
+        _number(path, line_no, "delta", _required(path, line_no, record, "delta"))
+        _field(path, line_no, record, "class", int, "an integer")
+        _number(path, line_no, "ap", _required(path, line_no, record, "ap"))
+        for pair in _field(path, line_no, record, "pr", list, "an array"):
+            if type(pair) is not list or len(pair) != 2:
+                raise ParseError(path, line_no, "pr", f"expected [recall, precision], got {_shown(pair)}")
+            for v in pair:
+                _number(path, line_no, "pr", v)
+        _number(path, line_no, "map", _required(path, line_no, record, "map"))
         rows.append(record)
     return rows
 
@@ -503,12 +520,18 @@ def write_predictions(path, rows: Iterable[tuple[str, int, Sequence[float]]]) ->
 
 
 def read_predictions(path) -> list[tuple[str, int, list[float]]]:
+    """(video_id, label, values) per record: a label in [0, len(values)), values non-empty and finite."""
     rows = []
     for line_no, record in _iter_records(path):
         vid = _field(path, line_no, record, "video_id", str, "a string")
         label = _field(path, line_no, record, "label", int, "an integer")
         values = _field(path, line_no, record, "values", list, "an array")
-        rows.append((vid, label, [_number(path, line_no, "values", v) for v in values]))
+        values = [_number(path, line_no, "values", v) for v in values]
+        if not values:
+            raise ParseError(path, line_no, "values", "empty score vector")
+        if not 0 <= label < len(values):
+            raise ParseError(path, line_no, "label", f"label {label} outside [0, {len(values)})")
+        rows.append((vid, label, values))
     return rows
 
 
@@ -517,7 +540,8 @@ def write_actionness(
     rows: Iterable[tuple[str, int, float, ActionnessSeries, Sequence[tuple[int, int]], Sequence[float]]],
 ) -> None:
     """Per-video actionness record: class, threshold, series, gate, (start, end) spans and tube sums."""
-    _write_records(path, (_actionness_line(*row) for row in rows))
+    # unlike a generator expression's loop variable, starmap holds no row past the making of its line
+    _write_records(path, starmap(_actionness_line, rows))
 
 
 _BOOLS = ("false", "true")  # indexed by a bool

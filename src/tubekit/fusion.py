@@ -202,27 +202,44 @@ def aggregate_video(units: Sequence[ScoreVector], method: str) -> tuple[int, Sco
         fused = _unchecked(ScoreVector, values=values, kind="raw")
         return fused.argmax(), fused
     if method == "majority":
-        k = units[0].k
-        votes = [0] * k
+        votes = [0] * units[0].k
         for u in units:
             votes[u.argmax()] += 1
-        top = max(votes)
-        tied = [c for c in range(k) if votes[c] == top]
         n = len(units)
-        if len(tied) > 1:
+        fused = _unchecked(ScoreVector, values=tuple(v / n for v in votes), kind="prob")
+        return _majority_label(votes, [units]), fused
+    raise ValueError(f"unknown fusion method {method!r}")
+
+
+def _majority_label(histogram: Sequence[float], groups: Sequence[Sequence[ScoreVector]]) -> int:
+    """The class with the most votes in ``histogram``, the votes of the units in ``groups``.
+
+    Ties go to the class with the higher mean score, then to the lower index.
+    A class's mean score is the mean over the groups (one per granularity) of
+    its mean over a group's units, compared exactly but for the rounding of
+    each group's sums: so one group, and several identical groups, rank the
+    tied classes alike.
+    """
+    top = max(histogram)
+    tied = [c for c, h in enumerate(histogram) if h == top]
+    if len(tied) > 1:
+        from fractions import Fraction  # only a tie needs it
+
+        means = dict.fromkeys(tied, Fraction(0))
+        for units in groups:
+            n = len(units)
             columns = {c: [u.values[c] for u in units] for c in tied}
             try:
-                sums = {c: math.fsum(col) for c, col in columns.items()}
+                sums, scale = {c: math.fsum(col) for c, col in columns.items()}, Fraction(1, n)
             except OverflowError:
                 # one common 2**-e for every tied class keeps the order of the
                 # exact sums; ranking by _mean could merge two of them
                 e = n.bit_length()
-                sums = {c: _scaled_fsum(col, e) for c, col in columns.items()}
-            tied.sort(key=lambda c: (-sums[c], c))
-        label = tied[0]
-        fused = _unchecked(ScoreVector, values=tuple(v / n for v in votes), kind="prob")
-        return label, fused
-    raise ValueError(f"unknown fusion method {method!r}")
+                sums, scale = {c: _scaled_fsum(col, e) for c, col in columns.items()}, Fraction(2**e, n)
+            for c in tied:
+                means[c] += Fraction(sums[c]) * scale
+        tied.sort(key=lambda c: (-means[c], c))
+    return tied[0]
 
 
 def multigranular_fuse(vectors: Sequence[ScoreVector]) -> ScoreVector:

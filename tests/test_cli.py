@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import weakref
 from pathlib import Path
 
 import pytest
@@ -187,6 +188,24 @@ class TestFuse:
         assert run("fuse", str(scores), "--out", str(out), "--granularities", "net16,net32") == 0
         assert read_predictions(out) == [("v", 1, [1.0, 2.0, 0.0])]
 
+    def test_majority_tie_across_granularities_goes_to_the_higher_mean(self, tmp_path):
+        # each granularity ties 1:1 on votes, and class 1 has the higher mean score;
+        # their averaged histogram [0.5, 0.5] ties too and keeps the same rule
+        scores = tmp_path / "scores.jsonl"
+        scores.write_text("".join(
+            json.dumps({
+                "video_id": "v", "stream": "rgb", "granularity": gran, "clip_start": start,
+                "crop_id": "center", "kind": "raw", "values": values,
+            }) + "\n"
+            for gran in ("net16", "net32")
+            for start, values in ((0, [1.0, 0.0]), (8, [0.0, 5.0]))
+        ))
+        for granularities in ("net16", "net32", "net16,net32"):
+            out = tmp_path / f"{granularities}.jsonl"
+            assert run("fuse", str(scores), "--out", str(out), "--method", "majority",
+                       "--granularities", granularities) == 0
+            assert read_predictions(out) == [("v", 1, [0.5, 0.5])]
+
     @pytest.mark.parametrize("granularities, message", [
         ("net16,net8", "unknown granularity 'net8'"),
         ("net16,net16", "--granularities lists a granularity twice"),
@@ -302,6 +321,26 @@ class TestActionness:
             "--class", "0", "--threshold", "0.5", "--out", str(tmp_path / "o.jsonl"),
         )
         assert code == 3
+
+    @pytest.mark.parametrize("gate", ["--detections", "--tubes"])
+    def test_keeps_no_series_past_its_line(self, corpus, tmp_path, monkeypatch, gate):
+        # a series grows with its video's last frame: each one must be gone before the next is made
+        from tubekit import cli
+
+        real, made = cli.compose_actionness, []
+
+        def composing(*args):
+            alive = [i for i, ref in enumerate(made) if ref() is not None]
+            assert not alive, f"the series of videos {alive} are alive while video {len(made)} is composed"
+            series = real(*args)
+            made.append(weakref.ref(series))
+            return series
+
+        monkeypatch.setattr(cli, "compose_actionness", composing)
+        gate_file = corpus / ("detections.jsonl" if gate == "--detections" else "gt_tubes.jsonl")
+        assert run("actionness", "--scores", str(corpus / "scores.jsonl"), gate, str(gate_file),
+                   "--class", "0", "--threshold", "0.5", "--out", str(tmp_path / "o.jsonl")) == 0
+        assert len(made) == 4
 
 
 class TestEvaluate:
@@ -619,6 +658,58 @@ def test_bad_number_exits_2_naming_line(tmp_path, capsys, command, bad):
 
 
 SRC_ENV = dict(os.environ, PYTHONPATH=str(Path(tubekit.__file__).resolve().parent.parent))
+
+
+def _write_frame_cap_videos(root, videos):
+    """Each video: boxes at frames 0 and MAX_FRAME, a one-frame tube at MAX_FRAME, one clip per stream."""
+    det, tubes, scores = root / "detections.jsonl", root / "tubes.jsonl", root / "scores.jsonl"
+    box = {"x1": 0.0, "y1": 0.0, "x2": 1.0, "y2": 1.0}
+    vids = [f"v{i}" for i in range(videos)]
+    det.write_text("".join(
+        json.dumps({"video_id": vid, "frame": f, "boxes": [box]}) + "\n" for vid in vids for f in (0, MAX_FRAME)
+    ))
+    tubes.write_text("".join(
+        json.dumps({"video_id": vid, "label": 0, "start": MAX_FRAME, "end": MAX_FRAME,
+                    "boxes": [[0.0, 0.0, 1.0, 1.0]]}) + "\n"
+        for vid in vids
+    ))
+    scores.write_text("".join(
+        json.dumps({"video_id": vid, "stream": stream, "granularity": "net16", "clip_start": 0,
+                    "crop_id": "center", "kind": "raw", "values": [0.5, 0.25]}) + "\n"
+        for vid in vids for stream in STREAMS
+    ))
+    return {"--detections": det, "--tubes": tubes}, scores
+
+
+# runs main in a fresh process and prints its exit code and its own peak RSS in kB
+_PEAK_AFTER_MAIN = r"""
+import re, sys
+from tubekit.cli import main
+code = main(sys.argv[1:])
+with open("/proc/self/status") as fh:
+    print(code, re.search(r"VmHWM:\s*(\d+) kB", fh.read()).group(1))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc/self/status")
+@pytest.mark.parametrize("gate", ["--detections", "--tubes"])
+def test_actionness_peak_at_the_frame_cap_does_not_grow_with_videos(tmp_path, gate):
+    # each video's per-frame lists (some 40 MB at the cap) go before the next video is
+    # computed; keeping them grew the peak by 26-34 MB from one video to three
+    peaks = {}
+    for videos in (1, 3):
+        root = tmp_path / str(videos)
+        root.mkdir()
+        gates, scores = _write_frame_cap_videos(root, videos)
+        proc = subprocess.run(
+            [sys.executable, "-c", _PEAK_AFTER_MAIN, "actionness", "--scores", str(scores), gate, str(gates[gate]),
+             "--class", "0", "--threshold", "0.1", "--out", str(root / "out.jsonl")],
+            capture_output=True, text=True, check=True, env=SRC_ENV,
+        )
+        code, peak_kb = proc.stdout.split()
+        assert code == "0", proc.stderr
+        peaks[videos] = int(peak_kb) / 1024
+    assert peaks[3] - peaks[1] <= 8, f"VmHWM {peaks[1]:.1f} MB for one video, {peaks[3]:.1f} MB for three"
 
 
 def test_import_cli_leaves_scipy_unloaded():

@@ -21,7 +21,9 @@ from tubekit import (
     temporal_localize,
     tube_actionness,
 )
-from tubekit.fusion import CLIP_LEN, FIXED_CROPS, GRANULARITIES, STREAMS, _elementwise_mean, _unchecked
+from tubekit.fusion import (
+    CLIP_LEN, FIXED_CROPS, GRANULARITIES, STREAMS, _elementwise_mean, _majority_label, _unchecked,
+)
 
 from oracles import naive_frame_scores, naive_mean
 
@@ -137,6 +139,27 @@ class TestAggregateVideo:
         shuffled = list(units)
         rnd.shuffle(shuffled)
         assert aggregate_video(units, "majority")[0] == aggregate_video(shuffled, "majority")[0]
+
+    # few distinct values, huge ones included, so that vote ties and tied means are common
+    TIE_PRONE = st.integers(1, 4).flatmap(lambda k: st.lists(
+        st.lists(st.sampled_from([0.0, 1.0, -1.0, 1e308, -1e308]), min_size=k, max_size=k)
+        .map(lambda v: ScoreVector(tuple(v))),
+        min_size=1, max_size=6,
+    ))
+
+    @given(TIE_PRONE, st.integers(2, 3))
+    def test_majority_of_identical_granularities_keeps_the_label(self, units, copies):
+        label, histogram = aggregate_video(units, "majority")
+        averaged = multigranular_fuse([histogram] * copies)
+        assert _majority_label(averaged.values, [units] * copies) == label
+
+    def test_majority_tie_across_granularities_goes_to_the_higher_mean(self):
+        # one vote each in both granularities; class 1's means are 0.5 and 0.25, class 0's 0.5 and 0.5
+        net16 = [ScoreVector((1.0, 0.0)), ScoreVector((0.0, 1.0))]
+        net32 = [ScoreVector((1.0, 0.0)), ScoreVector((0.0, 0.5))]
+        assert _majority_label([0.5, 0.5], [net16, net32]) == 0
+        assert _majority_label([0.5, 0.5], [net16, net16]) == 0  # equal means: the lower index
+        assert _majority_label([0.5, 0.5], [[ScoreVector((1.0, 0.0)), ScoreVector((0.0, 3.0))], net32]) == 1
 
     @given(unit_lists(), st.floats(min_value=0.1, max_value=10))
     def test_label_invariant_under_positive_scaling(self, units, scale):

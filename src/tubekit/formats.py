@@ -54,13 +54,12 @@ from .fusion import (
     ClipScore,
     ScoreVector,
     StreamScoreSet,
-    _unchecked,
 )
-from .geometry import Box2D, TemporalSpan, Tube
+from .geometry import Box2D, TemporalSpan, Tube, _unchecked
 
 
-# Largest frame index a file may name. A video's per-frame work and output
-# (count series, median window, actionness series) grow with its last frame.
+# Largest frame index a file may name. The actionness series, and with it the
+# work and output of ``actionness``, grow with a video's last frame.
 MAX_FRAME = 10**6
 
 
@@ -301,8 +300,13 @@ def read_detections(path) -> list[FrameDetections]:
         if frame in per_video:
             raise ParseError(path, line_no, "frame", f"duplicate frame {frame} for video {_shown(vid)}")
         per_video[frame] = tuple(boxes)
+    # every frame index and box is checked above, so the videos are built
+    # unchecked; a video's empty frames count for its length, and are dropped
     return [
-        FrameDetections(video_id=vid, length=max(per_video) + 1, frames=per_video)
+        _unchecked(
+            FrameDetections, video_id=vid, length=max(per_video) + 1,
+            frames=per_video if all(per_video.values()) else {f: b for f, b in per_video.items() if b},
+        )
         for vid, per_video in frames.items()
     ]
 

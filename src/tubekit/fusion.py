@@ -10,7 +10,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
-from .geometry import TemporalSpan, Tube, runs
+from .geometry import TemporalSpan, Tube, _unchecked, runs
 
 STREAMS = ("pose", "flow", "rgb")
 GRANULARITIES = ("net16", "net32", "netW")
@@ -26,13 +26,6 @@ PROB_SUM_TOL = 1e-9
 # frames per scored clip: the scores file has no clip-length field, so every
 # score set read or generated has clips of this length
 CLIP_LEN = 16
-
-
-def _unchecked(cls, **fields):
-    """``cls(**fields)`` for a frozen dataclass, without its checks: see ``ScoreVector``."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields)  # one update instead of a frozen-field assignment per field
-    return obj
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,18 @@ from math import fsum, inf
 from typing import Iterable, Optional
 
 
+def _unchecked(cls, **fields):
+    """``cls(**fields)`` for a frozen dataclass, without its checks.
+
+    For values whose checks hold by construction or were already made, by
+    a reader record by record: see ``fusion.ScoreVector`` and
+    ``count_signal.FrameDetections``.
+    """
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)  # one update instead of a frozen-field assignment per field
+    return obj
+
+
 class _BoxSlots:
     """Box2D's storage; ``Box2D.__new__`` fills one and then retypes it."""
 
@@ -92,7 +104,7 @@ def runs(flags: Iterable[object], start: int = 0) -> list[TemporalSpan]:
     """Maximal spans of consecutive true flags; the first flag is frame ``start``."""
     spans: list[TemporalSpan] = []
     for hit, group in groupby(flags, key=bool):
-        n = sum(1 for _ in group)
+        n = len(list(group))
         if hit:
             spans.append(TemporalSpan(start, start + n - 1))
         start += n

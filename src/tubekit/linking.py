@@ -11,12 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .count_signal import (
-    DetectionCountSeries,
-    FrameDetections,
-    continuous_regions,
-    pad_detections,
-)
+from .count_signal import DetectionCountSeries, FrameDetections, pad_detections
 from .errors import EmptyFrameError
 from .geometry import Box2D, TemporalSpan, Tube, box_iou, runs
 
@@ -136,15 +131,19 @@ def extract_tubes(dets: FrameDetections, cfg: ExtractionConfig | None = None) ->
     drops its index from its frame's active list, which keeps the
     candidate order, so each re-link equals a fresh ``viterbi_link`` over
     the remaining boxes.
+
+    No per-frame list of the whole video is made. Counting and padding
+    take one step per frame that holds boxes, and smoothing and finding
+    the regions work per run of equal counts (see
+    ``DetectionCountSeries``); the IoU table and the links cover the
+    frames of the regions.
     """
     cfg = cfg or ExtractionConfig()
     counts = DetectionCountSeries.from_detections(dets, cfg.median_window)
-    frames = pad_detections(dets, counts.smoothed).frames
+    frames = pad_detections(dets, counts).frames
     active = {f: list(range(len(boxes))) for f, boxes in frames.items()}
 
-    queue: list[TemporalSpan] = [
-        r for r in continuous_regions(counts.smoothed) if r.length >= cfg.min_tube_len
-    ]
+    queue = [r for r in counts.regions() if r.length >= cfg.min_tube_len]
     table: dict[int, list[list[float]]] = {}
     for r in queue:
         table.update(zip(r.frames(), _iou_table([frames.get(f, ()) for f in r.frames()])))
@@ -153,7 +152,7 @@ def extract_tubes(dets: FrameDetections, cfg: ExtractionConfig | None = None) ->
     while queue:
         pick = max(range(len(queue)), key=lambda i: (queue[i].length, -queue[i].start))
         region = queue.pop(pick)
-        pieces = runs((active.get(f) for f in region.frames()), region.start)
+        pieces = runs(map(active.get, region.frames()), region.start)
         if len(pieces) == 1 and pieces[0] == region:
             picks, total = _link(table, active, region.start, region.end)
             # Boxes with equal corners tie at every step of the DP, which then

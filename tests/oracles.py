@@ -1,8 +1,8 @@
 """Slow, obviously correct references that the tests compare the package against.
 
 Each is a scalar or brute-force twin of a pipeline step: exhaustive path
-enumeration for ``viterbi_link``, from-scratch re-linking for
-``extract_tubes``, a scan of every clip for every frame for
+enumeration for ``viterbi_link``, per-frame counts and from-scratch
+re-linking for ``extract_tubes``, a scan of every clip for every frame for
 ``frame_scores_from_clips``, prefix-by-prefix matching for ``video_map``'s
 per-class AP, a sorted window for ``median_smooth``, ``json.loads``
 on every line for the readers' line decoding, one scalar draw per
@@ -15,14 +15,12 @@ from __future__ import annotations
 import itertools
 import json
 
-from tubekit.count_signal import (
-    DetectionCountSeries, FrameDetections, continuous_regions, count_series, pad_detections,
-)
+from tubekit.count_signal import FrameDetections, count_series
 from tubekit.errors import ParseError
 from tubekit.evaluation import VideoTube
 from tubekit.formats import quantize
 from tubekit.fusion import CENTER_CROPS, CLIP_LEN, STREAMS, ClipScore, ScoreVector, StreamScoreSet, _mean
-from tubekit.geometry import Box2D, TemporalSpan, Tube, box_iou, runs, tube_iou
+from tubekit.geometry import Box2D, TemporalSpan, Tube, box_iou, tube_iou
 from tubekit.linking import ExtractionConfig, LinkingProblem
 from tubekit.synth import _SCORE_PEAK, CANVAS_H, CANVAS_W, CLIP_STRIDE, SynthConfig, _video_rng
 
@@ -111,28 +109,49 @@ def _naive_link(cands: list[list[Box2D]]) -> tuple[list[Box2D], float]:
     return [cands[t][k] for t, k in enumerate(chosen)], total
 
 
-def naive_extract_tubes(dets: FrameDetections, cfg: ExtractionConfig | None = None) -> list[Tube]:
-    """Scalar twin of ``extract_tubes``: every region re-linked from scratch.
+def _naive_spans(flags: list[bool], start: int) -> list[TemporalSpan]:
+    """Maximal spans of true flags, one frame at a time; the first flag is frame ``start``."""
+    spans: list[TemporalSpan] = []
+    first = None
+    for f, flag in enumerate(flags + [False], start):
+        if flag and first is None:
+            first = f
+        elif not flag and first is not None:
+            spans.append(TemporalSpan(first, f - 1))
+            first = None
+    return spans
 
-    Each link recomputes every consecutive-frame ``box_iou`` of the boxes
-    still on the region's frames, and the chosen boxes are removed frame by
-    frame with ``list.remove``, so the first box equal to a chosen one goes.
-    Frames are padded up to the paper's expected count, max(raw, smoothed),
-    where ``extract_tubes`` pads up to the smoothed count alone.
+
+def naive_extract_tubes(dets: FrameDetections, cfg: ExtractionConfig | None = None) -> list[Tube]:
+    """Scalar twin of ``extract_tubes``: per-frame counts, every region re-linked from scratch.
+
+    The counts are smoothed per frame with ``naive_median``; every frame
+    that holds boxes is padded, by copies of its largest box (first of
+    equal areas), up to the paper's expected count, max(raw, smoothed);
+    and the regions, and the pieces of a region split at emptied frames,
+    are found by a scan of every frame. Each link recomputes every
+    consecutive-frame ``box_iou`` of the boxes still on the region's
+    frames, and the chosen boxes are removed frame by frame with
+    ``list.remove``, so the first box equal to a chosen one goes. Nothing
+    of ``count_signal`` but ``count_series`` is used.
     """
     cfg = cfg or ExtractionConfig()
-    counts = DetectionCountSeries.from_detections(dets, cfg.median_window)
-    expected = [max(raw, smoothed) for raw, smoothed in zip(count_series(dets), counts.smoothed)]
-    padded = pad_detections(dets, expected)
-    work = {f: list(boxes) for f, boxes in padded.frames.items()}
-    queue = continuous_regions(counts.smoothed)
+    raw = count_series(dets)
+    smoothed = naive_median(raw, cfg.median_window)
+    work: dict[int, list[Box2D]] = {}
+    for f in range(dets.length):
+        boxes = list(dets.boxes_on(f))
+        if boxes:
+            largest = max(boxes, key=lambda b: b.area)
+            work[f] = boxes + [largest] * (max(raw[f], smoothed[f]) - raw[f])
+    queue = _naive_spans([v >= 1 for v in smoothed], 0)
     tubes: list[Tube] = []
     while queue:
         pick = max(range(len(queue)), key=lambda i: (queue[i].length, -queue[i].start))
         region = queue.pop(pick)
         if region.length < cfg.min_tube_len:
             continue
-        pieces = runs((f in work for f in region.frames()), region.start)
+        pieces = _naive_spans([f in work for f in region.frames()], region.start)
         if len(pieces) == 1 and pieces[0] == region:
             boxes, total = _naive_link([work[f] for f in region.frames()])
             tubes.append(Tube(span=region, boxes=tuple(boxes), score=total / region.length))

@@ -713,7 +713,7 @@ def test_actionness_peak_at_the_frame_cap_does_not_grow_with_videos(tmp_path, ga
 
 
 def test_import_cli_leaves_scipy_unloaded():
-    # both are slow to import: scipy only mask_to_boxes needs, numpy only synth and tubekit.imaging
+    # both are slow to import, and no subcommand but synth needs numpy; nothing needs scipy
     code = "import sys, tubekit.cli; print('scipy' in sys.modules, 'numpy' in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=SRC_ENV,

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tubekit import (
@@ -68,6 +68,64 @@ class TestMedianSmooth:
         assert max(out) <= max(series)
 
 
+@st.composite
+def count_layouts(draw):
+    """Per-frame counts of 0-400 frames: dense, a count per frame, or sparse,
+    bursts of boxes between runs of up to 200 empty frames."""
+    n = draw(st.integers(0, 400))
+    if draw(st.booleans()):
+        return draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+    counts: list[int] = []
+    while len(counts) < n:
+        counts += [0] * draw(st.integers(0, 200))
+        counts += draw(st.lists(st.integers(1, 5), max_size=12))
+    return counts[:n]
+
+
+@st.composite
+def layouts_and_windows(draw):
+    counts = draw(count_layouts())
+    n = len(counts)
+    kinds = [st.integers(1, 200), st.integers(1, 100).map(lambda k: 2 * k)]
+    if 2 * n < 200:
+        kinds.append(st.integers(2 * n + 1, 200))  # longer than twice the video
+    return counts, draw(st.one_of(kinds))
+
+
+class TestRunSmoother:
+    """The run smoother behind DetectionCountSeries and median_smooth, against the sorted-window reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(layouts_and_windows())
+    @example(([], 1))
+    @example(([1] + [0] * 398 + [1], 80))
+    @example(([2, 0, 3], 200))
+    def test_matches_naive_median_frame_for_frame(self, layout):
+        counts, window = layout
+        want = naive_median(counts, window)
+        assert median_smooth(counts, window) == want
+        series = DetectionCountSeries.from_detections(dets_from_counts(counts), window)
+        assert series.smoothed == tuple(want)
+        assert [series[f] for f in range(len(counts))] == want
+        assert series.regions() == continuous_regions(want)
+        # the runs start at frame 0, rise strictly, and neighbours differ in value
+        assert list(series.starts[:1]) == [0][: len(counts)]
+        assert all(a < b for a, b in zip(series.starts, series.starts[1:]))
+        assert all(a != b for a, b in zip(series.values, series.values[1:]))
+
+    def test_frame_outside_the_video_is_an_index_error(self):
+        series = DetectionCountSeries.from_detections(dets_from_counts([1, 1]), 3)
+        for frame in (-1, 2):
+            with pytest.raises(IndexError):
+                series[frame]
+
+    def test_long_zero_run_is_one_run(self):
+        counts = [1] + [0] * 100_000 + [1]
+        series = DetectionCountSeries.from_detections(dets_from_counts(counts), 80)
+        assert series.values == (0,)
+        assert series.regions() == []
+
+
 class TestPadDetections:
     def test_duplicates_to_expected(self):
         dets = dets_from_counts([1])
@@ -106,6 +164,18 @@ class TestPadDetections:
     def test_equal_counts_unchanged(self):
         dets = dets_from_counts([1, 2, 3])
         assert pad_detections(dets, [1, 2, 3]) == dets
+
+    def test_no_short_frame_returns_the_input_itself(self):
+        dets = dets_from_counts([1, 0, 3, 2])
+        assert pad_detections(dets, [1, 5, 2, 2]) is dets
+
+    def test_series_pads_as_its_expansion(self):
+        # window 3: frame 1 sees (2, 1, 2) and frame 5 (3, 1, 3); empty frame 3 stays empty
+        dets = dets_from_counts([2, 1, 2, 0, 3, 1, 3])
+        series = DetectionCountSeries.from_detections(dets, 3)
+        out = pad_detections(dets, series)
+        assert out == pad_detections(dets, list(series.smoothed))
+        assert count_series(out) == [2, 2, 2, 0, 3, 3, 3]
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):

@@ -1,11 +1,9 @@
 import io
 import json
 import math
-import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +13,6 @@ from oracles import loads_records
 from tubekit import formats
 from tubekit.formats import quantize
 from tubekit.synth import SynthConfig, generate_video
-from tubekit.imaging import LabelMask, mask_to_boxes
 from tubekit import (
     ActionnessSeries,
     Box2D,
@@ -42,101 +39,6 @@ from tubekit import (
     write_scores,
     write_tubes,
 )
-
-
-def flood_fill_boxes(mask, min_pixels):
-    """Reference component labeling: BFS flood fill over 8-neighbourhoods."""
-    h, w = mask.shape
-    seen = np.zeros((h, w), dtype=bool)
-    boxes = []
-    for sy in range(h):
-        for sx in range(w):
-            if mask[sy, sx] < 1 or seen[sy, sx]:
-                continue
-            stack = [(sy, sx)]
-            seen[sy, sx] = True
-            pixels = []
-            while stack:
-                y, x = stack.pop()
-                pixels.append((y, x))
-                for dy in (-1, 0, 1):
-                    for dx in (-1, 0, 1):
-                        ny, nx = y + dy, x + dx
-                        if 0 <= ny < h and 0 <= nx < w and not seen[ny, nx] and mask[ny, nx] >= 1:
-                            seen[ny, nx] = True
-                            stack.append((ny, nx))
-            if len(pixels) >= min_pixels:
-                ys = [p[0] for p in pixels]
-                xs = [p[1] for p in pixels]
-                boxes.append((min(xs), min(ys), max(xs) + 1, max(ys) + 1))
-    boxes.sort(key=lambda b: -((b[2] - b[0]) * (b[3] - b[1])))
-    return boxes
-
-
-class TestMaskToBoxes:
-    @pytest.fixture(autouse=True, scope="class")
-    def scipy(self):
-        # mask_to_boxes needs the [masks] extra
-        pytest.importorskip("scipy")
-
-    def test_background_only(self):
-        assert mask_to_boxes(LabelMask(np.zeros((20, 20), dtype=int))) == []
-
-    def test_single_blob_tight_halfopen_box(self):
-        labels = np.zeros((30, 30), dtype=int)
-        labels[5:15, 5:15] = 3
-        boxes = mask_to_boxes(LabelMask(labels))
-        assert boxes == [Box2D(5.0, 5.0, 15.0, 15.0)]
-
-    def test_two_blobs(self):
-        labels = np.zeros((40, 40), dtype=int)
-        labels[2:10, 2:10] = 1
-        labels[20:30, 20:32] = 2
-        boxes = mask_to_boxes(LabelMask(labels))
-        assert len(boxes) == 2
-        assert boxes[0].area >= boxes[1].area
-
-    def test_small_components_dropped(self):
-        labels = np.zeros((20, 20), dtype=int)
-        labels[0:2, 0:2] = 1  # 4 pixels < default 25
-        assert mask_to_boxes(LabelMask(labels)) == []
-        assert len(mask_to_boxes(LabelMask(labels), min_pixels=1)) == 1
-
-    def test_diagonal_pixels_are_connected(self):
-        labels = np.zeros((10, 10), dtype=int)
-        for i in range(6):
-            labels[i, i] = 1
-        boxes = mask_to_boxes(LabelMask(labels), min_pixels=1)
-        assert boxes == [Box2D(0.0, 0.0, 6.0, 6.0)]
-
-    def test_boxes_are_tight(self):
-        labels = np.zeros((25, 25), dtype=int)
-        labels[3:12, 4:14] = 1
-        (box,) = mask_to_boxes(LabelMask(labels))
-        region = labels[int(box.y1): int(box.y2), int(box.x1): int(box.x2)]
-        assert region.any(axis=1).all() or region[0].any()  # no empty border rows
-        assert region[0, :].any() and region[-1, :].any()
-        assert region[:, 0].any() and region[:, -1].any()
-
-    @given(st.integers(0, 2**32 - 1))
-    def test_matches_flood_fill_reference(self, seed):
-        rng = np.random.default_rng(seed)
-        labels = (rng.random((18, 22)) < 0.35).astype(int)
-        got = [(b.x1, b.y1, b.x2, b.y2) for b in mask_to_boxes(LabelMask(labels), min_pixels=3)]
-        ref = [tuple(float(v) for v in b) for b in flood_fill_boxes(labels, 3)]
-        assert sorted(got) == sorted(ref)
-
-    def test_mask_validation(self):
-        with pytest.raises(ValueError):
-            LabelMask(np.zeros((0, 5), dtype=int))
-        with pytest.raises(ValueError):
-            LabelMask(np.full((4, 4), -1))
-
-
-def test_mask_to_boxes_without_scipy_names_the_extra(monkeypatch):
-    monkeypatch.setitem(sys.modules, "scipy", None)
-    with pytest.raises(ImportError, match=r"tubekit\[masks\]"):
-        mask_to_boxes(LabelMask(np.ones((4, 4), dtype=int)))
 
 
 def sample_detections():

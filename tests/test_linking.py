@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -260,3 +261,46 @@ def test_extract_tubes_matches_scalar_twin(dets, min_tube_len, median_window):
     slow = naive_extract_tubes(dets, cfg)
     assert fast == slow
     assert [t.score.hex() for t in fast] == [t.score.hex() for t in slow]
+
+
+@st.composite
+def sparse_video(draw):
+    """Bursts of frames with boxes between runs of up to 120 empty frames, over at most 300 frames."""
+    pool = [Box2D(x, y, x + w, y + h) for x, y, w, h in
+            draw(st.lists(st.tuples(lattice, lattice, st.integers(1, 6), st.integers(1, 6)), min_size=1, max_size=4))]
+    frames = {}
+    f = 0
+    while f < 300 and draw(st.booleans()):
+        f += draw(st.integers(0, 120))
+        for _ in range(draw(st.integers(1, 40))):
+            if f >= 300:
+                break
+            boxes = draw(st.lists(st.sampled_from(pool), max_size=3))
+            if boxes:
+                frames[f] = tuple(boxes)
+            f += 1
+    length = max(frames, default=-1) + 1 + draw(st.integers(0, 60))
+    return FrameDetections(video_id="v", length=length, frames=frames)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_video(), st.integers(1, 6), st.one_of(st.integers(1, 120), st.sampled_from([80, 81])))
+def test_extract_tubes_on_sparse_videos_matches_scalar_twin(dets, min_tube_len, median_window):
+    cfg = ExtractionConfig(min_tube_len=min_tube_len, median_window=median_window)
+    fast = extract_tubes(dets, cfg)
+    assert fast == naive_extract_tubes(dets, cfg)
+
+
+def test_extract_tubes_memory_follows_boxes_not_frames():
+    # one box at frame 0 and one at frame 1 000 000: a per-frame list of the
+    # counts alone would be 8 MB
+    box = Box2D(0.0, 0.0, 10.0, 10.0)
+    dets = FrameDetections(video_id="v", length=1_000_001, frames={0: (box,), 1_000_000: (box,)})
+    tracemalloc.start()
+    try:
+        tubes = extract_tubes(dets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tubes == []
+    assert peak < 1_000_000, f"extract_tubes allocated {peak} bytes at its peak"

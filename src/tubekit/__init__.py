@@ -3,8 +3,6 @@
 from .count_signal import (
     DetectionCountSeries,
     FrameDetections,
-    continuous_regions,
-    count_series,
     median_smooth,
     pad_detections,
 )
@@ -73,8 +71,6 @@ __all__ = [
     "average_precision",
     "box_iou",
     "compose_actionness",
-    "continuous_regions",
-    "count_series",
     "extract_tubes",
     "frame_scores_from_clips",
     "generate_scene",

@@ -8,17 +8,16 @@ expected count, without a series of its own.
 
 Counts are piecewise constant, so ``DetectionCountSeries`` keeps them as
 runs of equal value, and a video's count work grows with its frames that
-hold boxes, not with its last frame. ``count_series``, ``median_smooth``
-and ``continuous_regions`` are the per-frame forms.
+hold boxes, not with its last frame. ``median_smooth`` is the one
+per-frame form: the same smoother over a list of counts.
 """
 from __future__ import annotations
 
 from bisect import insort, bisect_left, bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Sequence
 
-from .geometry import Box2D, TemporalSpan, _unchecked, runs
+from .geometry import Box2D, TemporalSpan, _unchecked
 
 
 @dataclass(frozen=True)
@@ -50,11 +49,6 @@ class FrameDetections:
 
     def total_boxes(self) -> int:
         return sum(len(b) for b in self.frames.values())
-
-
-def count_series(dets: FrameDetections) -> list[int]:
-    """Number of boxes per frame, one entry per frame in [0, length)."""
-    return [len(dets.boxes_on(f)) for f in range(dets.length)]
 
 
 def _count_runs(dets: FrameDetections) -> tuple[list[int], list[int]]:
@@ -143,14 +137,6 @@ def _median_runs(
     return out_starts, out_values
 
 
-def _expand(starts: Sequence[int], values: Sequence[int], n: int) -> list[int]:
-    """The per-frame series of the runs ``starts``, ``values`` over ``n`` frames."""
-    out: list[int] = []
-    for s, e, v in zip(starts, [*starts[1:], n], values):
-        out += [v] * (e - s)
-    return out
-
-
 def median_smooth(series: Sequence[int], window: int) -> list[int]:
     """Windowed median with the window clamped to the series bounds.
 
@@ -161,13 +147,13 @@ def median_smooth(series: Sequence[int], window: int) -> list[int]:
     This is the per-frame form of the run smoother that
     ``DetectionCountSeries`` uses.
     """
-    starts: list[int] = []
-    values: list[int] = []
-    for t, v in enumerate(series):
-        if not values or values[-1] != v:
-            starts.append(t)
-            values.append(v)
-    return _expand(*_median_runs(starts, values, len(series), window), len(series))
+    n = len(series)
+    starts = [t for t in range(n) if t == 0 or series[t] != series[t - 1]]
+    starts, values = _median_runs(starts, [series[t] for t in starts], n, window)
+    out: list[int] = []
+    for s, e, v in zip(starts, [*starts[1:], n], values):
+        out += [v] * (e - s)
+    return out
 
 
 def pad_detections(dets: FrameDetections, expected: Sequence[int]) -> FrameDetections:
@@ -196,11 +182,6 @@ def pad_detections(dets: FrameDetections, expected: Sequence[int]) -> FrameDetec
     return _unchecked(FrameDetections, video_id=dets.video_id, length=dets.length, frames=frames)
 
 
-def continuous_regions(smoothed: Sequence[int]) -> list[TemporalSpan]:
-    """Maximal runs of consecutive frames whose smoothed count is >= 1."""
-    return runs(v >= 1 for v in smoothed)
-
-
 @dataclass(frozen=True)
 class DetectionCountSeries:
     """Smoothed counts of one video, as runs of equal value.
@@ -212,8 +193,7 @@ class DetectionCountSeries:
     them: only frames where the counts entering and leaving the median
     window differ cost a step of the sliding window. ``regions`` works per
     run, and indexing by frame looks up that frame's run, so padding looks
-    up the frames that hold boxes and nothing else. ``smoothed``, the
-    per-frame tuple, is made only when first asked for. The raw counts are
+    up the frames that hold boxes and nothing else. The raw counts are
     read only to smooth them, so they are not kept.
     """
 
@@ -221,10 +201,22 @@ class DetectionCountSeries:
     starts: tuple[int, ...]
     values: tuple[int, ...]
 
+    def __post_init__(self):
+        starts, values = self.starts, self.values
+        if len(starts) != len(values):
+            raise ValueError(f"{len(starts)} run starts for {len(values)} values")
+        if (starts[0] != 0) if starts else (self.length != 0):
+            raise ValueError(f"runs of a {self.length}-frame series must start at frame 0, got {starts[:1]}")
+        if any(a >= b for a, b in zip(starts, starts[1:])) or (starts and starts[-1] >= self.length):
+            raise ValueError(f"run starts must rise strictly within [0, {self.length}), got {starts}")
+        if any(a == b for a, b in zip(values, values[1:])):
+            raise ValueError(f"neighbouring runs must differ in value, got {values}")
+
     @classmethod
     def from_detections(cls, dets: FrameDetections, window: int) -> "DetectionCountSeries":
         starts, values = _median_runs(*_count_runs(dets), dets.length, window)
-        return cls(dets.length, tuple(starts), tuple(values))
+        # the smoother's runs hold by construction
+        return _unchecked(cls, length=dets.length, starts=tuple(starts), values=tuple(values))
 
     def __len__(self) -> int:
         return self.length
@@ -234,13 +226,8 @@ class DetectionCountSeries:
             raise IndexError(f"frame {frame} outside [0, {self.length})")
         return self.values[bisect_right(self.starts, frame) - 1]
 
-    @cached_property
-    def smoothed(self) -> tuple[int, ...]:
-        """The smoothed count of every frame."""
-        return tuple(_expand(self.starts, self.values, self.length))
-
     def regions(self) -> list[TemporalSpan]:
-        """``continuous_regions`` of the smoothed counts: one span per chain of runs >= 1."""
+        """Maximal spans of frames whose smoothed count is >= 1: one per chain of runs >= 1."""
         spans: list[TemporalSpan] = []
         first = None  # the start of the chain of positive runs so far
         for s, v in zip(self.starts, self.values):

@@ -2,9 +2,11 @@
 
 Linking maximizes the summed IoU between boxes of consecutive frames over
 one chosen box per frame; the optimum is found exactly by forward dynamic
-programming with backtracking. Extraction repeatedly links and removes
-boxes inside the continuous regions of the smoothed count signal until no
-viable proposal remains.
+programming with backtracking. Extraction links, then splits: inside the
+continuous regions of the smoothed count signal it links a run of frames
+that still hold boxes, removes the chosen boxes and splits the run at the
+frames this emptied, until no run is long enough to link. Runs are
+disjoint, so the order in which they are linked does not change a tube.
 """
 from __future__ import annotations
 
@@ -116,55 +118,55 @@ def viterbi_link(problem: LinkingProblem) -> Tube:
 
 
 def extract_tubes(dets: FrameDetections, cfg: ExtractionConfig | None = None) -> list[Tube]:
-    """Full iterative extraction pipeline for one video.
+    """Full iterative extraction pipeline for one video: link, then split.
 
     Counts are smoothed and frames that hold boxes are padded up to the
-    smoothed count, then regions of the smoothed signal are processed
-    longest-first (ties towards the earliest start). A region whose frames
-    all still hold boxes is linked as ``viterbi_link`` would link it; the
-    chosen boxes are removed and the region is re-queued. A region with
-    emptied frames is split at them into sub-regions. Proposals shorter
-    than ``min_tube_len`` are discarded. Output tubes are sorted by
-    start frame, then by descending length, and carry their mean link score.
+    smoothed count. Each region of the smoothed signal is split into
+    pieces, the runs of frames that still hold boxes; a piece is linked as
+    ``viterbi_link`` would link it, its chosen boxes are removed, and it
+    is split again at the frames this emptied. Pieces shorter than
+    ``min_tube_len`` are dropped. Output tubes are sorted by start frame,
+    then by descending length, and carry their mean link score.
 
-    The consecutive-frame IoUs are computed once per video. Removing a box
-    drops its index from its frame's active list, which keeps the
-    candidate order, so each re-link equals a fresh ``viterbi_link`` over
-    the remaining boxes.
+    Pieces are disjoint and a link reads and removes only the boxes of its
+    own frames, so the order in which pieces are linked cannot change a
+    tube; tubes with equal start and length come from one piece linked
+    again and again, and the stable sort keeps them in link order.
 
-    No per-frame list of the whole video is made. Counting and padding
-    take one step per frame that holds boxes, and smoothing and finding
-    the regions work per run of equal counts (see
-    ``DetectionCountSeries``); the IoU table and the links cover the
-    frames of the regions.
+    The consecutive-frame IoUs are computed once per video, over the first
+    pieces. Removing a box drops its index from its frame's active list,
+    which keeps the candidate order, so each re-link equals a fresh
+    ``viterbi_link`` over the remaining boxes. No per-frame list of the
+    whole video is made: counting and padding take one step per frame
+    that holds boxes, smoothing and finding the regions work per run of
+    equal counts (see ``DetectionCountSeries``), and the IoU table and
+    the links cover the frames of the pieces.
     """
     cfg = cfg or ExtractionConfig()
     counts = DetectionCountSeries.from_detections(dets, cfg.median_window)
     frames = pad_detections(dets, counts).frames
     active = {f: list(range(len(boxes))) for f, boxes in frames.items()}
 
-    queue = [r for r in counts.regions() if r.length >= cfg.min_tube_len]
+    def pieces(span: TemporalSpan) -> list[TemporalSpan]:
+        """The runs of frames of ``span`` that still hold active boxes, long enough to link."""
+        found = runs(map(active.get, span.frames()), span.start)
+        return [p for p in found if p.length >= cfg.min_tube_len]
+
+    todo = [p for r in counts.regions() for p in pieces(r)]
     table: dict[int, list[list[float]]] = {}
-    for r in queue:
-        table.update(zip(r.frames(), _iou_table([frames.get(f, ()) for f in r.frames()])))
+    for p in todo:
+        table.update(zip(p.frames(), _iou_table([frames[f] for f in p.frames()])))
 
     tubes: list[Tube] = []
-    while queue:
-        pick = max(range(len(queue)), key=lambda i: (queue[i].length, -queue[i].start))
-        region = queue.pop(pick)
-        pieces = runs(map(active.get, region.frames()), region.start)
-        if len(pieces) == 1 and pieces[0] == region:
-            picks, total = _link(table, active, region.start, region.end)
-            # Boxes with equal corners tie at every step of the DP, which then
-            # picks the first of them; so popping a pick drops the first active
-            # box equal to it, as removal by list.remove would.
-            boxes = tuple(
-                frames[f][active[f].pop(k)] for f, k in zip(region.frames(), picks)
-            )
-            tubes.append(Tube(span=region, boxes=boxes, score=total / region.length))
-            queue.append(region)
-        else:
-            queue.extend(p for p in pieces if p.length >= cfg.min_tube_len)
+    while todo:
+        span = todo.pop()
+        picks, total = _link(table, active, span.start, span.end)
+        # Boxes with equal corners tie at every step of the DP, which then
+        # picks the first of them; so popping a pick drops the first active
+        # box equal to it, as removal by list.remove would.
+        boxes = tuple(frames[f][active[f].pop(k)] for f, k in zip(span.frames(), picks))
+        tubes.append(Tube(span=span, boxes=boxes, score=total / span.length))
+        todo += pieces(span)
 
     tubes.sort(key=lambda t: (t.span.start, -t.span.length))
     return tubes

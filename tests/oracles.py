@@ -1,21 +1,22 @@
 """Slow, obviously correct references that the tests compare the package against.
 
 Each is a scalar or brute-force twin of a pipeline step: exhaustive path
-enumeration for ``viterbi_link``, per-frame counts and from-scratch
-re-linking for ``extract_tubes``, a scan of every clip for every frame for
-``frame_scores_from_clips``, prefix-by-prefix matching for ``video_map``'s
-per-class AP, a sorted window for ``median_smooth``, ``json.loads``
-on every line for the readers' line decoding, one scalar draw per
-walk step and per clip score for ``synth.generate_video``, and dict
-records through ``json.dumps`` for the writers. The brute-force
-twins refuse instances too large to enumerate.
+enumeration for ``viterbi_link``, per-frame counts, a longest-first queue
+and from-scratch re-linking for ``extract_tubes``, a scan of every clip
+for every frame for ``frame_scores_from_clips``, prefix-by-prefix
+matching for ``video_map``'s per-class AP, a sorted window for
+``median_smooth``, ``json.loads`` on every line for the readers' line
+decoding, one scalar draw per walk step and per clip score for
+``synth.generate_video``, and dict records through ``json.dumps`` for
+the writers. The brute-force twins refuse instances too large to
+enumerate.
 """
 from __future__ import annotations
 
 import itertools
 import json
 
-from tubekit.count_signal import FrameDetections, count_series
+from tubekit.count_signal import FrameDetections
 from tubekit.errors import ParseError
 from tubekit.evaluation import VideoTube
 from tubekit.formats import quantize
@@ -125,18 +126,21 @@ def _naive_spans(flags: list[bool], start: int) -> list[TemporalSpan]:
 def naive_extract_tubes(dets: FrameDetections, cfg: ExtractionConfig | None = None) -> list[Tube]:
     """Scalar twin of ``extract_tubes``: per-frame counts, every region re-linked from scratch.
 
-    The counts are smoothed per frame with ``naive_median``; every frame
-    that holds boxes is padded, by copies of its largest box (first of
-    equal areas), up to the paper's expected count, max(raw, smoothed);
-    and the regions, and the pieces of a region split at emptied frames,
-    are found by a scan of every frame. Each link recomputes every
+    The boxes of every frame are counted and the counts smoothed per frame
+    with ``naive_median``; every frame that holds boxes is padded, by
+    copies of its largest box (first of equal areas), up to the paper's
+    expected count, max(raw, smoothed); and the regions, and the pieces of
+    a region split at emptied frames, are found by a scan of every frame.
+    Regions are taken longest-first (ties towards the earliest start), an
+    order ``extract_tubes`` does not keep, so the twin tests check that the
+    order cannot change a tube. Each link recomputes every
     consecutive-frame ``box_iou`` of the boxes still on the region's
     frames, and the chosen boxes are removed frame by frame with
-    ``list.remove``, so the first box equal to a chosen one goes. Nothing
-    of ``count_signal`` but ``count_series`` is used.
+    ``list.remove``, so the first box equal to a chosen one goes. Of
+    ``count_signal`` only the input type, ``FrameDetections``, is used.
     """
     cfg = cfg or ExtractionConfig()
-    raw = count_series(dets)
+    raw = [len(dets.boxes_on(f)) for f in range(dets.length)]
     smoothed = naive_median(raw, cfg.median_window)
     work: dict[int, list[Box2D]] = {}
     for f in range(dets.length):

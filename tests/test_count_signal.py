@@ -7,13 +7,11 @@ from tubekit import (
     DetectionCountSeries,
     FrameDetections,
     TemporalSpan,
-    continuous_regions,
-    count_series,
     median_smooth,
     pad_detections,
 )
 
-from oracles import naive_median
+from oracles import _naive_spans, naive_median
 
 
 def dets_from_counts(counts, video_id="v"):
@@ -23,18 +21,63 @@ def dets_from_counts(counts, video_id="v"):
     return FrameDetections(video_id=video_id, length=len(counts), frames=frames)
 
 
+def box_counts(dets):
+    return [len(dets.boxes_on(f)) for f in range(dets.length)]
+
+
+def raw_series(counts):
+    """The series of ``counts`` at window 1, where smoothing leaves every count as it is."""
+    return DetectionCountSeries.from_detections(dets_from_counts(counts), 1)
+
+
 series_st = st.lists(st.integers(0, 9), min_size=0, max_size=120)
 
 
 class TestCountSeries:
+    """A window of 1 keeps the raw counts, frame for frame."""
+
     def test_basic(self):
-        assert count_series(dets_from_counts([2, 0, 1])) == [2, 0, 1]
+        series = raw_series([2, 0, 1])
+        assert [series[f] for f in range(3)] == [2, 0, 1]
 
     def test_empty_video(self):
-        assert count_series(FrameDetections(video_id="v", length=0)) == []
+        series = DetectionCountSeries.from_detections(FrameDetections(video_id="v", length=0), 1)
+        assert len(series) == 0
+        assert series.starts == series.values == ()
 
     def test_constant(self):
-        assert count_series(dets_from_counts([1] * 5)) == [1, 1, 1, 1, 1]
+        series = raw_series([1] * 5)
+        assert [series[f] for f in range(5)] == [1, 1, 1, 1, 1]
+        assert series.values == (1,)
+
+
+class TestSeriesConstructor:
+    @pytest.mark.parametrize(
+        "length, starts, values",
+        [
+            (3, (0, 1), (1,)),  # a start without a value
+            (3, (0,), (1, 2)),  # a value without a start
+            (3, (1,), (2,)),  # the first run does not start at frame 0
+            (3, (), ()),  # a non-empty video with no runs
+            (0, (0,), (1,)),  # an empty video with a run
+            (-1, (), ()),  # a negative length
+            (3, (0, 5), (1, 0)),  # a run starting past the last frame
+            (3, (0, 3), (1, 0)),  # a run starting at the length
+            (4, (0, 2, 2), (1, 0, 1)),  # starts that repeat
+            (4, (0, 2, 1), (1, 0, 1)),  # starts that fall
+            (4, (0, 2), (1, 1)),  # neighbouring runs of one value
+        ],
+    )
+    def test_inconsistent_runs_rejected(self, length, starts, values):
+        with pytest.raises(ValueError):
+            DetectionCountSeries(length, starts, values)
+
+    def test_consistent_runs_accepted(self):
+        assert DetectionCountSeries(0, (), ()).regions() == []
+        assert DetectionCountSeries(1, (0,), (0,)).regions() == []
+        series = DetectionCountSeries(5, (0, 2, 4), (1, 0, 1))
+        assert [series[f] for f in range(5)] == [1, 1, 0, 0, 1]
+        assert series.regions() == [TemporalSpan(0, 1), TemporalSpan(4, 4)]
 
 
 class TestMedianSmooth:
@@ -105,9 +148,8 @@ class TestRunSmoother:
         want = naive_median(counts, window)
         assert median_smooth(counts, window) == want
         series = DetectionCountSeries.from_detections(dets_from_counts(counts), window)
-        assert series.smoothed == tuple(want)
         assert [series[f] for f in range(len(counts))] == want
-        assert series.regions() == continuous_regions(want)
+        assert series.regions() == _naive_spans([v >= 1 for v in want], 0)
         # the runs start at frame 0, rise strictly, and neighbours differ in value
         assert list(series.starts[:1]) == [0][: len(counts)]
         assert all(a < b for a, b in zip(series.starts, series.starts[1:]))
@@ -159,7 +201,7 @@ class TestPadDetections:
 
     def test_pads_to_elementwise_max(self):
         out = pad_detections(dets_from_counts([2, 1, 2]), [1, 3, 1])
-        assert count_series(out) == [2, 3, 2]
+        assert box_counts(out) == [2, 3, 2]
 
     def test_equal_counts_unchanged(self):
         dets = dets_from_counts([1, 2, 3])
@@ -174,8 +216,8 @@ class TestPadDetections:
         dets = dets_from_counts([2, 1, 2, 0, 3, 1, 3])
         series = DetectionCountSeries.from_detections(dets, 3)
         out = pad_detections(dets, series)
-        assert out == pad_detections(dets, list(series.smoothed))
-        assert count_series(out) == [2, 2, 2, 0, 3, 3, 3]
+        assert out == pad_detections(dets, [series[f] for f in range(dets.length)])
+        assert box_counts(out) == [2, 2, 2, 0, 3, 3, 3]
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -184,44 +226,47 @@ class TestPadDetections:
     def test_zero_raw(self):
         # a frame with no detections has no box to copy, whatever the smoothed count
         out = pad_detections(dets_from_counts([0, 0]), [3, 1])
-        assert count_series(out) == [0, 0]
+        assert box_counts(out) == [0, 0]
 
     @given(series_st, st.integers(1, 30))
     def test_pads_to_max_of_raw_and_smoothed(self, counts, window):
         # padding to the smoothed count reaches the paper's expected count, max(raw, smoothed)
         dets = dets_from_counts(counts)
-        smoothed = DetectionCountSeries.from_detections(dets, window).smoothed
-        out = pad_detections(dets, smoothed)
-        assert count_series(out) == [max(c, s) if c else 0 for c, s in zip(counts, smoothed)]
+        series = DetectionCountSeries.from_detections(dets, window)
+        out = pad_detections(dets, series)
+        smoothed = [series[f] for f in range(len(counts))]
+        assert box_counts(out) == [max(c, s) if c else 0 for c, s in zip(counts, smoothed)]
 
     @given(series_st.filter(lambda s: len(s) > 0))
     def test_originals_preserved_and_counts_reached(self, counts):
         dets = dets_from_counts(counts)
         series = DetectionCountSeries.from_detections(dets, 3)
-        out = pad_detections(dets, list(series.smoothed))
+        out = pad_detections(dets, series)
         for f in range(dets.length):
             orig = dets.boxes_on(f)
             padded = out.boxes_on(f)
             assert padded[: len(orig)] == orig
             if orig:
-                assert len(padded) >= series.smoothed[f]
+                assert len(padded) >= series[f]
             else:
                 assert padded == ()
 
 
 class TestContinuousRegions:
+    """``regions()`` at window 1: the maximal spans of frames that hold boxes."""
+
     def test_two_runs(self):
-        assert continuous_regions([0, 1, 1, 0, 1]) == [TemporalSpan(1, 2), TemporalSpan(4, 4)]
+        assert raw_series([0, 1, 1, 0, 1]).regions() == [TemporalSpan(1, 2), TemporalSpan(4, 4)]
 
     def test_all_zero(self):
-        assert continuous_regions([0, 0, 0]) == []
+        assert raw_series([0, 0, 0]).regions() == []
 
     def test_all_ones(self):
-        assert continuous_regions([1] * 7) == [TemporalSpan(0, 6)]
+        assert raw_series([1] * 7).regions() == [TemporalSpan(0, 6)]
 
     @given(series_st)
     def test_union_matches_positive_frames(self, series):
-        regions = continuous_regions(series)
+        regions = raw_series(series).regions()
         covered = set()
         prev_end = None
         for r in regions:

@@ -3,7 +3,7 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tubekit import (
@@ -20,6 +20,7 @@ from tubekit import (
     tube_iou,
     viterbi_link,
 )
+from tubekit import linking
 from tubekit.linking import _iou_table
 
 from oracles import brute_force_link, naive_extract_tubes
@@ -144,7 +145,7 @@ class TestExtractTubes:
         for dets in detections:
             tubes = extract_tubes(dets)
             series = DetectionCountSeries.from_detections(dets, 80)
-            padded = pad_detections(dets, list(series.smoothed))
+            padded = pad_detections(dets, series)
             emitted = sum(t.span.length for t in tubes)
             assert emitted <= padded.total_boxes()
             for t in tubes:
@@ -172,7 +173,7 @@ class TestExtractTubes:
             from tubekit import DetectionCountSeries, pad_detections
 
             series = DetectionCountSeries.from_detections(dets, 80)
-            padded = pad_detections(dets, list(series.smoothed))
+            padded = pad_detections(dets, series)
             pool = {f: list(boxes) for f, boxes in padded.frames.items()}
             for t in tubes:
                 for f, b in zip(t.span.frames(), t.boxes):
@@ -253,14 +254,39 @@ def video(draw):
     return FrameDetections(video_id="v", length=length, frames=frames)
 
 
+def staggered(counts):
+    """Detections with ``counts[f]`` boxes on frame f, each box shifted right of the one before."""
+    frames = {f: tuple(Box2D(3 * i + f % 2, 0, 3 * i + 5, 4) for i in range(c)) for f, c in enumerate(counts)}
+    return FrameDetections(video_id="v", length=len(counts), frames=frames)
+
+
+# The order in which extract_tubes links its pieces differs from the twin's
+# longest-first queue; these pin that it cannot change the output.
 @settings(max_examples=300, deadline=None)
 @given(video(), st.integers(1, 6), st.sampled_from([1, 2, 3, 5, 8, 80]))
+# two disjoint regions of equal length
+@example(staggered([2] * 5 + [0] * 4 + [2] * 5), 5, 1)
+# one region that a link splits into two pieces of equal length
+@example(staggered([2] * 5 + [1] + [2] * 5), 5, 1)
+# one span linked three times: three tubes share its start and length
+@example(staggered([3] * 6), 1, 1)
 def test_extract_tubes_matches_scalar_twin(dets, min_tube_len, median_window):
     cfg = ExtractionConfig(min_tube_len=min_tube_len, median_window=median_window)
     fast = extract_tubes(dets, cfg)
     slow = naive_extract_tubes(dets, cfg)
     assert fast == slow
     assert [t.score.hex() for t in fast] == [t.score.hex() for t in slow]
+
+
+def test_iou_table_covers_only_linkable_pieces(monkeypatch):
+    # window 3 keeps every smoothed count at 2, so frames 0-9 are one region;
+    # empty frame 3 splits it into a 3-frame piece, too short to link, and a
+    # 6-frame piece, whose table takes 5 frames of 2 x 2 IoUs
+    calls = []
+    monkeypatch.setattr(linking, "box_iou", lambda a, b: calls.append((a, b)) or box_iou(a, b))
+    tubes = extract_tubes(staggered([2, 2, 2, 0, 2, 2, 2, 2, 2, 2]), ExtractionConfig(min_tube_len=5, median_window=3))
+    assert [t.span for t in tubes] == [TemporalSpan(4, 9)] * 2
+    assert len(calls) == 20
 
 
 @st.composite

@@ -5,7 +5,10 @@
         --pairs 10 --seconds 30 --seed 7 --claim evaluate_s --out BENCH_N.json
 
 The parent's files come from ``git archive REV`` into a temporary directory;
-the change is this checkout as it is on disk. Each pair runs
+the change is this checkout as it is on disk, copied into another one
+without any ``__pycache__``: the files git tracks or would add, read from
+disk. So neither side starts with a bytecode cache, which would make its
+first start-ups cheaper than the other side's. Each pair runs
 ``perfbench/run.py --trace 0`` once on each side, the parent first in odd
 pairs and the change first in even pairs, and keeps the JSON line that
 run.py prints last. ``--out`` adds the runs to a BENCH file (made if
@@ -21,6 +24,7 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -49,6 +53,20 @@ def export(rev: str, dest: Path) -> None:
     git("archive", "--format=tar", "-o", str(archive), rev)
     subprocess.run(["tar", "-xf", str(archive), "-C", str(dest)], check=True)
     archive.unlink()
+
+
+def copy_checkout(dest: Path) -> None:
+    """Copy this checkout's files as they are on disk, tracked or not ignored, into ``dest``.
+
+    What .gitignore names, ``__pycache__`` among it, stays behind, as in ``checkout_src_tree``.
+    """
+    listed = git("ls-files", "-z", "--cached", "--others", "--exclude-standard").split("\0")
+    for name in filter(None, listed):
+        source = ROOT / name
+        if "__pycache__" in source.parts or not source.is_file():  # a cache, or a tracked file deleted on disk
+            continue
+        (dest / name).parent.mkdir(parents=True, exist_ok=True)
+        shutil.copy2(source, dest / name)
 
 
 def bench(root: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -131,6 +149,8 @@ def main(argv=None) -> int:
         "command": "python3 perfbench/run.py --workload W --seed S --trace 0",
         "seconds": args.seconds,
         "order": ORDER,
+        "trees": "each side runs from a temporary copy with no __pycache__: the parent from git archive, "
+                 "the change from this checkout's files on disk",
         "machine": f"{os.cpu_count()} CPU {platform.system()}, Python {platform.python_version()}",
         "result": "the last JSON line that run.py prints",
     }
@@ -152,12 +172,15 @@ def main(argv=None) -> int:
                 if (r["workload"], r["seed"]) == (args.workload, args.seed)), default=0)
     new_runs = []
     with tempfile.TemporaryDirectory() as tmp:
-        parent_root = Path(tmp)
+        parent_root, change_root = Path(tmp) / "parent", Path(tmp) / "change"
+        parent_root.mkdir()
         export(parent["commit"], parent_root)
+        copy_checkout(change_root)
         for pair in range(done + 1, done + args.pairs + 1):
             order = ("parent", "change") if pair % 2 else ("change", "parent")
             for side in order:
-                result = bench(parent_root if side == "parent" else ROOT, args.workload, args.seed, args.seconds)
+                result = bench(parent_root if side == "parent" else change_root, args.workload, args.seed,
+                               args.seconds)
                 new_runs.append({"workload": args.workload, "seed": args.seed, "pair": pair, "side": side,
                                  "ran_first": side == order[0], "result": result})
                 print(f"pair {pair} {side}: correct={result.get('correct')} failed={result.get('failed')}",

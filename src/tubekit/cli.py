@@ -15,6 +15,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+from .count_signal import FrameDetections
 from .errors import ParseError
 from .evaluation import AP_METHOD, EvalConfig, video_map
 from .formats import (
@@ -48,7 +49,7 @@ from .fusion import (
 from .linking import ExtractionConfig, extract_tubes
 from .synth import SynthConfig, generate_video
 
-# compose_actionness takes the per-frame probabilities in this order
+# compose_actionness takes the streams' probability runs in this order
 _ACTIONNESS_STREAMS = ("pose", "rgb", "flow")
 
 EXIT_OK = 0
@@ -165,11 +166,40 @@ def _cmd_fuse(args) -> int:
     return EXIT_OK
 
 
-def _frame_probs(scores: StreamScoreSet, length: int, cls: int) -> list[float]:
-    probs = []
-    for n, vec in frame_scores_from_clips(scores, length):
-        probs += [(softmax(vec) if vec.kind == "raw" else vec).values[cls]] * n
-    return probs
+def _prob_runs(scores: StreamScoreSet, length: int, cls: int) -> list[tuple[int, float]]:
+    """``(length, probability of cls)`` per run of ``frame_scores_from_clips``: one softmax per raw run."""
+    return [
+        (n, (softmax(vec) if vec.kind == "raw" else vec).values[cls])
+        for n, vec in frame_scores_from_clips(scores, length)
+    ]
+
+
+def _gate_runs(source) -> list[tuple[int, bool]]:
+    """A video's human-presence gate, as ``(length, present)`` runs.
+
+    From its detections, a ``FrameDetections``: over its frames, present on
+    those that hold boxes. From its tubes, a list: over the frames up to the
+    last tube end, present on those that a tube covers.
+    """
+    if isinstance(source, FrameDetections):
+        spans, length = [(f, f + 1) for f in sorted(source.frames)], source.length
+    else:
+        spans = sorted([(t.span.start, t.span.end + 1) for t in source])
+        length = max(stop for _, stop in spans)
+    out, covered = [], 0  # frames [0, covered) are in out, which ends in a present run
+    for start, stop in spans:
+        if stop <= covered:
+            continue
+        if start > covered:
+            out += [(start - covered, False), (stop - start, True)]
+        elif out:
+            out[-1] = (out[-1][0] + stop - covered, True)
+        else:
+            out.append((stop, True))
+        covered = stop
+    if covered < length:
+        out.append((length - covered, False))
+    return out
 
 
 def _cmd_actionness(args) -> int:
@@ -199,17 +229,12 @@ def _cmd_actionness(args) -> int:
                 )
 
     def row(vid):
-        # a video's per-frame lists grow with its last frame: locals here, they go with the call
-        if args.detections is not None:
-            dets, tubes = sources[vid], []
-            human = [f in dets.frames for f in range(dets.length)]  # frames with boxes
-        else:
-            tubes = sources[vid]
-            human = [False] * (max(t.span.end for t in tubes) + 1)  # frames that a tube covers
-            for t in tubes:
-                human[t.span.start:t.span.end + 1] = [True] * t.span.length
+        # a video's runs and series are locals here: they go with the call, before the next video's
+        human = _gate_runs(sources[vid])
+        tubes = sources[vid] if args.tubes is not None else []
+        length = sum([n for n, _ in human])
         probs = [
-            _frame_probs(sets[vid, stream, args.granularity], len(human), args.action_class)
+            _prob_runs(sets[vid, stream, args.granularity], length, args.action_class)
             for stream in _ACTIONNESS_STREAMS
         ]
         series = compose_actionness(*probs, human)

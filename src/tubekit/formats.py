@@ -58,8 +58,8 @@ from .fusion import (
 from .geometry import Box2D, TemporalSpan, Tube, _unchecked
 
 
-# Largest frame index a file may name. The actionness series, and with it the
-# work and output of ``actionness``, grow with a video's last frame.
+# Largest frame index a file may name. Of what ``actionness`` does, only the
+# text it writes, a real and a flag per frame, grows with a video's last frame.
 MAX_FRAME = 10**6
 
 
@@ -89,16 +89,9 @@ def _real(x: float) -> str:
     return json.dumps(float(s), allow_nan=False)
 
 
-# A longer array is joined a slice at a time: str.join lists every part first,
-# and a string per real of a million-frame series is some 50 MB.
-_JOIN_SLICE = 4096
-
-
 def _reals(values: Sequence[float]) -> str:
     """The reals of a JSON array, without its brackets."""
-    if len(values) <= _JOIN_SLICE:
-        return ",".join(map(_real, values))
-    return ",".join([_reals(values[i:i + _JOIN_SLICE]) for i in range(0, len(values), _JOIN_SLICE)])
+    return ",".join(map(_real, values))
 
 
 # json's own string encoder, with the ensure_ascii escapes that json.dumps writes
@@ -551,11 +544,19 @@ def write_actionness(
 _BOOLS = ("false", "true")  # indexed by a bool
 
 
+def _repeated(text: str, n: int) -> str:
+    """``n`` copies of ``text``, comma-separated."""
+    return (text + ",") * (n - 1) + text
+
+
 def _actionness_line(vid, cls, threshold, series, spans, tube_sums) -> str:
-    human = ",".join(map(_BOOLS.__getitem__, series.human_present))
+    # a piece's real and flag are made text once, and repeated once per frame
+    pieces = series.pieces
+    values = ",".join([_repeated(_real(v), n) for n, v, _ in pieces])
+    human = ",".join([_repeated(_BOOLS[h], n) for n, _, h in pieces])
     span_pairs = ",".join([f"[{start:d},{end:d}]" for start, end in spans])
     return (
         f'{{"video_id":{_string(vid)},"class":{cls:d},"threshold":{_real(threshold)},'
-        f'"series":[{_reals(series.values)}],"human":[{human}],'
+        f'"series":[{values}],"human":[{human}],'
         f'"spans":[{span_pairs}],"tube_sums":[{_reals(tube_sums)}]}}\n'
     )

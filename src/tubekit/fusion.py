@@ -2,15 +2,26 @@
 
 All means use exactly-rounded summation (math.fsum), which makes the
 aggregations permutation invariant down to the last bit.
+
+A video's scores are constant over runs of frames, one clip's worth or
+less, so its actionness is kept as runs too: ``frame_scores_from_clips``
+returns ``(length, vector)`` runs, ``compose_actionness`` cuts the three
+streams' runs and the gate's at the union of their boundaries and
+computes ``actionness`` once per piece, and ``temporal_localize`` and
+``tube_actionness`` read the pieces. Their work grows with the number of
+pieces, not with the video's length; the per-frame twins are in
+``tests/oracles.py``.
 """
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field
+from itertools import accumulate, chain, groupby, repeat
+from operator import attrgetter
 from typing import Sequence
 
-from .geometry import TemporalSpan, Tube, _unchecked, runs
+from .geometry import TemporalSpan, Tube, _unchecked
 
 STREAMS = ("pose", "flow", "rgb")
 GRANULARITIES = ("net16", "net32", "netW")
@@ -118,19 +129,26 @@ class StreamScoreSet:
 
 @dataclass(frozen=True)
 class ActionnessSeries:
-    """Per-frame actionness of one class plus the human-presence gate."""
+    """Actionness of one class plus the human-presence gate, as pieces of frames.
 
-    values: tuple[float, ...]
-    human_present: tuple[bool, ...]
+    ``pieces`` holds one ``(length, actionness, human_present)`` per piece,
+    in frame order: every frame of a piece has that actionness and that
+    gate. Neighbouring pieces may be equal. ``ends`` holds each piece's end
+    frame, exclusive, so ``len(series)`` is the last of them.
+    """
+
+    pieces: tuple[tuple[int, float, bool], ...]
+    ends: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.values) != len(self.human_present):
-            raise ValueError(
-                f"{len(self.values)} scores vs {len(self.human_present)} presence flags"
-            )
+        lengths = [n for n, _, _ in self.pieces]
+        bad = [n for n in lengths if type(n) is not int or n < 1]
+        if bad:
+            raise ValueError(f"piece of length {bad[0]!r}: a positive integer length required")
+        object.__setattr__(self, "ends", tuple(accumulate(lengths)))
 
     def __len__(self) -> int:
-        return len(self.values)
+        return self.ends[-1] if self.ends else 0
 
 
 def softmax(v: ScoreVector) -> ScoreVector:
@@ -138,11 +156,10 @@ def softmax(v: ScoreVector) -> ScoreVector:
     m = max(v.values)
     exps = [math.exp(x - m) for x in v.values]
     total = math.fsum(exps)
-    return _unchecked(ScoreVector, values=tuple(e / total for e in exps), kind="prob")
+    return _unchecked(ScoreVector, values=tuple([e / total for e in exps]), kind="prob")
 
 
-def _mean_kind(vectors: Sequence[ScoreVector]) -> str:
-    return "prob" if all(v.kind == "prob" for v in vectors) else "raw"
+_kind = attrgetter("kind")
 
 
 def _scaled_fsum(column: Sequence[float], e: int) -> float:
@@ -163,9 +180,19 @@ def _mean(column: Sequence[float]) -> float:
 
 
 def _elementwise_mean(vectors: Sequence[ScoreVector]) -> ScoreVector:
-    # a column per class, in vector order: the same floats reach fsum in the same order
-    values = tuple(map(_mean, zip(*[v.values for v in vectors], strict=True)))
-    return _unchecked(ScoreVector, values=values, kind=_mean_kind(vectors))
+    """``_mean`` of each column, the columns in class order and each in vector order.
+
+    Each column is summed by fsum, never added up pairwise: ``-0.0 + -0.0``
+    is ``-0.0`` where fsum gives ``0.0``, and a pair of huge terms can
+    overflow where their mean does not.
+    """
+    rows, n = [v.values for v in vectors], len(vectors)
+    try:
+        values = tuple([math.fsum(col) / n for col in zip(*rows, strict=True)])
+    except OverflowError:
+        values = tuple(map(_mean, zip(*rows, strict=True)))
+    # every vector's kind is "raw" or "prob"
+    return _unchecked(ScoreVector, values=values, kind="raw" if "raw" in map(_kind, vectors) else "prob")
 
 
 def _check_units(units: Sequence[ScoreVector], what: str) -> None:
@@ -286,35 +313,74 @@ def frame_scores_from_clips(scores: StreamScoreSet, video_len: int) -> list[tupl
 
 def actionness(s_pose: float, s_rgb: float, s_flow: float) -> float:
     """Per-frame actionness: squared pose score times cube roots of the others."""
-    for name, v in (("s_pose", s_pose), ("s_rgb", s_rgb), ("s_flow", s_flow)):
-        if not 0.0 <= v <= 1.0:
-            raise ValueError(f"{name}={v} outside [0, 1]")
+    if not (0.0 <= s_pose <= 1.0 and 0.0 <= s_rgb <= 1.0 and 0.0 <= s_flow <= 1.0):
+        for name, v in (("s_pose", s_pose), ("s_rgb", s_rgb), ("s_flow", s_flow)):
+            if not 0.0 <= v <= 1.0:
+                raise ValueError(f"{name}={v} outside [0, 1]")
     return (s_pose * s_pose) * s_rgb ** (1.0 / 3.0) * s_flow ** (1.0 / 3.0)
 
 
+def _cut(run_lists: Sequence[Sequence[tuple[int, object]]]) -> list[tuple]:
+    """``(length, value)`` run lists over the same frames, cut at the union of their run ends.
+
+    Returns ``(length, value of each list)`` per piece, in frame order.
+    """
+    run_ends = [list(accumulate([n for n, _ in runs])) for runs in run_lists]
+    if len({stops[-1] if stops else 0 for stops in run_ends}) > 1:
+        raise ValueError("run lists cover mismatched frame counts")
+    ends = sorted(set().union(*run_ends))
+    # the first run of a list to reach a piece's end holds the piece
+    columns = [[runs[bisect_left(stops, e)][1] for e in ends] for runs, stops in zip(run_lists, run_ends)]
+    return list(zip([b - a for a, b in zip([0, *ends], ends)], *columns))
+
+
 def compose_actionness(
-    pose: Sequence[float],
-    rgb: Sequence[float],
-    flow: Sequence[float],
-    human_present: Sequence[bool],
+    pose: Sequence[tuple[int, float]],
+    rgb: Sequence[tuple[int, float]],
+    flow: Sequence[tuple[int, float]],
+    human_present: Sequence[tuple[int, bool]],
 ) -> ActionnessSeries:
-    if not len(pose) == len(rgb) == len(flow) == len(human_present):
-        raise ValueError("per-frame inputs have mismatched lengths")
-    values = tuple(actionness(p, r, f) for p, r, f in zip(pose, rgb, flow))
-    return ActionnessSeries(values=values, human_present=tuple(bool(h) for h in human_present))
+    """The actionness series of ``(length, value)`` runs over the same frames.
+
+    The three streams' runs hold a class probability and the gate's runs a
+    human-present flag; ``actionness`` is called once per piece of their cut.
+    """
+    pieces = _cut((pose, rgb, flow, human_present))
+    return ActionnessSeries(tuple([(n, actionness(p, r, f), bool(h)) for n, p, r, f, h in pieces]))
 
 
 def tube_actionness(tube: Tube, series: ActionnessSeries) -> float:
-    """Sum of the per-frame actionness over the tube's frames."""
-    if tube.span.start < 0 or tube.span.end >= len(series):
+    """Sum of the per-frame actionness over the tube's frames.
+
+    fsum of each overlapping piece's value repeated once per frame: fsum
+    rounds the exact sum of the multiset once, so this is the per-frame sum
+    to the bit, where adding per-piece products ``n * v`` would round each.
+    """
+    start, stop = tube.span.start, tube.span.end + 1
+    if start < 0 or stop > len(series):
         raise ValueError(
             f"tube span [{tube.span.start}, {tube.span.end}] outside series of length {len(series)}"
         )
-    return math.fsum(series.values[f] for f in tube.span.frames())
+    ends, pieces = series.ends, series.pieces
+    i, terms = bisect_right(ends, start), []
+    while start < stop:
+        end = min(ends[i], stop)
+        terms.append(repeat(pieces[i][1], end - start))
+        start, i = end, i + 1
+    return math.fsum(chain.from_iterable(terms))
 
 
 def temporal_localize(series: ActionnessSeries, threshold: float) -> list[TemporalSpan]:
-    """Maximal runs of frames above threshold while a human is present."""
+    """Maximal runs of frames above threshold while a human is present.
+
+    Neighbouring pieces that pass the gate and the threshold join into one span.
+    """
     if not math.isfinite(threshold):
         raise ValueError(f"non-finite threshold {threshold!r}")
-    return runs(h and v >= threshold for h, v in zip(series.human_present, series.values))
+    spans, start = [], 0
+    for hit, group in groupby(series.pieces, key=lambda p: p[2] and p[1] >= threshold):
+        n = sum([p[0] for p in group])
+        if hit:
+            spans.append(TemporalSpan(start, start + n - 1))
+        start += n
+    return spans

@@ -4,7 +4,9 @@ Each is a scalar or brute-force twin of a pipeline step: exhaustive path
 enumeration for ``viterbi_link``, per-frame counts, a longest-first queue
 and from-scratch re-linking for ``extract_tubes``, a scan of every clip
 for every frame for ``frame_scores_from_clips``, prefix-by-prefix
-matching for ``video_map``'s per-class AP, a sorted window for
+matching for ``video_map``'s per-class AP, one ``actionness`` call, gate
+flag and sum term per frame for ``compose_actionness``,
+``temporal_localize`` and ``tube_actionness``, a sorted window for
 ``median_smooth``, ``json.loads`` on every line for the readers' line
 decoding, one scalar draw per walk step and per clip score for
 ``synth.generate_video``, and dict records through ``json.dumps`` for
@@ -15,12 +17,15 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 
 from tubekit.count_signal import FrameDetections
 from tubekit.errors import ParseError
 from tubekit.evaluation import VideoTube
 from tubekit.formats import quantize
-from tubekit.fusion import CENTER_CROPS, CLIP_LEN, STREAMS, ClipScore, ScoreVector, StreamScoreSet, _mean
+from tubekit.fusion import (
+    CENTER_CROPS, CLIP_LEN, STREAMS, ClipScore, ScoreVector, StreamScoreSet, _mean, actionness,
+)
 from tubekit.geometry import Box2D, TemporalSpan, Tube, box_iou, tube_iou
 from tubekit.linking import ExtractionConfig, LinkingProblem
 from tubekit.synth import _SCORE_PEAK, CANVAS_H, CANVAS_W, CLIP_STRIDE, SynthConfig, _video_rng
@@ -201,6 +206,36 @@ def naive_frame_scores(scores: StreamScoreSet, video_len: int) -> list[ScoreVect
                 best_vec, best_dist = vec, dist
         out.append(best_vec)
     return out
+
+
+def expand_runs(runs) -> list:
+    """One value per frame from ``(length, value)`` runs."""
+    return [value for n, value in runs for _ in range(n)]
+
+
+def expand_series(series) -> tuple[list[float], list[bool]]:
+    """The per-frame actionness and gate of an ``ActionnessSeries``."""
+    return (expand_runs([(n, v) for n, v, _ in series.pieces]),
+            expand_runs([(n, h) for n, _, h in series.pieces]))
+
+
+def naive_actionness(pose, rgb, flow, human) -> tuple[list[float], list[bool]]:
+    """Per-frame twin of ``compose_actionness``: per-frame lists in, one ``actionness`` per frame out."""
+    if not len(pose) == len(rgb) == len(flow) == len(human):
+        raise ValueError("per-frame inputs have mismatched lengths")
+    return [actionness(p, r, f) for p, r, f in zip(pose, rgb, flow)], [bool(h) for h in human]
+
+
+def naive_localize(values: list[float], human: list[bool], threshold: float) -> list[TemporalSpan]:
+    """Per-frame twin of ``temporal_localize``: the spans of frames with a human and a value at threshold or above."""
+    return _naive_spans([h and v >= threshold for h, v in zip(human, values)], 0)
+
+
+def naive_tube_actionness(tube: Tube, values: list[float]) -> float:
+    """Per-frame twin of ``tube_actionness``: fsum of the value of each frame of the tube."""
+    if tube.span.end >= len(values):
+        raise ValueError(f"tube span [{tube.span.start}, {tube.span.end}] outside series of length {len(values)}")
+    return math.fsum(values[f] for f in tube.span.frames())
 
 
 def _naive_match_count(
@@ -460,18 +495,19 @@ def prediction_records(rows):
 
 
 def actionness_records(rows):
-    return [
-        {
+    records = []
+    for vid, cls, threshold, series, spans, tube_sums in rows:
+        values, human = expand_series(series)
+        records.append({
             "video_id": vid,
             "class": cls,
             "threshold": quantize(threshold),
-            "series": [quantize(v) for v in series.values],
-            "human": series.human_present,
+            "series": [quantize(v) for v in values],
+            "human": human,
             "spans": spans,
             "tube_sums": [quantize(v) for v in tube_sums],
-        }
-        for vid, cls, threshold, series, spans, tube_sums in rows
-    ]
+        })
+    return records
 
 
 def dumped_lines(records) -> str:

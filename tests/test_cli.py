@@ -712,6 +712,23 @@ def test_actionness_peak_at_the_frame_cap_does_not_grow_with_videos(tmp_path, ga
     assert peaks[3] - peaks[1] <= 8, f"VmHWM {peaks[1]:.1f} MB for one video, {peaks[3]:.1f} MB for three"
 
 
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc/self/status")
+@pytest.mark.parametrize("gate", ["--detections", "--tubes"])
+def test_actionness_peak_at_the_frame_cap_stays_small(tmp_path, gate):
+    # the video is a few pieces, not a million frames: the peak is the interpreter,
+    # the line's 15 MB of text and its copy on the way out (51-57 MB), where per-frame
+    # lists took it to 107 MB
+    gates, scores = _write_frame_cap_videos(tmp_path, 1)
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_AFTER_MAIN, "actionness", "--scores", str(scores), gate, str(gates[gate]),
+         "--class", "0", "--threshold", "0.1", "--out", str(tmp_path / "out.jsonl")],
+        capture_output=True, text=True, check=True, env=SRC_ENV,
+    )
+    code, peak_kb = proc.stdout.split()
+    assert code == "0", proc.stderr
+    assert int(peak_kb) / 1024 < 80, f"VmHWM {int(peak_kb) / 1024:.1f} MB for one video at the frame cap"
+
+
 def test_import_cli_leaves_scipy_unloaded():
     # both are slow to import, and no subcommand but synth needs numpy; nothing needs scipy
     code = "import sys, tubekit.cli; print('scipy' in sys.modules, 'numpy' in sys.modules)"

@@ -312,10 +312,18 @@ class TestExactBytes:
         )
 
     def test_actionness(self, tmp_path):
-        row = ("v", 2, THIRD, ActionnessSeries((THIRD, 1e-7, -0.0), (True, False, True)), [(0, 1)], [123456.789])
+        row = ("v", 2, THIRD, ActionnessSeries(((1, THIRD, True), (1, 1e-7, False), (1, -0.0, True))), [(0, 1)],
+               [123456.789])
         assert _written(tmp_path, formats.write_actionness, [row]) == (
             '{"video_id":"v","class":2,"threshold":0.333333,"series":[0.333333,1e-07,-0.0],'
             '"human":[true,false,true],"spans":[[0,1]],"tube_sums":[123457.0]}\n'
+        )
+
+    def test_actionness_repeats_each_piece(self, tmp_path):
+        row = ("v", 0, 0.5, ActionnessSeries(((3, THIRD, True), (1, -0.0, False), (2, 1e-7, False))), [], [])
+        assert _written(tmp_path, formats.write_actionness, [row]) == (
+            '{"video_id":"v","class":0,"threshold":0.5,"series":[0.333333,0.333333,0.333333,-0.0,1e-07,1e-07],'
+            '"human":[true,true,true,false,false,false],"spans":[],"tube_sums":[]}\n'
         )
 
 
@@ -368,8 +376,9 @@ def _every_writer_input() -> list:
         )),
         (write_predictions, [(ODD_ID, 2, (THIRD, -0.0)), (ODD_ID, 0, [5e-324])]),
         (formats.write_actionness, [
-            (ODD_ID, 2, THIRD, ActionnessSeries((THIRD, -0.0), (True, False)), [(0, 1), (3, 3)], (123456.789,)),
-            (ODD_ID, 0, 0.5, ActionnessSeries((), ()), [], []),
+            (ODD_ID, 2, THIRD, ActionnessSeries(((1, THIRD, True), (1, -0.0, False))), [(0, 1), (3, 3)],
+             (123456.789,)),
+            (ODD_ID, 0, 0.5, ActionnessSeries(()), [], []),
         ]),
     ]
 
@@ -402,9 +411,9 @@ def test_synth_corpus_lines_are_what_json_dumps_writes():
         assert _lines(writer, items) == oracles.dumped_lines(LINE_RECORDS[writer](items))
 
 
-def test_series_longer_than_a_join_slice():
-    n = 2 * formats._JOIN_SLICE + 3
-    row = ("v", 0, 0.5, ActionnessSeries(tuple(f / 7 for f in range(n)), tuple(f % 3 == 0 for f in range(n))),
+def test_series_of_many_pieces():
+    n = 8195
+    row = ("v", 0, 0.5, ActionnessSeries(tuple((1 + f % 4, f / 7, f % 3 == 0) for f in range(n))),
            [(0, n - 1)], [n / 7])
     assert _lines(formats.write_actionness, [row]) == oracles.dumped_lines(oracles.actionness_records([row]))
 
@@ -418,9 +427,9 @@ def test_encoder_refuses_non_finite_reals_as_json_dumps_does(bad):
     good = [("v", 0, [0.5])]
     for writer, items in [
         (write_predictions, good + [("v", 1, [0.5, bad])]),
-        (formats.write_actionness, [("v", 0, bad, ActionnessSeries((), ()), [], [])]),
-        (formats.write_actionness, [("v", 0, 0.5, ActionnessSeries((0.5, bad), (True, True)), [], [])]),
-        (formats.write_actionness, [("v", 0, 0.5, ActionnessSeries((), ()), [], [1.0, bad])]),
+        (formats.write_actionness, [("v", 0, bad, ActionnessSeries(()), [], [])]),
+        (formats.write_actionness, [("v", 0, 0.5, ActionnessSeries(((1, 0.5, True), (2, bad, True))), [], [])]),
+        (formats.write_actionness, [("v", 0, 0.5, ActionnessSeries(()), [], [1.0, bad])]),
         (write_report, EvalReport((0.5,), {0.5: (ClassResult(0, 0.5, 1, 1, 0, ((1.0, bad),)),)}, {0.5: 0.5})),
     ]:
         # the lines before the bad one are written, and nothing of the bad one
@@ -469,7 +478,7 @@ ANY_REAL = st.floats(allow_nan=True, allow_infinity=True)
     st.text(max_size=6),
     st.lists(st.lists(BOX, max_size=3), max_size=3),
     st.lists(st.tuples(st.integers(-2**70, 2**70), st.lists(ANY_REAL, max_size=4)), max_size=3),
-    st.lists(st.tuples(ANY_REAL, st.booleans()), max_size=5),
+    st.lists(st.tuples(ANY_REAL, st.booleans(), st.integers(1, 3)), max_size=5),
     st.lists(st.tuples(ANY_REAL, ANY_REAL), max_size=3),
 )
 @settings(max_examples=300, deadline=None)
@@ -481,7 +490,7 @@ def test_writer_lines_match_json_dumps_on_any_input(vid, frames, predictions, se
         (write_predictions, [(vid, label, values) for label, values in predictions]),
         (formats.write_actionness, [(
             vid, 1, series[0][0] if series else 0.5,
-            ActionnessSeries(tuple(v for v, _ in series), tuple(h for _, h in series)),
+            ActionnessSeries(tuple((n, v, h) for v, h, n in series)),
             [(f, f + 1) for f in range(len(series))], [v for v, _ in pr],
         )]),
         (write_report, EvalReport(

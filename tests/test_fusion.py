@@ -1,13 +1,14 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tubekit import (
     ActionnessSeries,
     Box2D,
     ClipScore,
+    FrameDetections,
     ScoreVector,
     StreamScoreSet,
     TemporalSpan,
@@ -21,11 +22,15 @@ from tubekit import (
     temporal_localize,
     tube_actionness,
 )
+from tubekit.cli import _gate_runs, _prob_runs
 from tubekit.fusion import (
     CLIP_LEN, FIXED_CROPS, GRANULARITIES, STREAMS, _elementwise_mean, _majority_label, _unchecked,
 )
 
-from oracles import naive_frame_scores, naive_mean
+from oracles import (
+    expand_runs, expand_series, naive_actionness, naive_frame_scores, naive_localize, naive_mean,
+    naive_tube_actionness,
+)
 
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False, allow_infinity=False)
 vectors = st.lists(finite, min_size=1, max_size=8).map(lambda v: ScoreVector(tuple(v)))
@@ -193,21 +198,16 @@ def score_set(entries, video_id="v", stream="rgb", granularity="net16"):
     )
 
 
-def expand(runs):
-    """One vector per frame from ``frame_scores_from_clips``'s (length, vector) runs."""
-    return [vec for n, vec in runs for _ in range(n)]
-
-
 class TestFrameScores:
     def test_single_clip_covers_all(self):
         s = score_set([(0, "center", ScoreVector((1.0, 3.0)))])
-        frames = expand(frame_scores_from_clips(s, 16))
+        frames = expand_runs(frame_scores_from_clips(s, 16))
         assert len(frames) == 16
         assert all(f.values == (1.0, 3.0) for f in frames)
 
     def test_overlap_averages(self):
         s = score_set([(0, "center", ScoreVector((1.0, 0.0))), (8, "center", ScoreVector((0.0, 1.0)))])
-        frames = expand(frame_scores_from_clips(s, 16))
+        frames = expand_runs(frame_scores_from_clips(s, 16))
         assert frames[0].values == (1.0, 0.0)
         for f in range(8, 16):
             assert frames[f].values == (0.5, 0.5)
@@ -215,21 +215,21 @@ class TestFrameScores:
     def test_tail_frames_take_the_later_clip(self):
         # frames 16,17 fall past the first clip but inside the second
         s = score_set([(0, "center", ScoreVector((1.0, 0.0))), (8, "center", ScoreVector((0.0, 1.0)))])
-        frames = expand(frame_scores_from_clips(s, 18))
+        frames = expand_runs(frame_scores_from_clips(s, 18))
         assert frames[16].values == (0.0, 1.0)
         assert frames[17].values == (0.0, 1.0)
 
     def test_uncovered_frames_take_nearest_clip(self):
         # frames 24..29 are covered by no clip; the clip at 8 ends nearest
         s = score_set([(0, "center", ScoreVector((1.0, 0.0))), (8, "center", ScoreVector((0.0, 1.0)))])
-        frames = expand(frame_scores_from_clips(s, 30))
+        frames = expand_runs(frame_scores_from_clips(s, 30))
         for f in range(24, 30):
             assert frames[f].values == (0.0, 1.0)
 
     def test_nearest_tie_goes_to_earlier_clip(self):
         # clips cover [0, 15] and [21, 36]; frame 18 is 3 frames from both
         s = score_set([(0, "center", ScoreVector((1.0, 0.0))), (21, "center", ScoreVector((0.0, 1.0)))])
-        frames = expand(frame_scores_from_clips(s, 37))
+        frames = expand_runs(frame_scores_from_clips(s, 37))
         assert frames[18].values == (1.0, 0.0)
         assert frames[19].values == (0.0, 1.0)  # one frame later the tie breaks
 
@@ -240,7 +240,7 @@ class TestFrameScores:
 
     def test_crops_average_before_distribution(self):
         s = score_set([(0, "center", ScoreVector((1.0, 0.0))), (0, "center_flip", ScoreVector((0.0, 1.0)))])
-        frames = expand(frame_scores_from_clips(s, 4))
+        frames = expand_runs(frame_scores_from_clips(s, 4))
         assert frames[0].values == (0.5, 0.5)
 
     def test_bad_video_len(self):
@@ -290,10 +290,13 @@ def clip_layouts(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(clip_layouts())
+# two crops of -0.0 logits: their mean is fsum's 0.0, where -0.0 + -0.0 is -0.0
+@example((score_set([(0, "center", ScoreVector((-0.0, -0.0))), (0, "center_flip", ScoreVector((-0.0, 1.0)))]), 20))
 def test_frame_scores_match_scalar_twin(layout):
     scores, video_len = layout
     runs = frame_scores_from_clips(scores, video_len)
-    assert expand(runs) == naive_frame_scores(scores, video_len)
+    # by bits: == takes -0.0 for 0.0
+    assert [bits(v) for v in expand_runs(runs)] == [bits(v) for v in naive_frame_scores(scores, video_len)]
     assert all(n >= 1 for n, _ in runs)
     assert sum(n for n, _ in runs) == video_len
     assert all(a is not b for (_, a), (_, b) in zip(runs, runs[1:]))
@@ -337,10 +340,23 @@ class TestActionness:
         assert actionness(p + 0.1, r, f) >= actionness(p, r, f)
 
 
-def make_series(values, human=None):
-    if human is None:
-        human = [True] * len(values)
-    return ActionnessSeries(values=tuple(values), human_present=tuple(human))
+def per_frame_series(values, human):
+    """A series of one-frame pieces."""
+    return ActionnessSeries(tuple((1, v, h) for v, h in zip(values, human, strict=True)))
+
+
+class TestActionnessSeries:
+    def test_length_is_the_frame_count(self):
+        assert len(ActionnessSeries(((3, 0.5, True), (1, 0.5, True), (4, 0.0, False)))) == 8
+        assert len(ActionnessSeries(())) == 0
+
+    @pytest.mark.parametrize("n", [0, -1, 1.0, True])
+    def test_piece_length_must_be_a_positive_int(self, n):
+        with pytest.raises(ValueError, match="positive integer length"):
+            ActionnessSeries(((2, 0.5, True), (n, 0.5, True)))
+
+    def test_ends_are_each_piece_end(self):
+        assert ActionnessSeries(((2, 0.5, True), (3, 0.1, False))).ends == (2, 5)
 
 
 class TestTubeActionness:
@@ -349,36 +365,48 @@ class TestTubeActionness:
         return Tube(span=TemporalSpan(start, end), boxes=boxes)
 
     def test_zero_series(self):
-        assert tube_actionness(self.tube(0, 4), make_series([0.0] * 5)) == 0.0
+        assert tube_actionness(self.tube(0, 4), ActionnessSeries(((5, 0.0, True),))) == 0.0
 
     def test_constant_series(self):
-        assert tube_actionness(self.tube(0, 9), make_series([0.5] * 10)) == 5.0
+        assert tube_actionness(self.tube(0, 9), ActionnessSeries(((10, 0.5, True),))) == 5.0
 
     def test_partial_sum(self):
-        series = make_series([0.1, 0.2, 0.3, 0.4, 0.5])
+        series = per_frame_series([0.1, 0.2, 0.3, 0.4, 0.5], [True] * 5)
         assert tube_actionness(self.tube(1, 3), series) == pytest.approx(0.9)
 
     def test_out_of_bounds(self):
         with pytest.raises(ValueError):
-            tube_actionness(self.tube(3, 6), make_series([0.5] * 5))
+            tube_actionness(self.tube(3, 6), ActionnessSeries(((5, 0.5, True),)))
+
+    def test_sum_of_repeats_is_rounded_once(self):
+        # nine frames of 0.1 sum to 0.9 rounded once; fsum of the per-piece
+        # products 3 * 0.1 and 6 * 0.1 is 0.9000000000000001
+        series = ActionnessSeries(((3, 0.1, True), (6, 0.1, False), (1, 0.5, True)))
+        assert tube_actionness(self.tube(0, 8), series) == 0.9 == math.fsum([0.1] * 9)
+        assert math.fsum([3 * 0.1, 6 * 0.1]) == 0.9000000000000001
+        assert tube_actionness(self.tube(2, 9), series) == math.fsum([0.1] * 7 + [0.5])
 
 
 class TestTemporalLocalize:
     def test_full_video(self):
-        spans = temporal_localize(make_series([0.9] * 5), 0.5)
+        spans = temporal_localize(ActionnessSeries(((5, 0.9, True),)), 0.5)
         assert spans == [TemporalSpan(0, 4)]
 
     def test_human_gate_blocks_everything(self):
-        spans = temporal_localize(make_series([0.9] * 5, human=[False] * 5), 0.5)
+        spans = temporal_localize(ActionnessSeries(((5, 0.9, False),)), 0.5)
         assert spans == []
 
     def test_threshold_scan(self):
-        spans = temporal_localize(make_series([0.9, 0.9, 0.1, 0.9, 0.9]), 0.5)
+        spans = temporal_localize(ActionnessSeries(((2, 0.9, True), (1, 0.1, True), (2, 0.9, True))), 0.5)
         assert spans == [TemporalSpan(0, 1), TemporalSpan(3, 4)]
+
+    def test_neighbouring_pieces_that_pass_are_joined(self):
+        series = ActionnessSeries(((2, 0.9, True), (3, 0.5, True), (1, 0.5, False), (2, 0.7, True)))
+        assert temporal_localize(series, 0.5) == [TemporalSpan(0, 4), TemporalSpan(6, 7)]
 
     def test_non_finite_threshold(self):
         with pytest.raises(ValueError):
-            temporal_localize(make_series([0.5]), float("nan"))
+            temporal_localize(ActionnessSeries(((1, 0.5, True),)), float("nan"))
 
     @given(
         st.lists(st.floats(min_value=0, max_value=1), min_size=0, max_size=40),
@@ -386,7 +414,7 @@ class TestTemporalLocalize:
     )
     def test_spans_cover_exactly_qualifying_frames(self, values, threshold):
         human = [i % 3 != 0 for i in range(len(values))]
-        series = make_series(values, human)
+        series = per_frame_series(values, human)
         spans = temporal_localize(series, threshold)
         covered = set()
         for s in spans:
@@ -398,12 +426,81 @@ class TestTemporalLocalize:
 
 class TestComposeActionness:
     def test_composes_formula(self):
-        series = compose_actionness([0.5], [1.0], [1.0], [True])
-        assert series.values == (0.25,)
+        series = compose_actionness([(1, 0.5)], [(1, 1.0)], [(1, 1.0)], [(1, True)])
+        assert series.pieces == ((1, 0.25, True),)
+
+    def test_cuts_at_every_boundary(self):
+        series = compose_actionness([(4, 0.5)], [(1, 1.0), (3, 0.0)], [(2, 1.0), (2, 1.0)], [(3, True), (1, False)])
+        assert series.pieces == ((1, 0.25, True), (1, 0.0, True), (1, 0.0, True), (1, 0.0, False))
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            compose_actionness([0.5], [1.0], [1.0], [True, False])
+            compose_actionness([(1, 0.5)], [(1, 1.0)], [(1, 1.0)], [(1, True), (1, False)])
+
+
+BOX = Box2D(0.0, 0.0, 1.0, 1.0)
+
+
+def stream_set(draw, stream, video_len, k):
+    """A stream's score set with a clip layout of its own: gaps, repeated starts, starts past the end."""
+    prob = draw(st.booleans())
+    entries = []
+    for start in draw(st.lists(st.integers(0, video_len + CLIP_LEN), min_size=1, max_size=6)):
+        for crop in draw(st.lists(st.sampled_from(FIXED_CROPS), min_size=1, max_size=2)):
+            v = ScoreVector(tuple(draw(st.lists(wide, min_size=k, max_size=k))))
+            entries.append(ClipScore(start, crop, softmax(v) if prob else v))
+    return StreamScoreSet(video_id="v", stream=stream, granularity="net16", entries=tuple(entries))
+
+
+@st.composite
+def actionness_videos(draw):
+    """A gate source with its per-frame flags, tubes to sum over, and the three streams' score sets.
+
+    The gate comes from detections, with empty interior and trailing frames,
+    or from tubes that may overlap, nest or touch.
+    """
+    if draw(st.booleans()):
+        length = draw(st.integers(1, 70))
+        frames = draw(st.sets(st.integers(0, length - 1)))
+        source = FrameDetections("v", length, {f: (BOX,) for f in frames})
+        present = [f in frames for f in range(length)]
+        spans = draw(st.lists(st.tuples(st.integers(0, length - 1), st.integers(0, length - 1)), max_size=3))
+        tubes = [TemporalSpan(min(s), max(s)) for s in spans]
+    else:
+        spans = draw(st.lists(st.tuples(st.integers(0, 50), st.integers(0, 20)), min_size=1, max_size=5))
+        tubes = [TemporalSpan(a, a + d) for a, d in spans]
+        source = [Tube(t, (BOX,) * t.length) for t in tubes]
+        length = max(t.end for t in tubes) + 1
+        present = [any(t.start <= f <= t.end for t in tubes) for f in range(length)]
+    k = draw(st.integers(1, 3))
+    sets = [stream_set(draw, stream, length, k) for stream in ("pose", "rgb", "flow")]
+    return source, present, [Tube(t, (BOX,) * t.length) for t in tubes], sets, draw(st.integers(0, k - 1))
+
+
+def hexes(values):
+    return [v.hex() for v in values]
+
+
+@settings(max_examples=300, deadline=None)
+@given(actionness_videos(), st.data())
+def test_actionness_runs_match_frames(video, data):
+    source, present, tubes, sets, cls = video
+    human = _gate_runs(source)
+    assert expand_runs(human) == present
+    series = compose_actionness(*(_prob_runs(s, len(present), cls) for s in sets), human)
+
+    frame_probs = [
+        [(softmax(v) if v.kind == "raw" else v).values[cls] for v in naive_frame_scores(s, len(present))]
+        for s in sets
+    ]
+    values, gate = naive_actionness(*frame_probs, present)
+    got_values, got_gate = expand_series(series)
+    assert hexes(got_values) == hexes(values)
+    assert got_gate == gate
+    # thresholds equal to a piece's value, and between values
+    threshold = data.draw(st.sampled_from(values) | st.floats(0.0, 1.0))
+    assert temporal_localize(series, threshold) == naive_localize(values, gate, threshold)
+    assert hexes(tube_actionness(t, series) for t in tubes) == hexes(naive_tube_actionness(t, values) for t in tubes)
 
 
 @pytest.mark.parametrize("n", [2, 3, 7])
@@ -462,6 +559,11 @@ def bits(v):
 
 @settings(max_examples=300, deadline=None)
 @given(mixed_sets())
+# columns of -0.0 only: fsum's mean is 0.0, a pairwise sum's -0.0
+@example([ScoreVector((-0.0, -0.0)), ScoreVector((-0.0, -0.0))])
+@example([ScoreVector((-0.0, -0.0, -0.0)), ScoreVector((-0.0, -0.0, -0.0)), ScoreVector((-0.0, -0.0, -0.0))])
+# a pair whose sum overflows, though its mean does not
+@example([ScoreVector((1e308, -1.0)), ScoreVector((1e308, 1.0))])
 def test_derived_vectors_pass_the_checks(vectors):
     for v in vectors:
         assert_passes_checks(softmax(v))

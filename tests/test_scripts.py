@@ -75,3 +75,58 @@ def test_bench_pairs_summary_arithmetic():
     s = rows["v", "evaluate_s"]
     assert (s["pairs"], s["change_wins"], s["parent_wins"]) == (1, 0, 1)
     assert s["parent_q1"] == s["parent_median"] == s["parent_q3"] == 0.2
+
+
+def test_bench_pairs_copies_the_checkout_without_bytecode_caches(tmp_path, monkeypatch):
+    repo = tmp_path / "repo"
+    (repo / "pkg" / "__pycache__").mkdir(parents=True)
+    files = {".gitignore": "__pycache__/\nbuild/\n", "pkg/a.py": "A = 1\n", "pkg/gone.py": "", "pkg/b.py": "B = 2\n"}
+    for name, text in files.items():
+        (repo / name).write_text(text)
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@t"]
+    subprocess.run(["git", "init", "-q", str(repo)], check=True)
+    subprocess.run([*git, "add", "-A"], cwd=repo, check=True)
+    subprocess.run([*git, "commit", "-q", "-m", "files"], cwd=repo, check=True)
+    # on disk but not committed: an edit, a new file, a deletion, a cache and a build output
+    (repo / "pkg" / "a.py").write_text("A = 3\n")
+    (repo / "pkg" / "new.py").write_text("N = 4\n")
+    (repo / "pkg" / "gone.py").unlink()
+    (repo / "pkg" / "__pycache__" / "a.cpython-311.pyc").write_bytes(b"stale")
+    (repo / "build").mkdir()
+    (repo / "build" / "out.txt").write_text("x")
+
+    bench_pairs = _bench_pairs()
+    monkeypatch.setattr(bench_pairs, "ROOT", repo)
+    dest = tmp_path / "copy"
+    bench_pairs.copy_checkout(dest)
+    copied = sorted(str(p.relative_to(dest)) for p in dest.rglob("*") if p.is_file())
+    assert copied == [".gitignore", "pkg/a.py", "pkg/b.py", "pkg/new.py"]
+    assert (dest / "pkg" / "a.py").read_text() == "A = 3\n"
+    assert not list(dest.rglob("__pycache__"))
+
+
+def _parity():
+    sys.path.insert(0, str(ROOT / "scripts"))  # parity.py imports bench_pairs beside it
+    spec = importlib.util.spec_from_file_location("parity", ROOT / "scripts" / "parity.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_parity_runs_the_pipeline_and_compares_every_file(tmp_path):
+    parity = _parity()
+    workload = {
+        "synth": {"videos": 2, "frames": 40, "persons": 1, "fp_rate": 0.1, "miss_rate": 0.05, "classes": 3},
+        "extract_tubes": [], "fuse": [], "evaluate": [], "actionness": ["--class", "0", "--threshold", "0.3"],
+    }
+    sides = [parity.run_side(ROOT, workload, 13, tmp_path / side) for side in ("a", "b")]
+    for digests, failures in sides:
+        assert failures == []
+        assert sorted(digests) == sorted([
+            "detections.jsonl", "gt_tubes.jsonl", "scores.jsonl",
+            "tubes.jsonl", "predictions.jsonl", "report.jsonl", "actionness.jsonl",
+        ])
+    assert all(same for _, same in parity.compare(sides[0][0], sides[1][0]))
+    assert parity.compare({"a": "1", "b": "2"}, {"b": "2", "c": "3", "a": "0"}) == [
+        ("a", False), ("b", True), ("c", False),
+    ]

@@ -3,10 +3,11 @@
 The benchmark pins `fuse` with mean/center/rgb/net16 and `actionness
 --tubes` on synth's corpus. Here a small corpus drawn with
 ``random.Random(23).random()`` alone (numpy's streams may change between
-versions) goes through `extract-tubes`, `fuse` with every method, crop
-scheme and both one and three granularities, `actionness` with either
-gate on raw and on prob score sets, and `evaluate`; the sha256 of each
-output is pinned. The prob entries are multiples of 1/8, exact at 6
+versions) goes through `extract-tubes` at the default window and at
+small windows, where each video's smoothed count has several runs,
+`fuse` with every method, crop scheme and both one and three
+granularities, `actionness` with either gate on raw and on prob score
+sets, and `evaluate`; the sha256 of each output is pinned. The prob entries are multiples of 1/8, exact at 6
 significant digits, so a written vector still sums to 1.
 """
 import hashlib
@@ -80,6 +81,10 @@ def _write_corpus(root):
 def _runs():
     """(output name, argv) of every pinned run, in an order where inputs come first."""
     yield "tubes", ["extract-tubes", "detections.jsonl", "--out", "tubes.jsonl"]
+    # small windows smooth each video into several runs of counts, so padding reads more than one run
+    yield "tubes-w3-len2", ["extract-tubes", "detections.jsonl", "--median-window", "3", "--min-tube-len", "2",
+                            "--out", "tubes-w3-len2.jsonl"]
+    yield "tubes-w9", ["extract-tubes", "detections.jsonl", "--median-window", "9", "--out", "tubes-w9.jsonl"]
     for kind in ("raw", "prob"):
         scores = f"scores_{kind}.jsonl"
         for method in FUSION_METHODS:
@@ -128,6 +133,8 @@ def digests(tmp_path_factory):
 # sha256 of each output: a digest that changes is a change in what a subcommand writes
 DIGESTS = {
     "tubes": "a4642f960fbe1246f07e945c42ac00ef9637af4a680e1d6598d50e90a9609832",
+    "tubes-w3-len2": "5dae9848f248373e2a40595382336439f2fbb89efc0ae36da76daccf7a17d9ac",
+    "tubes-w9": "309a3349b3be4bccc981c4224f88218053b6875371ee3032ce1381b97f7bcbfe",
     "fuse-raw-mean-center-net16": "e9a23e72d2598beb5983e3becbfb61bd5f70a6e764f84262b2b37bcce66b175d",
     "fuse-raw-mean-center-net16+net32+netW": "b460f0d613abd80bc1cf92db10eaa15d421ef526853416f9e3ac2aaba2864391",
     "fuse-raw-mean-fixed-net16": "69cda97ebbf7138e0a4437984acd2b91556a723ab9ad4e13a74d88d86d883a58",

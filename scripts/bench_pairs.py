@@ -14,8 +14,10 @@ pairs and the change first in even pairs, and keeps the JSON line that
 run.py prints last. ``--out`` adds the runs to a BENCH file (made if
 missing, and it must name the same parent and change) and writes a summary
 over all of its runs: per workload, seed and end-to-end metric, the median
-and quartiles of each side and the pairs each side won; a tie counts for
-neither. The exit status is 1 unless every run of this call reports
+and quartiles of each side and the pairs each side won, a tie counting for
+neither, and the change's median relative to the parent's beside the
+metric's ``BENCHMARK.json`` bound; the table marks a metric worse than its
+bound BEYOND BOUND. The exit status is 1 unless every run of this call reports
 ``"correct": true`` and ``"failed": 0``.
 """
 from __future__ import annotations
@@ -92,10 +94,13 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return tuple(statistics.quantiles(values, n=4))
 
 
-def summarize(runs: list[dict], better: dict[str, str]) -> list[dict]:
-    """Per workload, seed and metric: each side's median and quartiles, and the wins.
+def summarize(runs: list[dict], better: dict[str, str], bounds: dict[str, float] | None = None) -> list[dict]:
+    """Per workload, seed and metric: each side's median and quartiles, the wins, and the bound.
 
-    Only pairs in which both runs report the metric count.
+    Only pairs in which both runs report the metric count. ``change_vs_parent``
+    is the change's median over the parent's, minus 1; ``worse_by`` is that
+    fraction in the direction that is worse for the metric, and a metric with
+    a bound in ``bounds`` is ``beyond_bound`` when it is worse by more than it.
     """
     sides: dict[tuple, dict[str, dict]] = {}
     for run in runs:
@@ -116,20 +121,38 @@ def summarize(runs: list[dict], better: dict[str, str]) -> list[dict]:
             parent_wins = sum(sign * (b - a) > 0 for a, b in values)
             p1, pm, p3 = quartiles(parent)
             c1, cm, c3 = quartiles(change)
+            relative = cm / pm - 1 if pm else None
+            bound = (bounds or {}).get(metric)
             summary.append({
                 "workload": workload, "seed": seed, "metric": metric, "better": direction,
                 "pairs": len(values), "change_wins": change_wins, "parent_wins": parent_wins,
                 "ties": len(values) - change_wins - parent_wins,
                 "parent_median": pm, "parent_q1": p1, "parent_q3": p3, "parent_iqr": p3 - p1,
                 "change_median": cm, "change_q1": c1, "change_q3": c3, "change_iqr": c3 - c1,
+                "change_vs_parent": relative,
+                "worse_by": None if relative is None else sign * relative,
+                "bound": bound,
+                "beyond_bound": bound is not None and relative is not None and sign * relative > bound,
             })
     return summary
+
+
+def table_row(s: dict) -> str:
+    """One summary row as main prints it; a metric worse than its bound is marked BEYOND BOUND."""
+    cells = [f"{s[side + '_median']:.4g} [{s[side + '_q1']:.4g}, {s[side + '_q3']:.4g}]"
+             for side in ("parent", "change")]
+    relative = "n/a" if s["change_vs_parent"] is None else f"{s['change_vs_parent']:+.1%}"
+    bound = "" if s["bound"] is None else f"{s['bound']:.0%}"
+    mark = "  BEYOND BOUND" if s["beyond_bound"] else ""
+    wins = f"{s['change_wins']}/{s['ties']}/{s['parent_wins']}"
+    return f"{s['metric']:16s} {cells[0]:32s} {cells[1]:32s} {wins:16s} {relative:>8s} {bound:>6s}{mark}"
 
 
 def main(argv=None) -> int:
     workloads = json.loads((ROOT / "perfbench" / "workloads.json").read_text(encoding="utf-8"))
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in benchmark["end_to_end"]}
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git revision to compare against")
     parser.add_argument("--workload", required=True, choices=sorted(workloads["workloads"]))
@@ -187,19 +210,18 @@ def main(argv=None) -> int:
                       flush=True)
 
     record["runs"] += new_runs
-    record["summary"] = summarize(record["runs"], better)
+    record["summary"] = summarize(record["runs"], better, bounds)
     if args.out is not None:
         ordered = {key: record[key] for key in ("claim", "parent", "change", "settings", "summary", "runs")
                    if key in record}
         ordered.update(record)  # keys added by hand, such as notes, are kept
         args.out.write_text(json.dumps(ordered, indent=1) + "\n", encoding="utf-8")
 
-    print(f"{'metric':16s} {'parent median [q1, q3]':32s} {'change median [q1, q3]':32s} wins/ties/losses")
+    print(f"{'metric':16s} {'parent median [q1, q3]':32s} {'change median [q1, q3]':32s} "
+          f"{'wins/ties/losses':16s} {'change':>8s} {'bound':>6s}")
     for s in record["summary"]:
         if (s["workload"], s["seed"]) == (args.workload, args.seed):
-            cells = [f"{s[side + '_median']:.4g} [{s[side + '_q1']:.4g}, {s[side + '_q3']:.4g}]"
-                     for side in ("parent", "change")]
-            print(f"{s['metric']:16s} {cells[0]:32s} {cells[1]:32s} {s['change_wins']}/{s['ties']}/{s['parent_wins']}")
+            print(table_row(s))
     bad = [r for r in new_runs if not (r["result"].get("correct") is True and r["result"].get("failed") == 0)]
     for r in bad:
         print(f"bench_pairs: pair {r['pair']} {r['side']} not correct: {r['result'].get('error', '')}",

@@ -7,17 +7,20 @@ every frame that holds boxes ends with max(raw, smoothed) of them: the
 expected count, without a series of its own.
 
 Counts are piecewise constant, so ``DetectionCountSeries`` keeps them as
-runs of equal value, and a video's count work grows with its frames that
-hold boxes, not with its last frame. ``median_smooth`` is the one
-per-frame form: the same smoother over a list of counts.
+``(length, count)`` runs, the form every per-frame signal of the package
+takes (see ``fusion.ActionnessSeries``), and a video's count work grows
+with its frames that hold boxes, not with its last frame.
+``median_smooth`` is the one per-frame form: the same smoother over a
+list of counts.
 """
 from __future__ import annotations
 
 from bisect import insort, bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate, groupby
 from typing import Sequence
 
-from .geometry import Box2D, TemporalSpan, _unchecked
+from .geometry import Box2D, TemporalSpan, _unchecked, runs
 
 
 @dataclass(frozen=True)
@@ -51,40 +54,36 @@ class FrameDetections:
         return sum(len(b) for b in self.frames.values())
 
 
-def _count_runs(dets: FrameDetections) -> tuple[list[int], list[int]]:
-    """The box counts of ``dets`` as runs, in the form ``_median_runs`` takes.
+def _count_runs(dets: FrameDetections) -> list[tuple[int, int]]:
+    """The box counts of ``dets`` as ``(length, count)`` runs, neighbours differing in count.
 
     One step per frame that holds boxes: each gap between them is a run of
     zeros, and neighbouring frames with equal counts share a run. Every
     stored frame holds boxes, so no two zero runs meet.
     """
-    starts: list[int] = []
-    values: list[int] = []
+    pieces: list[tuple[int, int]] = []
     frames = dets.frames
-    end = 0  # the frame after the last run so far
+    start = end = count = 0  # the open run holds frames [start, end), of count boxes each
     for f in sorted(frames):
-        count = len(frames[f])
-        if f > end:
-            starts.append(end)
-            values.append(0)
-        if not values or values[-1] != count:
-            starts.append(f)
-            values.append(count)
+        c = len(frames[f])
+        if f > end or c != count:
+            if end > start:
+                pieces.append((end - start, count))
+            if f > end:
+                pieces.append((f - end, 0))
+            start, count = f, c
         end = f + 1
+    if end > start:
+        pieces.append((end - start, count))
     if end < dets.length:
-        starts.append(end)
-        values.append(0)
-    return starts, values
+        pieces.append((dets.length - end, 0))
+    return pieces
 
 
-def _median_runs(
-    starts: Sequence[int], values: Sequence[int], n: int, window: int
-) -> tuple[list[int], list[int]]:
-    """``median_smooth`` of a series of ``n`` frames, from runs and into runs.
+def _median_runs(runs: Sequence[tuple[int, int]], window: int) -> list[tuple[int, int]]:
+    """``median_smooth`` of a series given as ``(length, value)`` runs, into such runs.
 
-    Run i starts at frame ``starts[i]`` (the first at 0) and holds
-    ``values[i]`` up to the next start; the smoothed series comes back in
-    the same form, with neighbouring runs of different values.
+    The smoothed runs cover the same frames, and neighbours differ in value.
 
     Going from frame t-1 to t, frame t + fwd enters the clamped window
     while it is a frame of the series, and frame t-1-back leaves once it
@@ -98,23 +97,29 @@ def _median_runs(
     """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
+    n = sum([m for m, _ in runs])
     if n == 0:
-        return [], []
+        return []
     back = window // 2
     fwd = (window - 1) // 2
     enter_until = n - fwd  # frames before it take in frame t + fwd
     leave_from = back + 1  # frames from it on let go of frame t-1-back
     last = min(n - 1, fwd)  # the window at frame 0 is [0, last]
     buf: list[int] = []
-    for s, e, v in zip(starts, [*starts[1:], n], values):
+    s = 0
+    for m, v in runs:
         if s > last:
             break
-        buf += [v] * (min(e, last + 1) - s)
+        buf += [v] * min(m, last + 1 - s)
+        s += m
     buf.sort()
     med = buf[(len(buf) - 1) // 2]
     if enter_until <= 1 and leave_from >= n:
-        return [0], [med]  # the window covers the whole series at every frame
-    out_starts, out_values = [0], [med]
+        return [(n, med)]  # the window covers the whole series at every frame
+    starts = [0, *accumulate([m for m, _ in runs[:-1]])]
+    values = [v for _, v in runs]
+    out: list[tuple[int, int]] = []
+    first = 0  # the smoothed run open from this frame holds med
     # the frames t at which frame t + fwd or frame t-1-back starts to be a
     # frame of the series, stops being one, or enters another run
     edges = (1, n, enter_until, leave_from, *(s - fwd for s in starts), *(s + leave_from for s in starts))
@@ -131,10 +136,10 @@ def _median_runs(
                 del buf[bisect_left(buf, leaving)]
             m = buf[(len(buf) - 1) // 2]
             if m != med:
-                out_starts.append(t)
-                out_values.append(m)
-                med = m
-    return out_starts, out_values
+                out.append((t - first, med))
+                first, med = t, m
+    out.append((n - first, med))
+    return out
 
 
 def median_smooth(series: Sequence[int], window: int) -> list[int]:
@@ -147,96 +152,72 @@ def median_smooth(series: Sequence[int], window: int) -> list[int]:
     This is the per-frame form of the run smoother that
     ``DetectionCountSeries`` uses.
     """
-    n = len(series)
-    starts = [t for t in range(n) if t == 0 or series[t] != series[t - 1]]
-    starts, values = _median_runs(starts, [series[t] for t in starts], n, window)
     out: list[int] = []
-    for s, e, v in zip(starts, [*starts[1:], n], values):
-        out += [v] * (e - s)
+    for n, v in _median_runs([(len(list(group)), v) for v, group in groupby(series)], window):
+        out += [v] * n
     return out
 
 
-def pad_detections(dets: FrameDetections, expected: Sequence[int]) -> FrameDetections:
-    """Duplicate the largest box on under-populated frames.
+def pad_detections(dets: FrameDetections, series: "DetectionCountSeries") -> FrameDetections:
+    """Duplicate the largest box on frames with fewer boxes than the smoothed count.
 
-    Frames with fewer boxes than expected gain copies of their largest-area
-    box (first occurrence wins ties) until the expected count is reached.
-    Frames with no boxes stay empty; frames with extra boxes are left intact.
-    ``expected`` is indexed only at the frames that hold boxes, so a
-    ``DetectionCountSeries`` serves as it is; when no frame is short,
-    ``dets`` itself is returned.
+    Frames with fewer boxes than their run of ``series`` counts gain copies
+    of their largest-area box (first occurrence wins ties) until that count
+    is reached. Frames with no boxes stay empty; frames with extra boxes
+    are left intact. Every stored frame holds a box, so only the runs that
+    count 2 or more are walked, beside the sorted frames that hold boxes.
+    When no frame is short, ``dets`` itself is returned.
     """
-    if len(expected) != dets.length:
-        raise ValueError(
-            f"expected series has {len(expected)} entries for {dets.length} frames"
-        )
-    short = [f for f, boxes in dets.frames.items() if len(boxes) < expected[f]]
+    if len(series) != dets.length:
+        raise ValueError(f"count series has {len(series)} frames for {dets.length} frames of detections")
+    frames, keys = dets.frames, sorted(dets.frames)
+    short: list[tuple[int, int]] = []
+    start = 0
+    for n, v in series.pieces:
+        if v > 1:
+            short += [(f, v) for f in keys[bisect_left(keys, start):bisect_left(keys, start + n)] if len(frames[f]) < v]
+        start += n
     if not short:
         return dets
-    frames = dict(dets.frames)
-    for f in short:
+    frames = dict(frames)
+    for f, v in short:
         boxes = frames[f]
         largest = max(boxes, key=lambda b: b.area)
-        frames[f] = boxes + (largest,) * (expected[f] - len(boxes))
+        frames[f] = boxes + (largest,) * (v - len(boxes))
     # padding only adds copies of boxes to frames of dets that hold boxes
     return _unchecked(FrameDetections, video_id=dets.video_id, length=dets.length, frames=frames)
 
 
 @dataclass(frozen=True)
 class DetectionCountSeries:
-    """Smoothed counts of one video, as runs of equal value.
+    """Smoothed counts of one video, as ``(length, count)`` runs in frame order.
 
-    Run i covers the frames from ``starts[i]`` up to the next start, the
-    last up to ``length``, and its smoothed count is ``values[i]``;
-    neighbouring runs differ in value. ``from_detections`` takes one step
-    per frame that holds boxes, to count them, and works per run to smooth
-    them: only frames where the counts entering and leaving the median
-    window differ cost a step of the sliding window. ``regions`` works per
-    run, and indexing by frame looks up that frame's run, so padding looks
-    up the frames that hold boxes and nothing else. The raw counts are
-    read only to smooth them, so they are not kept.
+    Every length is a positive int, and neighbouring runs differ in count.
+    ``from_detections`` takes one step per frame that holds boxes, to count
+    them, and works per run to smooth them: only frames where the counts
+    entering and leaving the median window differ cost a step of the
+    sliding window. ``regions`` and ``pad_detections`` walk the runs. The
+    raw counts are read only to smooth them, so they are not kept.
     """
 
-    length: int
-    starts: tuple[int, ...]
-    values: tuple[int, ...]
+    pieces: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        starts, values = self.starts, self.values
-        if len(starts) != len(values):
-            raise ValueError(f"{len(starts)} run starts for {len(values)} values")
-        if (starts[0] != 0) if starts else (self.length != 0):
-            raise ValueError(f"runs of a {self.length}-frame series must start at frame 0, got {starts[:1]}")
-        if any(a >= b for a, b in zip(starts, starts[1:])) or (starts and starts[-1] >= self.length):
-            raise ValueError(f"run starts must rise strictly within [0, {self.length}), got {starts}")
-        if any(a == b for a, b in zip(values, values[1:])):
-            raise ValueError(f"neighbouring runs must differ in value, got {values}")
+        bad = [n for n, _ in self.pieces if type(n) is not int or n < 1]
+        if bad:
+            raise ValueError(f"run of length {bad[0]!r}: a positive integer length required")
+        counts = [v for _, v in self.pieces]
+        if any(a == b for a, b in zip(counts, counts[1:])):
+            raise ValueError(f"neighbouring runs must differ in count, got {counts}")
 
     @classmethod
     def from_detections(cls, dets: FrameDetections, window: int) -> "DetectionCountSeries":
-        starts, values = _median_runs(*_count_runs(dets), dets.length, window)
         # the smoother's runs hold by construction
-        return _unchecked(cls, length=dets.length, starts=tuple(starts), values=tuple(values))
+        return _unchecked(cls, pieces=tuple(_median_runs(_count_runs(dets), window)))
 
     def __len__(self) -> int:
-        return self.length
-
-    def __getitem__(self, frame: int) -> int:
-        if not 0 <= frame < self.length:
-            raise IndexError(f"frame {frame} outside [0, {self.length})")
-        return self.values[bisect_right(self.starts, frame) - 1]
+        return sum([n for n, _ in self.pieces])
 
     def regions(self) -> list[TemporalSpan]:
-        """Maximal spans of frames whose smoothed count is >= 1: one per chain of runs >= 1."""
-        spans: list[TemporalSpan] = []
-        first = None  # the start of the chain of positive runs so far
-        for s, v in zip(self.starts, self.values):
-            if v >= 1:
-                if first is None:
-                    first = s
-            elif first is not None:
-                spans.append(TemporalSpan(first, s - 1))
-                first = None
-        if first is not None:
-            spans.append(TemporalSpan(first, self.length - 1))
-        return spans
+        """Maximal spans of frames whose smoothed count is >= 1."""
+        return runs([(n, v >= 1) for n, v in self.pieces])

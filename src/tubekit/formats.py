@@ -18,7 +18,9 @@ the public writers render as text, with a fixed field order: a string is
 json's own ``encode_basestring_ascii`` of it, an integer its digits, and
 a real ``_real(x)``, its ``%.6g`` text, which is ``repr(quantize(x))``:
 6 significant digits. A part shared by many lines, such as a video's
-``"video_id"`` prefix, is rendered once. So a line is what
+``"video_id"`` prefix, is rendered once; an actionness line, which
+repeats a run's text once per frame, goes out in parts, run by run, so
+it is never held whole. So a line is what
 ``json.dumps(record, separators=(",", ":"), allow_nan=False)`` returns
 for the record with its reals quantized, and identical inputs always
 produce identical bytes. A non-finite real raises json's ValueError
@@ -38,7 +40,7 @@ from __future__ import annotations
 
 import json
 import math
-from itertools import starmap
+from itertools import chain, starmap
 from typing import Iterable, Sequence
 
 from .count_signal import FrameDetections
@@ -99,7 +101,7 @@ _string = json.encoder.encode_basestring_ascii
 
 
 def _write_records(out, lines: Iterable[str]) -> None:
-    """Write each record's line, newline included; every file is written here.
+    """Write each record's line, newline included, whole or in parts; every file is written here.
 
     ``out`` is a path to write, or an open text file to add the lines to.
     """
@@ -537,26 +539,33 @@ def write_actionness(
     rows: Iterable[tuple[str, int, float, ActionnessSeries, Sequence[tuple[int, int]], Sequence[float]]],
 ) -> None:
     """Per-video actionness record: class, threshold, series, gate, (start, end) spans and tube sums."""
-    # unlike a generator expression's loop variable, starmap holds no row past the making of its line
-    _write_records(path, starmap(_actionness_line, rows))
+    # a record goes out in parts, so its line is never joined whole; unlike a generator
+    # expression's loop variable, starmap holds no row past the writing of its parts
+    _write_records(path, chain.from_iterable(starmap(_actionness_parts, rows)))
 
 
 _BOOLS = ("false", "true")  # indexed by a bool
 
 
-def _repeated(text: str, n: int) -> str:
-    """``n`` copies of ``text``, comma-separated."""
-    return (text + ",") * (n - 1) + text
+def _frame_parts(texts: Sequence[str], lengths: Sequence[int]):
+    """Each run's text once per frame, comma-separated: one part per run, never joined, so never copied."""
+    if texts:
+        yield texts[0]  # the first frame; every later one follows a comma
+        lengths = [lengths[0] - 1, *lengths[1:]]
+    for text, n in zip(texts, lengths):
+        yield ("," + text) * n
 
 
-def _actionness_line(vid, cls, threshold, series, spans, tube_sums) -> str:
-    # a piece's real and flag are made text once, and repeated once per frame
+def _actionness_parts(vid, cls, threshold, series, spans, tube_sums):
+    """A record's line in turn: its head, the series and gate texts run by run, and its spans and sums."""
+    # every real is made text before the first part goes out, so a non-finite one writes nothing
     pieces = series.pieces
-    values = ",".join([_repeated(_real(v), n) for n, v, _ in pieces])
-    human = ",".join([_repeated(_BOOLS[h], n) for n, _, h in pieces])
+    lengths = [n for n, _, _ in pieces]
+    reals = [_real(v) for _, v, _ in pieces]
     span_pairs = ",".join([f"[{start:d},{end:d}]" for start, end in spans])
-    return (
-        f'{{"video_id":{_string(vid)},"class":{cls:d},"threshold":{_real(threshold)},'
-        f'"series":[{values}],"human":[{human}],'
-        f'"spans":[{span_pairs}],"tube_sums":[{_reals(tube_sums)}]}}\n'
-    )
+    tail = f'],"spans":[{span_pairs}],"tube_sums":[{_reals(tube_sums)}]}}\n'
+    yield f'{{"video_id":{_string(vid)},"class":{cls:d},"threshold":{_real(threshold)},"series":['
+    yield from _frame_parts(reals, lengths)
+    yield '],"human":['
+    yield from _frame_parts([_BOOLS[h] for _, _, h in pieces], lengths)
+    yield tail

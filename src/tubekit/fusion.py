@@ -4,24 +4,27 @@ All means use exactly-rounded summation (math.fsum), which makes the
 aggregations permutation invariant down to the last bit.
 
 A video's scores are constant over runs of frames, one clip's worth or
-less, so its actionness is kept as runs too: ``frame_scores_from_clips``
-returns ``(length, vector)`` runs, ``compose_actionness`` cuts the three
-streams' runs and the gate's at the union of their boundaries and
-computes ``actionness`` once per piece, and ``temporal_localize`` and
-``tube_actionness`` read the pieces. Their work grows with the number of
-pieces, not with the video's length; the per-frame twins are in
-``tests/oracles.py``.
+less, so its actionness is kept in the ``(length, value)`` run form that
+every per-frame signal of the package takes (the smoothed detection
+count is another, ``count_signal.DetectionCountSeries``):
+``frame_scores_from_clips`` returns ``(length, vector)`` runs,
+``compose_actionness`` cuts the three streams' runs and the gate's at
+the union of their boundaries and computes ``actionness`` once per
+piece, ``temporal_localize`` hands the pieces' pass flags to
+``geometry.runs``, the one span finder, and ``tube_actionness`` reads
+the pieces. Their work grows with the number of pieces, not with the
+video's length; the per-frame twins are in ``tests/oracles.py``.
 """
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, groupby, repeat
+from itertools import accumulate, chain, repeat
 from operator import attrgetter
 from typing import Sequence
 
-from .geometry import TemporalSpan, Tube, _unchecked
+from .geometry import TemporalSpan, Tube, _unchecked, runs
 
 STREAMS = ("pose", "flow", "rgb")
 GRANULARITIES = ("net16", "net32", "netW")
@@ -377,10 +380,4 @@ def temporal_localize(series: ActionnessSeries, threshold: float) -> list[Tempor
     """
     if not math.isfinite(threshold):
         raise ValueError(f"non-finite threshold {threshold!r}")
-    spans, start = [], 0
-    for hit, group in groupby(series.pieces, key=lambda p: p[2] and p[1] >= threshold):
-        n = sum([p[0] for p in group])
-        if hit:
-            spans.append(TemporalSpan(start, start + n - 1))
-        start += n
-    return spans
+    return runs([(n, h and v >= threshold) for n, v, h in series.pieces])

@@ -2,12 +2,14 @@
 
 Boxes are continuous half-open rectangles [x1, x2) x [y1, y2) so that area
 and IoU arithmetic is exact for integer-lattice inputs. Temporal spans are
-inclusive integer frame ranges. Everything here is immutable and pure.
+inclusive integer frame ranges. A per-frame signal is a list of
+``(length, value)`` runs in frame order, and ``runs`` finds the spans
+where such a signal's flag holds. Everything here is immutable and pure.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import chain
 from math import fsum, inf
 from typing import Iterable, Optional
 
@@ -100,13 +102,20 @@ class TemporalSpan:
         return range(self.start, self.end + 1)
 
 
-def runs(flags: Iterable[object], start: int = 0) -> list[TemporalSpan]:
-    """Maximal spans of consecutive true flags; the first flag is frame ``start``."""
+def runs(pieces: Iterable[tuple[int, object]], start: int = 0) -> list[TemporalSpan]:
+    """Maximal spans of frames whose flag is true, from ``(length, flag)`` runs in frame order.
+
+    The first run starts at frame ``start``; neighbouring true runs join. The
+    one span finder: count regions, linkable pieces and actionness spans.
+    """
     spans: list[TemporalSpan] = []
-    for hit, group in groupby(flags, key=bool):
-        n = len(list(group))
-        if hit:
-            spans.append(TemporalSpan(start, start + n - 1))
+    first = None  # the start of the true runs so far
+    for n, flag in chain(pieces, [(0, False)]):
+        if not flag and first is not None:
+            spans.append(TemporalSpan(first, start - 1))
+            first = None
+        elif flag and first is None:
+            first = start
         start += n
     return spans
 

@@ -11,6 +11,7 @@ disjoint, so the order in which they are linked does not change a tube.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Sequence
 
 from .count_signal import DetectionCountSeries, FrameDetections, pad_detections
@@ -149,7 +150,7 @@ def extract_tubes(dets: FrameDetections, cfg: ExtractionConfig | None = None) ->
 
     def pieces(span: TemporalSpan) -> list[TemporalSpan]:
         """The runs of frames of ``span`` that still hold active boxes, long enough to link."""
-        found = runs(map(active.get, span.frames()), span.start)
+        found = runs(zip(repeat(1), map(active.get, span.frames())), span.start)
         return [p for p in found if p.length >= cfg.min_tube_len]
 
     todo = [p for r in counts.regions() for p in pieces(r)]

@@ -715,9 +715,10 @@ def test_actionness_peak_at_the_frame_cap_does_not_grow_with_videos(tmp_path, ga
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc/self/status")
 @pytest.mark.parametrize("gate", ["--detections", "--tubes"])
 def test_actionness_peak_at_the_frame_cap_stays_small(tmp_path, gate):
-    # the video is a few pieces, not a million frames: the peak is the interpreter,
-    # the line's 15 MB of text and its copy on the way out (51-57 MB), where per-frame
-    # lists took it to 107 MB
+    # the video is a few pieces, not a million frames, and its record goes out in parts:
+    # the peak is the interpreter and the 9 MB series text with its copy on the way out,
+    # 30.6-33.6 MB on CPython 3.10-3.13, where the whole 15 MB line took it to 51-57 MB
+    # and per-frame lists to 107 MB; the bound leaves about 6 MB for other builds
     gates, scores = _write_frame_cap_videos(tmp_path, 1)
     proc = subprocess.run(
         [sys.executable, "-c", _PEAK_AFTER_MAIN, "actionness", "--scores", str(scores), gate, str(gates[gate]),
@@ -726,7 +727,7 @@ def test_actionness_peak_at_the_frame_cap_stays_small(tmp_path, gate):
     )
     code, peak_kb = proc.stdout.split()
     assert code == "0", proc.stderr
-    assert int(peak_kb) / 1024 < 80, f"VmHWM {int(peak_kb) / 1024:.1f} MB for one video at the frame cap"
+    assert int(peak_kb) / 1024 < 40, f"VmHWM {int(peak_kb) / 1024:.1f} MB for one video at the frame cap"
 
 
 def test_import_cli_leaves_scipy_unloaded():

@@ -1,3 +1,5 @@
+from itertools import groupby
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -11,7 +13,7 @@ from tubekit import (
     pad_detections,
 )
 
-from oracles import _naive_spans, naive_median
+from oracles import _naive_spans, expand_runs, naive_median
 
 
 def dets_from_counts(counts, video_id="v"):
@@ -30,6 +32,11 @@ def raw_series(counts):
     return DetectionCountSeries.from_detections(dets_from_counts(counts), 1)
 
 
+def series_of(counts):
+    """A hand-built series of per-frame ``counts``: one run per stretch of equal counts."""
+    return DetectionCountSeries(tuple((len(list(group)), v) for v, group in groupby(counts)))
+
+
 series_st = st.lists(st.integers(0, 9), min_size=0, max_size=120)
 
 
@@ -38,46 +45,52 @@ class TestCountSeries:
 
     def test_basic(self):
         series = raw_series([2, 0, 1])
-        assert [series[f] for f in range(3)] == [2, 0, 1]
+        assert series.pieces == ((1, 2), (1, 0), (1, 1))
+        assert expand_runs(series.pieces) == [2, 0, 1]
 
     def test_empty_video(self):
         series = DetectionCountSeries.from_detections(FrameDetections(video_id="v", length=0), 1)
         assert len(series) == 0
-        assert series.starts == series.values == ()
+        assert series.pieces == ()
 
     def test_constant(self):
         series = raw_series([1] * 5)
-        assert [series[f] for f in range(5)] == [1, 1, 1, 1, 1]
-        assert series.values == (1,)
+        assert expand_runs(series.pieces) == [1, 1, 1, 1, 1]
+        assert series.pieces == ((5, 1),)
+
+
+# One case per case of the constructor's former (length, starts, values) form, under the id
+# that case was run as.
+_BAD_PIECES = [
+    pytest.param(((0, 1),), id="3-starts0-values0"),  # a run of no frames
+    pytest.param(((-2, 1),), id="3-starts1-values1"),  # a run of a negative length
+    pytest.param(((1.0, 1),), id="3-starts2-values2"),  # a float length
+    pytest.param(((True, 1),), id="3-starts3-values3"),  # a bool length
+    pytest.param((("2", 1),), id="0-starts4-values4"),  # a string length
+    pytest.param(((None, 1),), id="-1-starts5-values5"),  # no length
+    pytest.param(((2, 1, 0),), id="3-starts6-values6"),  # a run with a third field
+    pytest.param(((2,),), id="3-starts7-values7"),  # a run without a count
+    pytest.param(((3, 1), (0, 2), (3, 1)), id="4-starts8-values8"),  # an empty run between two
+    pytest.param(((1, 0), (3, 2), (2, 2)), id="4-starts9-values9"),  # neighbouring runs of one count
+    pytest.param(((2, 1), (1, 1)), id="4-starts10-values10"),  # ditto, at the start
+]
 
 
 class TestSeriesConstructor:
-    @pytest.mark.parametrize(
-        "length, starts, values",
-        [
-            (3, (0, 1), (1,)),  # a start without a value
-            (3, (0,), (1, 2)),  # a value without a start
-            (3, (1,), (2,)),  # the first run does not start at frame 0
-            (3, (), ()),  # a non-empty video with no runs
-            (0, (0,), (1,)),  # an empty video with a run
-            (-1, (), ()),  # a negative length
-            (3, (0, 5), (1, 0)),  # a run starting past the last frame
-            (3, (0, 3), (1, 0)),  # a run starting at the length
-            (4, (0, 2, 2), (1, 0, 1)),  # starts that repeat
-            (4, (0, 2, 1), (1, 0, 1)),  # starts that fall
-            (4, (0, 2), (1, 1)),  # neighbouring runs of one value
-        ],
-    )
-    def test_inconsistent_runs_rejected(self, length, starts, values):
+    @pytest.mark.parametrize("pieces", _BAD_PIECES)
+    def test_inconsistent_runs_rejected(self, pieces):
         with pytest.raises(ValueError):
-            DetectionCountSeries(length, starts, values)
+            DetectionCountSeries(pieces)
 
     def test_consistent_runs_accepted(self):
-        assert DetectionCountSeries(0, (), ()).regions() == []
-        assert DetectionCountSeries(1, (0,), (0,)).regions() == []
-        series = DetectionCountSeries(5, (0, 2, 4), (1, 0, 1))
-        assert [series[f] for f in range(5)] == [1, 1, 0, 0, 1]
+        assert DetectionCountSeries(()).regions() == []
+        assert DetectionCountSeries(((1, 0),)).regions() == []
+        series = DetectionCountSeries(((2, 1), (2, 0), (1, 1)))
+        assert len(series) == 5
+        assert expand_runs(series.pieces) == [1, 1, 0, 0, 1]
         assert series.regions() == [TemporalSpan(0, 1), TemporalSpan(4, 4)]
+        # neighbouring runs of different positive counts make one region
+        assert DetectionCountSeries(((1, 0), (2, 1), (3, 2))).regions() == [TemporalSpan(1, 5)]
 
 
 class TestMedianSmooth:
@@ -148,84 +161,83 @@ class TestRunSmoother:
         want = naive_median(counts, window)
         assert median_smooth(counts, window) == want
         series = DetectionCountSeries.from_detections(dets_from_counts(counts), window)
-        assert [series[f] for f in range(len(counts))] == want
+        assert expand_runs(series.pieces) == want
+        assert len(series) == len(counts)
         assert series.regions() == _naive_spans([v >= 1 for v in want], 0)
-        # the runs start at frame 0, rise strictly, and neighbours differ in value
-        assert list(series.starts[:1]) == [0][: len(counts)]
-        assert all(a < b for a, b in zip(series.starts, series.starts[1:]))
-        assert all(a != b for a, b in zip(series.values, series.values[1:]))
-
-    def test_frame_outside_the_video_is_an_index_error(self):
-        series = DetectionCountSeries.from_detections(dets_from_counts([1, 1]), 3)
-        for frame in (-1, 2):
-            with pytest.raises(IndexError):
-                series[frame]
+        # the runs have positive int lengths, and neighbours differ in count
+        assert all(type(n) is int and n >= 1 for n, _ in series.pieces)
+        assert all(a[1] != b[1] for a, b in zip(series.pieces, series.pieces[1:]))
+        assert DetectionCountSeries(series.pieces) == series
 
     def test_long_zero_run_is_one_run(self):
         counts = [1] + [0] * 100_000 + [1]
         series = DetectionCountSeries.from_detections(dets_from_counts(counts), 80)
-        assert series.values == (0,)
+        assert series.pieces == ((100_002, 0),)
         assert series.regions() == []
 
 
 class TestPadDetections:
     def test_duplicates_to_expected(self):
         dets = dets_from_counts([1])
-        out = pad_detections(dets, [3])
+        out = pad_detections(dets, series_of([3]))
         assert len(out.boxes_on(0)) == 3
         assert len(set(out.boxes_on(0))) == 1
 
     def test_empty_frame_stays_empty(self):
         dets = dets_from_counts([0])
-        out = pad_detections(dets, [2])
+        out = pad_detections(dets, series_of([2]))
         assert out.boxes_on(0) == ()
 
     def test_largest_box_is_duplicated(self):
         small = Box2D(0, 0, 5, 5)  # area 25
         big = Box2D(0, 0, 10, 10)  # area 100
         dets = FrameDetections(video_id="v", length=1, frames={0: (small, big)})
-        out = pad_detections(dets, [3])
+        out = pad_detections(dets, series_of([3]))
         assert out.boxes_on(0) == (small, big, big)
 
     def test_ties_take_first_occurrence(self):
         a = Box2D(0, 0, 10, 10)
         b = Box2D(50, 50, 60, 60)  # same area
         dets = FrameDetections(video_id="v", length=1, frames={0: (a, b)})
-        out = pad_detections(dets, [3])
+        out = pad_detections(dets, series_of([3]))
         assert out.boxes_on(0) == (a, b, a)
 
     def test_extra_boxes_left_intact(self):
         dets = dets_from_counts([4])
-        out = pad_detections(dets, [2])
+        out = pad_detections(dets, series_of([2]))
         assert out.boxes_on(0) == dets.boxes_on(0)
 
     def test_pads_to_elementwise_max(self):
-        out = pad_detections(dets_from_counts([2, 1, 2]), [1, 3, 1])
+        out = pad_detections(dets_from_counts([2, 1, 2]), series_of([1, 3, 1]))
         assert box_counts(out) == [2, 3, 2]
 
     def test_equal_counts_unchanged(self):
         dets = dets_from_counts([1, 2, 3])
-        assert pad_detections(dets, [1, 2, 3]) == dets
+        assert pad_detections(dets, series_of([1, 2, 3])) == dets
 
     def test_no_short_frame_returns_the_input_itself(self):
         dets = dets_from_counts([1, 0, 3, 2])
-        assert pad_detections(dets, [1, 5, 2, 2]) is dets
+        assert pad_detections(dets, series_of([1, 5, 2, 2])) is dets
 
     def test_series_pads_as_its_expansion(self):
         # window 3: frame 1 sees (2, 1, 2) and frame 5 (3, 1, 3); empty frame 3 stays empty
         dets = dets_from_counts([2, 1, 2, 0, 3, 1, 3])
         series = DetectionCountSeries.from_detections(dets, 3)
         out = pad_detections(dets, series)
-        assert out == pad_detections(dets, [series[f] for f in range(dets.length)])
+        for f, want in enumerate(expand_runs(series.pieces)):
+            boxes = dets.boxes_on(f)
+            largest = max(boxes, key=lambda b: b.area) if boxes else None
+            assert out.boxes_on(f) == boxes + (largest,) * (want - len(boxes) if boxes else 0)
         assert box_counts(out) == [2, 2, 2, 0, 3, 3, 3]
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            pad_detections(dets_from_counts([1, 2]), [1])
+        for counts in ([1], [1, 2, 2]):
+            with pytest.raises(ValueError):
+                pad_detections(dets_from_counts([1, 2]), series_of(counts))
 
     def test_zero_raw(self):
         # a frame with no detections has no box to copy, whatever the smoothed count
-        out = pad_detections(dets_from_counts([0, 0]), [3, 1])
+        out = pad_detections(dets_from_counts([0, 0]), series_of([3, 1]))
         assert box_counts(out) == [0, 0]
 
     @given(series_st, st.integers(1, 30))
@@ -234,7 +246,7 @@ class TestPadDetections:
         dets = dets_from_counts(counts)
         series = DetectionCountSeries.from_detections(dets, window)
         out = pad_detections(dets, series)
-        smoothed = [series[f] for f in range(len(counts))]
+        smoothed = expand_runs(series.pieces)
         assert box_counts(out) == [max(c, s) if c else 0 for c, s in zip(counts, smoothed)]
 
     @given(series_st.filter(lambda s: len(s) > 0))
@@ -242,12 +254,12 @@ class TestPadDetections:
         dets = dets_from_counts(counts)
         series = DetectionCountSeries.from_detections(dets, 3)
         out = pad_detections(dets, series)
-        for f in range(dets.length):
+        for f, smoothed in enumerate(expand_runs(series.pieces)):
             orig = dets.boxes_on(f)
             padded = out.boxes_on(f)
             assert padded[: len(orig)] == orig
             if orig:
-                assert len(padded) >= series[f]
+                assert len(padded) >= smoothed
             else:
                 assert padded == ()
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from tubekit import Box2D, TemporalSpan, Tube, box_iou, temporal_iou, tube_iou
 from tubekit.geometry import runs
 
+from oracles import _naive_spans, expand_runs
 from test_linking import any_box
 
 
@@ -234,20 +235,28 @@ class TestRuns:
         assert runs([]) == []
 
     def test_all_false(self):
-        assert runs([False] * 4) == []
+        assert runs([(4, False)]) == []
+        assert runs([(1, False)] * 4) == []
 
     def test_all_true(self):
-        assert runs([True] * 4) == [TemporalSpan(0, 3)]
+        assert runs([(4, True)]) == [TemporalSpan(0, 3)]
+        assert runs([(1, True), (3, True)]) == [TemporalSpan(0, 3)]  # neighbours with one flag join
 
     def test_run_ending_at_last_flag(self):
-        assert runs([True, False, False, True, True]) == [TemporalSpan(0, 0), TemporalSpan(3, 4)]
+        assert runs([(1, True), (2, False), (2, True)]) == [TemporalSpan(0, 0), TemporalSpan(3, 4)]
 
     def test_nonzero_start_offsets_every_span(self):
-        flags = [False, True, True, False, True]
-        assert runs(flags, start=10) == [TemporalSpan(11, 12), TemporalSpan(14, 14)]
+        pieces = [(1, False), (2, True), (1, False), (1, True)]
+        assert runs(pieces, start=10) == [TemporalSpan(11, 12), TemporalSpan(14, 14)]
 
     def test_accepts_a_generator_of_truthy_values(self):
-        assert runs((v >= 1 for v in [0, 2, 1, 0]), start=5) == [TemporalSpan(6, 7)]
+        counts = [(1, 0), (1, 2), (1, 1), (1, 0)]
+        assert runs(((n, v >= 1) for n, v in counts), start=5) == [TemporalSpan(6, 7)]
+
+    @given(st.lists(st.tuples(st.integers(1, 6), st.booleans()), max_size=20), st.integers(0, 50))
+    def test_matches_the_spans_of_the_expanded_flags(self, pieces, start):
+        # neighbouring runs often share a flag here, which the spans must join
+        assert runs(pieces, start) == _naive_spans(expand_runs(pieces), start)
 
 
 # Coordinates on a small lattice, where touching, nested and identical boxes

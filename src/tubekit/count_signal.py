@@ -7,11 +7,9 @@ every frame that holds boxes ends with max(raw, smoothed) of them: the
 expected count, without a series of its own.
 
 Counts are piecewise constant, so ``DetectionCountSeries`` keeps them as
-``(length, count)`` runs, the form every per-frame signal of the package
-takes (see ``fusion.ActionnessSeries``), and a video's count work grows
-with its frames that hold boxes, not with its last frame.
-``median_smooth`` is the one per-frame form: the same smoother over a
-list of counts.
+``(length, count)`` runs, the form of every per-frame signal here, and a
+video's count work grows with its frames that hold boxes, not with its
+last frame. ``median_smooth`` is the smoother's one per-frame form.
 """
 from __future__ import annotations
 
@@ -20,7 +18,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate, groupby
 from typing import Sequence
 
-from .geometry import Box2D, TemporalSpan, _unchecked, runs
+from .geometry import Box2D, TemporalSpan, _check_lengths, _unchecked, runs
 
 
 @dataclass(frozen=True)
@@ -97,7 +95,8 @@ def _median_runs(runs: Sequence[tuple[int, int]], window: int) -> list[tuple[int
     """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
-    n = sum([m for m, _ in runs])
+    starts = [0, *accumulate([m for m, _ in runs])]
+    n = starts.pop()
     if n == 0:
         return []
     back = window // 2
@@ -106,17 +105,14 @@ def _median_runs(runs: Sequence[tuple[int, int]], window: int) -> list[tuple[int
     leave_from = back + 1  # frames from it on let go of frame t-1-back
     last = min(n - 1, fwd)  # the window at frame 0 is [0, last]
     buf: list[int] = []
-    s = 0
-    for m, v in runs:
+    for s, (m, v) in zip(starts, runs):
         if s > last:
             break
         buf += [v] * min(m, last + 1 - s)
-        s += m
     buf.sort()
     med = buf[(len(buf) - 1) // 2]
     if enter_until <= 1 and leave_from >= n:
         return [(n, med)]  # the window covers the whole series at every frame
-    starts = [0, *accumulate([m for m, _ in runs[:-1]])]
     values = [v for _, v in runs]
     out: list[tuple[int, int]] = []
     first = 0  # the smoothed run open from this frame holds med
@@ -203,9 +199,7 @@ class DetectionCountSeries:
     pieces: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        bad = [n for n, _ in self.pieces if type(n) is not int or n < 1]
-        if bad:
-            raise ValueError(f"run of length {bad[0]!r}: a positive integer length required")
+        _check_lengths([n for n, _ in self.pieces])
         counts = [v for _, v in self.pieces]
         if any(a == b for a, b in zip(counts, counts[1:])):
             raise ValueError(f"neighbouring runs must differ in count, got {counts}")

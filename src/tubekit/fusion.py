@@ -4,16 +4,14 @@ All means use exactly-rounded summation (math.fsum), which makes the
 aggregations permutation invariant down to the last bit.
 
 A video's scores are constant over runs of frames, one clip's worth or
-less, so its actionness is kept in the ``(length, value)`` run form that
-every per-frame signal of the package takes (the smoothed detection
-count is another, ``count_signal.DetectionCountSeries``):
-``frame_scores_from_clips`` returns ``(length, vector)`` runs,
-``compose_actionness`` cuts the three streams' runs and the gate's at
-the union of their boundaries and computes ``actionness`` once per
-piece, ``temporal_localize`` hands the pieces' pass flags to
-``geometry.runs``, the one span finder, and ``tube_actionness`` reads
-the pieces. Their work grows with the number of pieces, not with the
-video's length; the per-frame twins are in ``tests/oracles.py``.
+less, so its actionness is kept as ``(length, value)`` runs, as is every
+per-frame signal here: ``frame_scores_from_clips`` returns
+``(length, vector)`` runs, ``compose_actionness`` cuts the three
+streams' runs and the gate's at the union of their boundaries and
+computes ``actionness`` once per piece, ``temporal_localize`` finds the
+spans with ``geometry.runs`` and ``tube_actionness`` reads the pieces.
+Their work grows with the number of pieces, not with the video's
+length; the per-frame twins are in ``tests/oracles.py``.
 """
 from __future__ import annotations
 
@@ -24,7 +22,7 @@ from itertools import accumulate, chain, repeat
 from operator import attrgetter
 from typing import Sequence
 
-from .geometry import TemporalSpan, Tube, _unchecked, runs
+from .geometry import TemporalSpan, Tube, _check_lengths, _unchecked, runs
 
 STREAMS = ("pose", "flow", "rgb")
 GRANULARITIES = ("net16", "net32", "netW")
@@ -145,9 +143,7 @@ class ActionnessSeries:
 
     def __post_init__(self):
         lengths = [n for n, _, _ in self.pieces]
-        bad = [n for n in lengths if type(n) is not int or n < 1]
-        if bad:
-            raise ValueError(f"piece of length {bad[0]!r}: a positive integer length required")
+        _check_lengths(lengths)
         object.__setattr__(self, "ends", tuple(accumulate(lengths)))
 
     def __len__(self) -> int:

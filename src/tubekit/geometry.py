@@ -2,9 +2,8 @@
 
 Boxes are continuous half-open rectangles [x1, x2) x [y1, y2) so that area
 and IoU arithmetic is exact for integer-lattice inputs. Temporal spans are
-inclusive integer frame ranges. A per-frame signal is a list of
-``(length, value)`` runs in frame order, and ``runs`` finds the spans
-where such a signal's flag holds. Everything here is immutable and pure.
+inclusive integer frame ranges, and ``runs`` finds them in a per-frame
+signal's ``(length, flag)`` runs. Everything here is immutable and pure.
 """
 from __future__ import annotations
 
@@ -100,6 +99,13 @@ class TemporalSpan:
 
     def frames(self) -> range:
         return range(self.start, self.end + 1)
+
+
+def _check_lengths(lengths: Iterable[object]) -> None:
+    """Raise ValueError unless every run length is a positive int; a bool is not one."""
+    bad = [n for n in lengths if type(n) is not int or n < 1]
+    if bad:
+        raise ValueError(f"run of length {bad[0]!r}: a positive integer length required")
 
 
 def runs(pieces: Iterable[tuple[int, object]], start: int = 0) -> list[TemporalSpan]:

@@ -98,9 +98,9 @@ def summarize(runs: list[dict], better: dict[str, str], bounds: dict[str, float]
     """Per workload, seed and metric: each side's median and quartiles, the wins, and the bound.
 
     Only pairs in which both runs report the metric count. ``change_vs_parent``
-    is the change's median over the parent's, minus 1; ``worse_by`` is that
-    fraction in the direction that is worse for the metric, and a metric with
-    a bound in ``bounds`` is ``beyond_bound`` when it is worse by more than it.
+    is the change's median over the parent's, minus 1, and a metric with a
+    bound in ``bounds`` is ``beyond_bound`` when that fraction is worse, in
+    the metric's direction, by more than the bound.
     """
     sides: dict[tuple, dict[str, dict]] = {}
     for run in runs:
@@ -129,9 +129,7 @@ def summarize(runs: list[dict], better: dict[str, str], bounds: dict[str, float]
                 "ties": len(values) - change_wins - parent_wins,
                 "parent_median": pm, "parent_q1": p1, "parent_q3": p3, "parent_iqr": p3 - p1,
                 "change_median": cm, "change_q1": c1, "change_q3": c3, "change_iqr": c3 - c1,
-                "change_vs_parent": relative,
-                "worse_by": None if relative is None else sign * relative,
-                "bound": bound,
+                "change_vs_parent": relative, "bound": bound,
                 "beyond_bound": bound is not None and relative is not None and sign * relative > bound,
             })
     return summary

@@ -715,10 +715,9 @@ def test_actionness_peak_at_the_frame_cap_does_not_grow_with_videos(tmp_path, ga
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc/self/status")
 @pytest.mark.parametrize("gate", ["--detections", "--tubes"])
 def test_actionness_peak_at_the_frame_cap_stays_small(tmp_path, gate):
-    # the video is a few pieces, not a million frames, and its record goes out in parts:
-    # the peak is the interpreter and the 9 MB series text with its copy on the way out,
-    # 30.6-33.6 MB on CPython 3.10-3.13, where the whole 15 MB line took it to 51-57 MB
-    # and per-frame lists to 107 MB; the bound leaves about 6 MB for other builds
+    # the video is a few pieces, not a million frames, and its record goes out run by run:
+    # the peak is the interpreter and one run's 9 MB of text with its encoded copy,
+    # 30.6-33.6 MB on CPython 3.10-3.13; the bound leaves about 6 MB for other builds
     gates, scores = _write_frame_cap_videos(tmp_path, 1)
     proc = subprocess.run(
         [sys.executable, "-c", _PEAK_AFTER_MAIN, "actionness", "--scores", str(scores), gate, str(gates[gate]),

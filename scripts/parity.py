@@ -4,8 +4,9 @@
     python3 scripts/parity.py --parent HEAD~1 --seed 13
 
 For each workload of ``perfbench/workloads.json``, each side runs the
-benchmark's ``Pipeline`` once: synth, then every step, each subcommand a
-fresh ``python -m tubekit`` process (``CliRunner``) on that side's src/.
+benchmark's ``Pipeline`` once: synth, then every step, then ``fuse`` on the
+pose and flow streams (``EXTRA_FUSE``), each subcommand a fresh
+``python -m tubekit`` process (``CliRunner``) on that side's src/.
 The parent's files come from ``git archive REV``, and the change's are this
 checkout's files as they are on disk (``bench_pairs.copy_checkout``). The
 harness is imported from this checkout's perfbench/ and only read. The
@@ -25,20 +26,38 @@ from bench_pairs import ROOT, copy_checkout, export, git
 
 sys.path.insert(0, str(ROOT / "perfbench"))
 _writes_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True  # leave perfbench/ as it is
+from checks import sha256  # noqa: E402
 from pipeline import STEPS, CliRunner, Pipeline  # noqa: E402
 
 sys.dont_write_bytecode = _writes_bytecode
 
 
+# fuse runs past the benchmark's own, which fuses rgb: each reads every record of
+# the corpus, and builds only those of another stream
+EXTRA_FUSE = {
+    "predictions_pose_majority.jsonl": ["--stream", "pose", "--method", "majority"],
+    "predictions_flow_max.jsonl": ["--stream", "flow", "--method", "max"],
+}
+
+
 def run_side(root: Path, workload: dict, seed: int, workdir: Path) -> tuple[dict[str, str], list[str]]:
-    """The sha256 of each corpus and output file that ``root``'s src/ writes, and the failures."""
+    """The sha256 of each corpus and output file that ``root``'s src/ writes, and the failures.
+
+    The files are those of the benchmark's steps, then those of the EXTRA_FUSE runs.
+    """
     workdir.mkdir(parents=True)
     pipe = Pipeline(workload, seed, workdir, pinned=None)
     runner = CliRunner(root, workdir / "stderr.log")
     for step in ("synth", *STEPS):
         pipe.step(runner, step)
         if pipe.failures:
-            break
+            return pipe.digests, pipe.failures
+    for name, flags in EXTRA_FUSE.items():
+        out = workdir / name
+        inv = runner(["fuse", str(pipe.corpus / "scores.jsonl"), "--out", str(out), *flags, *workload["fuse"]])
+        if inv.code != 0:
+            return pipe.digests, [f"fuse {' '.join(flags)} exited {inv.code}: {inv.error.strip()}"]
+        pipe.digests[name] = sha256(out)
     return pipe.digests, pipe.failures
 
 
@@ -71,7 +90,7 @@ def main(argv=None) -> int:
                     ok = False
             for file, same in compare(digests["parent"], digests["change"]):
                 ok &= same
-                print(f"{name:12s} {file:18s} {'identical' if same else 'DIFFERS'} "
+                print(f"{name:12s} {file:32s} {'identical' if same else 'DIFFERS'} "
                       f"parent {digests['parent'].get(file, '-')[:16]} change {digests['change'].get(file, '-')[:16]}")
     print(f"parity at seed {args.seed} against {commit[:12]}: {'identical' if ok else 'FAILED'}")
     return 0 if ok else 1

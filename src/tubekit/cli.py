@@ -122,9 +122,9 @@ def _cmd_extract_tubes(args) -> int:
     return EXIT_OK
 
 
-def _read_score_sets(path) -> dict[tuple[str, str, str], StreamScoreSet]:
-    """``read_scores``, with a file that holds no record as a parse error."""
-    sets = read_scores(path)
+def _read_score_sets(path, keep=None) -> dict[tuple[str, str, str], StreamScoreSet]:
+    """``read_scores``, with a file that holds no record, kept or not, as a parse error."""
+    sets = read_scores(path, keep)
     if not sets:
         raise ParseError(path, message="no score records found")
     return sets
@@ -136,15 +136,16 @@ def _cmd_fuse(args) -> int:
     for g in grans:
         _require(g in GRANULARITIES, f"unknown granularity {g!r}")
     _require(len(set(grans)) == len(grans), "--granularities lists a granularity twice")
-    crops = CROP_SCHEMES[args.crop_scheme]
-    sets = _read_score_sets(args.scores)
+    # every record is checked, and only the entries fused here are built
+    keep = {(args.stream, g, c) for g in grans for c in CROP_SCHEMES[args.crop_scheme]}
+    sets = _read_score_sets(args.scores, keep)
     video_ids = sorted({vid for vid, _, _ in sets})
 
     def fuse_one(vid: str):
         fused_per_gran, groups = [], []
         for gran in grans:
             scores = sets.get((vid, args.stream, gran))
-            units = [e.vector for e in scores.entries if e.crop_id in crops] if scores else []
+            units = [e.vector for e in scores.entries] if scores else []
             if not units:
                 raise ParseError(
                     args.scores,

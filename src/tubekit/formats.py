@@ -19,8 +19,8 @@ json's own ``encode_basestring_ascii`` of it, an integer its digits, and
 a real ``_real(x)``, its ``%.6g`` text, which is ``repr(quantize(x))``:
 6 significant digits. A part shared by many lines, such as a video's
 ``"video_id"`` prefix, is rendered once; an actionness line, which
-repeats a run's text once per frame, goes out in parts, run by run, so
-it is never held whole. So a line is what
+repeats a run's text once per frame, goes out in parts of at most 2**16
+frames' text, so it is never held whole. So a line is what
 ``json.dumps(record, separators=(",", ":"), allow_nan=False)`` returns
 for the record with its reals quantized, and identical inputs always
 produce identical bytes. A non-finite real raises json's ValueError
@@ -35,12 +35,15 @@ that ends at its newline, as every writer's line does, and with
 values. It checks a record once: the common record in one inline test,
 after which its objects are built without a second check; any other
 record is parsed again field by field, which names its first fault.
+``read_scores`` can be told which (stream, granularity, crop_id) entries
+to build: it checks every record in full, builds only those, and returns
+every set that the file names, with only its kept entries.
 """
 from __future__ import annotations
 
 import json
 import math
-from itertools import chain, starmap
+from itertools import chain, repeat, starmap
 from typing import Iterable, Sequence
 
 from .count_signal import FrameDetections
@@ -359,16 +362,23 @@ def _score_entry(path, line_no, record, file_k) -> ClipScore:
         raise ParseError(path, line_no, "values", str(exc)) from exc
 
 
-def read_scores(path) -> dict[tuple[str, str, str], StreamScoreSet]:
+def read_scores(path, keep=None) -> dict[tuple[str, str, str], StreamScoreSet]:
     """Score sets keyed by (video, stream, granularity), entries sorted.
 
     The class count K must be consistent across the whole file, the kind
     within each set, and a ``prob`` vector must sum to 1 within PROB_SUM_TOL.
     A set holds at most one record per (clip_start, crop_id). The sets are
     built unchecked: each record was checked here, with its line number.
+
+    ``keep``, if given, holds the (stream, granularity, crop_id) triples
+    whose entries to build. A record it refuses is checked in full, the
+    file-wide checks above included, but its entry is not built (a record
+    that takes the field-by-field parse is built by that parse's checks,
+    then dropped). Every set that the file names is returned, with only its
+    kept entries, which may be none.
     """
-    # per set: the kind of its first record, and its entries by unit
-    groups: dict[tuple[str, str, str], tuple[str, dict[tuple[int, str], ClipScore]]] = {}
+    # per set: the kind of its first record, and its entries by unit (None for a refused record)
+    groups: dict[tuple[str, str, str], tuple[str, dict[tuple[int, str], ClipScore | None]]] = {}
     file_k = None
     for line_no, record in _iter_records(path):
         vid, stream, gran, crop, kind, clip_start, values = map(record.get, _SCORE_FIELDS)
@@ -383,30 +393,35 @@ def read_scores(path) -> dict[tuple[str, str, str], StreamScoreSet]:
             and all(type(v) is float for v in values) and all(map(math.isfinite, values))
             and (kind == "raw" or 0.0 <= min(values) and max(values) <= 1.0)
         ):
-            vector = _unchecked(ScoreVector, values=tuple(values), kind=kind)
-            entry = _unchecked(ClipScore, clip_start=clip_start, crop_id=crop, vector=vector)
+            if keep is None or (stream, gran, crop) in keep:
+                vector = _unchecked(ScoreVector, values=tuple(values), kind=kind)
+                entry = _unchecked(ClipScore, clip_start=clip_start, crop_id=crop, vector=vector)
+            else:
+                entry = None
         else:
             entry = _score_entry(path, line_no, record, file_k)
-            vector = entry.vector
+            clip_start, values, kind = entry.clip_start, entry.vector.values, entry.vector.kind
+            if keep is not None and (stream, gran, crop) not in keep:
+                entry = None
         if file_k is None:
-            file_k = vector.k
+            file_k = len(values)
         else:
-            _check_class_count(path, line_no, vector.k, file_k)
-        if vector.kind == "prob":
-            total = math.fsum(vector.values)
+            _check_class_count(path, line_no, len(values), file_k)
+        if kind == "prob":
+            total = math.fsum(values)
             if abs(total - 1.0) > PROB_SUM_TOL:
                 raise ParseError(path, line_no, "values", f"probability vector sums to {total}, not 1")
-        set_kind, units = groups.setdefault((vid, stream, gran), (vector.kind, {}))
-        if vector.kind != set_kind:
+        set_kind, units = groups.setdefault((vid, stream, gran), (kind, {}))
+        if kind != set_kind:
             raise ParseError(path, line_no, "kind", f"video {_shown(vid)} {stream}/{gran}: mixed raw/prob score kinds in one set")
-        unit = (entry.clip_start, entry.crop_id)
+        unit = (clip_start, crop)
         if unit in units:
             raise ParseError(path, line_no, "crop_id", f"video {_shown(vid)} {stream}/{gran}: repeated record for clip_start {unit[0]}, crop_id {unit[1]!r}")
         units[unit] = entry
     return {
         (vid, stream, gran): _unchecked(
             StreamScoreSet, video_id=vid, stream=stream, granularity=gran,
-            entries=tuple(units[u] for u in sorted(units)),
+            entries=tuple([entry for unit in sorted(units) if (entry := units[unit]) is not None]),
         )
         for (vid, stream, gran), (_, units) in groups.items()
     }
@@ -546,18 +561,25 @@ def write_actionness(
 
 _BOOLS = ("false", "true")  # indexed by a bool
 
+# most frames in one part: a text file copies each part it is given into bytes,
+# so a part's size, not a run's, bounds what writing a long run holds at once
+_PART_FRAMES = 2**16
+
 
 def _frame_parts(texts: Sequence[str], lengths: Sequence[int]):
-    """Each run's text once per frame, comma-separated: one part per run, never joined, so never copied."""
+    """Each run's text once per frame, comma-separated, in parts of at most _PART_FRAMES frames, never joined."""
     if texts:
         yield texts[0]  # the first frame; every later one follows a comma
         lengths = [lengths[0] - 1, *lengths[1:]]
     for text, n in zip(texts, lengths):
-        yield ("," + text) * n
+        whole, rest = divmod(n, _PART_FRAMES)
+        if whole:
+            yield from repeat(("," + text) * _PART_FRAMES, whole)
+        yield ("," + text) * rest
 
 
 def _actionness_parts(vid, cls, threshold, series, spans, tube_sums):
-    """A record's line in turn: its head, the series and gate texts run by run, and its spans and sums."""
+    """A record's line in turn: its head, the series and gate texts in bounded parts, and its spans and sums."""
     # every real is made text before the first part goes out, so a non-finite one writes nothing
     pieces = series.pieces
     lengths = [n for n, _, _ in pieces]

@@ -715,9 +715,9 @@ def test_actionness_peak_at_the_frame_cap_does_not_grow_with_videos(tmp_path, ga
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc/self/status")
 @pytest.mark.parametrize("gate", ["--detections", "--tubes"])
 def test_actionness_peak_at_the_frame_cap_stays_small(tmp_path, gate):
-    # the video is a few pieces, not a million frames, and its record goes out run by run:
-    # the peak is the interpreter and one run's 9 MB of text with its encoded copy,
-    # 30.6-33.6 MB on CPython 3.10-3.13; the bound leaves about 6 MB for other builds
+    # the video is a few pieces, not a million frames, and its record goes out in parts of
+    # at most 2**16 frames: the peak is the interpreter and one part's text with its encoded
+    # copy, 17.7 MB on CPython 3.11; the bound leaves about 6 MB for other builds
     gates, scores = _write_frame_cap_videos(tmp_path, 1)
     proc = subprocess.run(
         [sys.executable, "-c", _PEAK_AFTER_MAIN, "actionness", "--scores", str(scores), gate, str(gates[gate]),
@@ -726,7 +726,7 @@ def test_actionness_peak_at_the_frame_cap_stays_small(tmp_path, gate):
     )
     code, peak_kb = proc.stdout.split()
     assert code == "0", proc.stderr
-    assert int(peak_kb) / 1024 < 40, f"VmHWM {int(peak_kb) / 1024:.1f} MB for one video at the frame cap"
+    assert int(peak_kb) / 1024 < 24, f"VmHWM {int(peak_kb) / 1024:.1f} MB for one video at the frame cap"
 
 
 def test_import_cli_leaves_scipy_unloaded():
@@ -1030,6 +1030,73 @@ def test_fuse_refuses_a_repeated_score_unit(tmp_path, capsys):
     assert run("fuse", str(scores), "--out", str(out)) == 2
     err = capsys.readouterr().err
     assert f"{scores}, line 3, field 'crop_id': video 'v' rgb/net16: repeated record for clip_start 0, crop_id 'center'" in err
+
+
+def _score_line(**fields):
+    """A scores record of video 'v' in rgb/net16/center, with ``fields`` given as JSON text."""
+    record = {"video_id": '"v"', "stream": '"rgb"', "granularity": '"net16"', "clip_start": "0",
+              "crop_id": '"center"', "kind": '"raw"', "values": "[0.25,0.75]", **fields}
+    return "{" + ",".join(f'"{k}":{v}' for k, v in record.items()) + "}\n"
+
+
+ALL_CROPS = "['center', 'center_flip', 'tl', 'tl_flip', 'tr', 'tr_flip', 'bl', 'bl_flip', 'br', 'br_flip']"
+FUSED = _score_line()
+
+
+# The default fuse reads rgb/net16 in the center crops. Every other record is
+# checked as fully as those: each of these files holds one fault, in a record
+# that fuse does not fuse, and is exit 2 with the reader's own error.
+@pytest.mark.parametrize("lines, line_no, field, message", [
+    pytest.param([FUSED, _score_line(stream='"pose"', values="[NaN,0.5]")], 2, "values",
+                 "expected a finite number, got nan", id="nan"),
+    pytest.param([FUSED, _score_line(stream='"flow"', values="[1e999,0.5]")], 2, "values",
+                 "expected a finite number, got inf", id="1e999"),
+    pytest.param([FUSED, _score_line(granularity='"net32"', kind='"prob"', values="[0.5,0.25]")], 2, "values",
+                 "probability vector sums to 0.75, not 1", id="prob-sum"),
+    pytest.param([FUSED, _score_line(crop_id='"tl"', kind='"prob"', values="[0.5,0.50000000125]")], 2, "values",
+                 "probability vector sums to 1.00000000125, not 1", id="prob-sum-past-the-tolerance"),
+    pytest.param([FUSED, _score_line(stream='"pose"'), _score_line(stream='"pose"', values="[0.5,0.5]")],
+                 3, "crop_id", "video 'v' pose/net16: repeated record for clip_start 0, crop_id 'center'",
+                 id="repeated-unit"),
+    pytest.param([FUSED, _score_line(crop_id='"tl"'), _score_line(crop_id='"tl"')], 3, "crop_id",
+                 "video 'v' rgb/net16: repeated record for clip_start 0, crop_id 'tl'",
+                 id="repeated-unit-in-a-fused-set"),
+    pytest.param([FUSED, _score_line(stream='"flow"'), _score_line(stream='"flow"', clip_start="8", kind='"prob"')],
+                 3, "kind", "video 'v' flow/net16: mixed raw/prob score kinds in one set", id="mixed-kinds"),
+    pytest.param([FUSED, _score_line(crop_id='"tl"', clip_start="8", kind='"prob"', values="[0.5,0.5]")], 2, "kind",
+                 "video 'v' rgb/net16: mixed raw/prob score kinds in one set", id="mixed-kinds-in-a-fused-set"),
+    pytest.param([FUSED, _score_line(granularity='"netW"', values="[0.25,0.5,0.25]")], 2, "values",
+                 "class count 3 differs from 2 seen earlier in the file", id="class-count"),
+    # the file's class count is set by its first record, whichever set that is in
+    pytest.param([_score_line(stream='"pose"', values="[0.25,0.5,0.25]"), FUSED], 2, "values",
+                 "class count 2 differs from 3 seen earlier in the file", id="class-count-of-the-first-record"),
+    pytest.param([FUSED, _score_line(stream='"pose"', kind='"prob"', values="[1,2]")], 2, "values",
+                 "probability vector with entries above 1", id="integer-values"),
+    pytest.param([FUSED, _score_line(stream='"pose"', values="[1,2,3]")], 2, "values",
+                 "class count 3 differs from 2 seen earlier in the file", id="integer-values-class-count"),
+    pytest.param([FUSED, _score_line(crop_id='"middle"')], 2, "crop_id",
+                 f"unknown crop_id 'middle', expected one of {ALL_CROPS}", id="unknown-crop"),
+])
+def test_fuse_checks_the_records_it_does_not_fuse(tmp_path, capsys, lines, line_no, field, message):
+    scores, out = tmp_path / "scores.jsonl", tmp_path / "predictions.jsonl"
+    scores.write_text("".join(lines))
+    assert run("fuse", str(scores), "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"tubekit fuse: error: {scores}, line {line_no}, field '{field}': {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("other", [
+    pytest.param({"stream": '"pose"'}, id="another-stream"),
+    pytest.param({"crop_id": '"tl"'}, id="another-crop"),
+])
+def test_fuse_names_a_video_with_no_fused_scores(tmp_path, capsys, other):
+    scores, out = tmp_path / "scores.jsonl", tmp_path / "predictions.jsonl"
+    scores.write_text(FUSED + _score_line(video_id='"w"', **other))
+    assert run("fuse", str(scores), "--out", str(out)) == 2
+    assert capsys.readouterr().err == (
+        f"tubekit fuse: error: {scores}: video 'w' has no rgb/net16 scores for crop scheme 'center'\n"
+    )
+    assert not out.exists()
 
 
 def test_negative_clip_start_exits_2_naming_field(tmp_path, capsys):

@@ -418,6 +418,17 @@ def test_series_of_many_pieces():
     assert _lines(formats.write_actionness, [row]) == oracles.dumped_lines(oracles.actionness_records([row]))
 
 
+@pytest.mark.parametrize("first", [1, formats._PART_FRAMES, formats._PART_FRAMES + 1, 2 * formats._PART_FRAMES + 3])
+def test_piece_longer_than_a_part(first):
+    # a long piece goes out as parts of at most _PART_FRAMES frames each, and the line is unchanged
+    second = 2 * formats._PART_FRAMES + 1
+    row = ("v", 0, 0.5, ActionnessSeries(((first, -1.25e-05, True), (second, 0.5, False))),
+           [(0, first - 1)], [(first + second) / 7])
+    assert _lines(formats.write_actionness, [row]) == oracles.dumped_lines(oracles.actionness_records([row]))
+    parts = list(formats._frame_parts(["-1.25e-05", "0.5"], [first, second]))
+    assert max(part.count(",") for part in parts) <= formats._PART_FRAMES
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_encoder_refuses_non_finite_reals_as_json_dumps_does(bad):
     with pytest.raises(ValueError) as dumps_error:
@@ -988,3 +999,61 @@ def test_trusted_score_entries_match_the_checked_constructors(values, kind, crop
         assert entry == checked
         assert [v.hex() for v in entry.vector.values] == [v.hex() for v in checked.vector.values]
         assert type(entry.vector.values) is tuple
+
+
+# read_scores(path, keep) builds only the entries of the (stream, granularity,
+# crop_id) triples in keep, and checks every record as read_scores(path) does:
+# the same sets, the same kept entries, and the same error on a faulty file.
+KEEP_CROPS = ("center", "center_flip", "tl", "br_flip")
+TRIPLES = [(s, g, c) for s in formats.STREAMS for g in formats.GRANULARITIES for c in KEEP_CROPS]
+
+
+@st.composite
+def score_records(draw):
+    """A scores record of a few videos, sets and units: mostly valid, some with values as they come."""
+    kind = draw(st.sampled_from(["raw", "raw", "prob"]))
+    form = draw(st.integers(0, 9))
+    if form == 0:  # hostile values, integers and bools among them
+        values = draw(st.lists(st.one_of(SCORE_FLOATS, st.sampled_from([0, 1, 2, True])), max_size=3))
+    elif form == 1:  # integers, which take the field-by-field parse
+        values = draw(st.sampled_from([[0, 1], [1, 0]]))
+    elif kind == "prob":
+        p = draw(st.floats(0.0, 1.0))
+        values = [p, 1.0 - p]
+    else:
+        values = draw(st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2))
+    return {"video_id": draw(st.sampled_from(["v", "w"])), "stream": draw(st.sampled_from(formats.STREAMS)),
+            "granularity": draw(st.sampled_from(formats.GRANULARITIES)), "clip_start": draw(st.sampled_from([0, 16])),
+            "crop_id": draw(st.sampled_from(KEEP_CROPS)), "kind": kind, "values": values}
+
+
+def _scores_or_error(path, *keep):
+    try:
+        return read_scores(path, *keep)
+    except ParseError as exc:
+        return type(exc), str(exc)
+
+
+def _entry_bits(entry):
+    return entry.clip_start, entry.crop_id, entry.vector.kind, [v.hex() for v in entry.vector.values]
+
+
+@given(
+    st.lists(score_records(), min_size=1, max_size=6),
+    st.one_of(st.just(set()), st.just(set(TRIPLES)), st.sets(st.sampled_from(TRIPLES))),
+)
+@settings(max_examples=400, deadline=None)
+def test_read_scores_keep_matches_the_full_read(records, keep):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "s.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        full, kept = _scores_or_error(path), _scores_or_error(path, keep)
+    if isinstance(full, tuple):
+        assert kept == full
+        return
+    assert list(kept) == list(full)
+    for key, s in full.items():
+        assert (kept[key].video_id, kept[key].stream, kept[key].granularity) == key
+        assert [_entry_bits(e) for e in kept[key].entries] == [
+            _entry_bits(e) for e in s.entries if (s.stream, s.granularity, e.crop_id) in keep
+        ]

@@ -910,6 +910,31 @@ def test_box_area_out_of_range_exits_2_naming_line(tmp_path, capsys, command, bo
     assert "'boxes'" in err
 
 
+@pytest.mark.parametrize(
+    "box, message",
+    [
+        ([float(v) for v in HUGE_BOX], "box (0.0, 0.0, 1e+308, 1e+308) has area inf: a positive finite area required"),
+        (list(HUGE_BOX), "box (0.0, 0.0, 1e+308, 1e+308) has area inf: a positive finite area required"),
+        ([float(v) for v in TINY_BOX], "box (0.0, 0.0, 1e-200, 1e-200) has area 0.0: a positive finite area required"),
+        ([5.0, 0.0, 5.0, 10.0], "degenerate box (5.0, 0.0, 5.0, 10.0): x1 < x2 and y1 < y2 required"),
+        ([0.0, math.nan, 10.0, 10.0], "expected a finite number, got nan"),
+        ([0.0, 0.0, 10.0], "expected [x1,y1,x2,y2], got [0.0, 0.0, 10.0]"),
+    ],
+    ids=["overflowing", "overflowing-integer-corners", "underflowing", "degenerate", "nan-corner", "three-values"],
+)
+def test_actionness_bad_tube_box_exits_2_with_exact_error(tmp_path, capsys, box, message):
+    # actionness reads only the tubes' spans, but checks every box as evaluate does
+    scores, tubes, out = tmp_path / "scores.jsonl", tmp_path / "tubes.jsonl", tmp_path / "out.jsonl"
+    write_score_records(scores, [[1.0, 0.0]], streams=STREAMS)
+    bad = {"video_id": "v", "label": 0, "start": 0, "end": 1, "boxes": [[0.0, 0.0, 10.0, 10.0], box]}
+    tubes.write_text(TUBE_LINE % "0.5" + "\n" + json.dumps(bad) + "\n")
+    argv = ["actionness", "--scores", str(scores), "--tubes", str(tubes),
+            "--class", "0", "--threshold", "0.3", "--out", str(out)]
+    assert run(*argv) == 2
+    assert capsys.readouterr().err == f"tubekit actionness: error: {tubes}, line 2, field 'boxes': {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["extract-tubes", "actionness", "evaluate"])
 def test_frame_above_cap_exits_2_naming_field(tmp_path, capsys, command):
     over = MAX_FRAME + 1

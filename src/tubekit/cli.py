@@ -38,11 +38,11 @@ from .fusion import (
     STREAMS,
     StreamScoreSet,
     _majority_label,
+    _softmax_terms,
     aggregate_video,
     compose_actionness,
     frame_scores_from_clips,
     multigranular_fuse,
-    softmax,
     temporal_localize,
     tube_actionness,
 )
@@ -168,24 +168,32 @@ def _cmd_fuse(args) -> int:
 
 
 def _prob_runs(scores: StreamScoreSet, length: int, cls: int) -> list[tuple[int, float]]:
-    """``(length, probability of cls)`` per run of ``frame_scores_from_clips``: one softmax per raw run."""
-    return [
-        (n, (softmax(vec) if vec.kind == "raw" else vec).values[cls])
-        for n, vec in frame_scores_from_clips(scores, length)
-    ]
+    """``(length, probability of cls)`` per run of ``frame_scores_from_clips``.
+
+    A raw run's probability is ``softmax(vec).values[cls]`` to the bit, from
+    one softmax's terms and no probability vector.
+    """
+    out = []
+    for n, vec in frame_scores_from_clips(scores, length):
+        if vec.kind == "raw":
+            exps, total = _softmax_terms(vec.values)
+            out.append((n, exps[cls] / total))
+        else:
+            out.append((n, vec.values[cls]))
+    return out
 
 
 def _gate_runs(source) -> list[tuple[int, bool]]:
     """A video's human-presence gate, as ``(length, present)`` runs.
 
     From its detections, a ``FrameDetections``: over its frames, present on
-    those that hold boxes. From its tubes, a list: over the frames up to the
-    last tube end, present on those that a tube covers.
+    those that hold boxes. From its tubes, a list of their spans: over the
+    frames up to the last tube end, present on those that a tube covers.
     """
     if isinstance(source, FrameDetections):
         spans, length = [(f, f + 1) for f in sorted(source.frames)], source.length
     else:
-        spans = sorted([(t.span.start, t.span.end + 1) for t in source])
+        spans = sorted([(s.start, s.end + 1) for s in source])
         length = max(stop for _, stop in spans)
     out, covered = [], 0  # frames [0, covered) are in out, which ends in a present run
     for start, stop in spans:
@@ -212,13 +220,14 @@ def _cmd_actionness(args) -> int:
     k = next(iter(sets.values())).k  # read_scores checks that K is the same file-wide
     _require(args.action_class < k, f"--class must be < {k} (class count of the scores file)")
 
-    # per video, what its human-presence gate is made from: its detections or its tubes
+    # per video, what its human-presence gate is made from: its detections or its
+    # tubes' spans, which are all that actionness reads of a tube
     if args.detections is not None:
         sources = {dets.video_id: dets for dets in read_detections(args.detections)}
     else:
         sources = {}
-        for vid, tube in read_tubes(args.tubes):
-            sources.setdefault(vid, []).append(tube)
+        for vid, span in read_tubes(args.tubes, boxes=False):
+            sources.setdefault(vid, []).append(span)
 
     # every stream is looked up before --out is opened, so a missing one leaves no file
     videos = sorted(sources)
@@ -232,7 +241,7 @@ def _cmd_actionness(args) -> int:
     def row(vid):
         # a video's runs and series are locals here: they go with the call, before the next video's
         human = _gate_runs(sources[vid])
-        tubes = sources[vid] if args.tubes is not None else []
+        tube_spans = sources[vid] if args.tubes is not None else []
         length = sum([n for n, _ in human])
         probs = [
             _prob_runs(sets[vid, stream, args.granularity], length, args.action_class)
@@ -240,7 +249,7 @@ def _cmd_actionness(args) -> int:
         ]
         series = compose_actionness(*probs, human)
         spans = [(s.start, s.end) for s in temporal_localize(series, args.threshold)]
-        sums = [tube_actionness(t, series) for t in tubes]
+        sums = [tube_actionness(s, series) for s in tube_spans]
         return vid, args.action_class, args.threshold, series, spans, sums
 
     write_actionness(args.out, map(row, videos))

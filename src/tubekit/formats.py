@@ -37,7 +37,9 @@ after which its objects are built without a second check; any other
 record is parsed again field by field, which names its first fault.
 ``read_scores`` can be told which (stream, granularity, crop_id) entries
 to build: it checks every record in full, builds only those, and returns
-every set that the file names, with only its kept entries.
+every set that the file names, with only its kept entries. ``read_tubes``
+can be told to build no box: it checks every box by the same rule and
+returns each record's video and span.
 """
 from __future__ import annotations
 
@@ -60,7 +62,7 @@ from .fusion import (
     ScoreVector,
     StreamScoreSet,
 )
-from .geometry import Box2D, TemporalSpan, Tube, _unchecked
+from .geometry import Box2D, TemporalSpan, Tube, _box_area, _unchecked
 
 
 # Largest frame index a file may name. Of what ``actionness`` does, only the
@@ -441,14 +443,22 @@ def write_tubes(path, tubes: Iterable[VideoTube]) -> None:
     _write_records(path, (_tube_line(vid, tube) for vid, tube in tubes))
 
 
-def read_tubes(path, required: Sequence[str] = ()) -> list[VideoTube]:
+def read_tubes(
+    path, required: Sequence[str] = (), boxes: bool = True
+) -> list[VideoTube] | list[tuple[str, TemporalSpan]]:
     """Tube records in file order; used for ground truth and predictions alike.
 
     ``required`` names which of ``label`` and ``score`` every record must
     carry: predictions need both, ground truth needs ``label``. An optional
     one may be absent or null.
+
+    With ``boxes=False``, each record is checked in full, every box
+    included, but no box is built: the result is ``(video_id, span)`` per
+    record, in file order.
     """
-    tubes: list[VideoTube] = []
+    # a box whose corners are all floats is checked by the box rule, and built only if boxes is true
+    fast_box = Box2D if boxes else _box_area
+    tubes: list = []
     for line_no, record in _iter_records(path):
         vid = _field(path, line_no, record, "video_id", str, "a string")
         start = _field(path, line_no, record, "start", int, "an integer")
@@ -473,20 +483,20 @@ def read_tubes(path, required: Sequence[str] = ()) -> list[VideoTube]:
                 path, line_no, "boxes",
                 f"{len(raw_boxes)} boxes for a span of length {span.length}",
             )
-        boxes = []
+        built = []
         for rb in raw_boxes:
-            # as in read_detections: finite floats that Box2D accepts, or a field-by-field parse
+            # as in read_detections: finite floats that the box rule accepts, or a field-by-field parse
             if type(rb) is list and len(rb) == 4:
                 x1, y1, x2, y2 = rb
                 if type(x1) is float and type(y1) is float and type(x2) is float and type(y2) is float:
                     try:
-                        boxes.append(Box2D(x1, y1, x2, y2))
+                        built.append(fast_box(x1, y1, x2, y2))
                         continue
                     except ValueError:
                         pass
-            boxes.append(_tube_box(path, line_no, rb))
+            built.append(_tube_box(path, line_no, rb))
         tubes.append(
-            (vid, Tube(span=span, boxes=tuple(boxes), label=label, score=score))
+            (vid, Tube(span=span, boxes=tuple(built), label=label, score=score) if boxes else span)
         )
     return tubes
 

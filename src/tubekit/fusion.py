@@ -22,7 +22,7 @@ from itertools import accumulate, chain, repeat
 from operator import attrgetter
 from typing import Sequence
 
-from .geometry import TemporalSpan, Tube, _check_lengths, _unchecked, runs
+from .geometry import TemporalSpan, _check_lengths, _unchecked, runs
 
 STREAMS = ("pose", "flow", "rgb")
 GRANULARITIES = ("net16", "net32", "netW")
@@ -150,11 +150,16 @@ class ActionnessSeries:
         return self.ends[-1] if self.ends else 0
 
 
+def _softmax_terms(values: Sequence[float]) -> tuple[list[float], float]:
+    """Softmax's numerators, ``exp(x - max)`` per value, and their fsum: entry c is ``exps[c] / total``."""
+    m = max(values)
+    exps = [math.exp(x - m) for x in values]
+    return exps, math.fsum(exps)
+
+
 def softmax(v: ScoreVector) -> ScoreVector:
     """Exponential normalization, shifted by the max for overflow safety."""
-    m = max(v.values)
-    exps = [math.exp(x - m) for x in v.values]
-    total = math.fsum(exps)
+    exps, total = _softmax_terms(v.values)
     return _unchecked(ScoreVector, values=tuple([e / total for e in exps]), kind="prob")
 
 
@@ -348,17 +353,17 @@ def compose_actionness(
     return ActionnessSeries(tuple([(n, actionness(p, r, f), bool(h)) for n, p, r, f, h in pieces]))
 
 
-def tube_actionness(tube: Tube, series: ActionnessSeries) -> float:
-    """Sum of the per-frame actionness over the tube's frames.
+def tube_actionness(span: TemporalSpan, series: ActionnessSeries) -> float:
+    """Sum of the per-frame actionness over a tube's frames, given by its span.
 
     fsum of each overlapping piece's value repeated once per frame: fsum
     rounds the exact sum of the multiset once, so this is the per-frame sum
     to the bit, where adding per-piece products ``n * v`` would round each.
     """
-    start, stop = tube.span.start, tube.span.end + 1
+    start, stop = span.start, span.end + 1
     if start < 0 or stop > len(series):
         raise ValueError(
-            f"tube span [{tube.span.start}, {tube.span.end}] outside series of length {len(series)}"
+            f"tube span [{span.start}, {span.end}] outside series of length {len(series)}"
         )
     ends, pieces = series.ends, series.pieces
     i, terms = bisect_right(ends, start), []

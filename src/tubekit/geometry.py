@@ -25,6 +25,25 @@ def _unchecked(cls, **fields):
     return obj
 
 
+def _box_area(x1: float, y1: float, x2: float, y2: float) -> float:
+    """The area of the box with these corners: the box rule, for ``Box2D`` and the readers that build none.
+
+    Raises ValueError unless ``x1 < x2``, ``y1 < y2`` and the area is
+    positive and finite.
+    """
+    if not (x1 < x2 and y1 < y2):
+        raise ValueError(
+            f"degenerate box ({x1}, {y1}, {x2}, {y2}): x1 < x2 and y1 < y2 required"
+        )
+    area = (x2 - x1) * (y2 - y1)
+    # box_iou divides by the areas: an infinite one gives NaN, a zero one 0 / 0
+    if not 0.0 < area < inf:
+        raise ValueError(
+            f"box ({x1}, {y1}, {x2}, {y2}) has area {area}: a positive finite area required"
+        )
+    return area
+
+
 class _BoxSlots:
     """Box2D's storage; ``Box2D.__new__`` fills one and then retypes it."""
 
@@ -52,16 +71,7 @@ class Box2D(_BoxSlots):
     score: Optional[float]
 
     def __new__(cls, x1: float, y1: float, x2: float, y2: float, score: Optional[float] = None):
-        if not (x1 < x2 and y1 < y2):
-            raise ValueError(
-                f"degenerate box ({x1}, {y1}, {x2}, {y2}): x1 < x2 and y1 < y2 required"
-            )
-        area = (x2 - x1) * (y2 - y1)
-        # box_iou divides by the areas: an infinite one gives NaN, a zero one 0 / 0
-        if not 0.0 < area < inf:
-            raise ValueError(
-                f"box ({x1}, {y1}, {x2}, {y2}) has area {area}: a positive finite area required"
-            )
+        area = _box_area(x1, y1, x2, y2)
         # Filled as the writable base, then retyped: plain slot stores cost about
         # half of the object.__setattr__ calls that would get past the frozen
         # dataclass's __setattr__.

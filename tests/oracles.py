@@ -231,11 +231,11 @@ def naive_localize(values: list[float], human: list[bool], threshold: float) -> 
     return _naive_spans([h and v >= threshold for h, v in zip(human, values)], 0)
 
 
-def naive_tube_actionness(tube: Tube, values: list[float]) -> float:
-    """Per-frame twin of ``tube_actionness``: fsum of the value of each frame of the tube."""
-    if tube.span.end >= len(values):
-        raise ValueError(f"tube span [{tube.span.start}, {tube.span.end}] outside series of length {len(values)}")
-    return math.fsum(values[f] for f in tube.span.frames())
+def naive_tube_actionness(span: TemporalSpan, values: list[float]) -> float:
+    """Per-frame twin of ``tube_actionness``: fsum of the value of each frame of a tube's span."""
+    if span.end >= len(values):
+        raise ValueError(f"tube span [{span.start}, {span.end}] outside series of length {len(values)}")
+    return math.fsum(values[f] for f in span.frames())
 
 
 def _naive_match_count(

@@ -1185,14 +1185,15 @@ def test_long_video_id_in_missing_scores_error_is_cut(tmp_path, monkeypatch, cap
 def test_actionness_applies_softmax_once_per_run_of_frames(tmp_path, monkeypatch):
     from tubekit import cli, read_detections, read_scores
 
+    # a raw run's probability comes from one softmax's terms
     calls = []
-    real = cli.softmax
+    real = cli._softmax_terms
 
-    def counting(v):
-        calls.append(v)
-        return real(v)
+    def counting(values):
+        calls.append(values)
+        return real(values)
 
-    monkeypatch.setattr(cli, "softmax", counting)
+    monkeypatch.setattr(cli, "_softmax_terms", counting)
     corpus = tmp_path / "corpus"
     # 403 frames: clips start at 0, 8, ..., 384, and frames 400-402 are uncovered
     assert run("synth", "--out-dir", str(corpus), "--seed", "1", "--videos", "1",

@@ -1057,3 +1057,58 @@ def test_read_scores_keep_matches_the_full_read(records, keep):
         assert [_entry_bits(e) for e in kept[key].entries] == [
             _entry_bits(e) for e in s.entries if (s.stream, s.granularity, e.crop_id) in keep
         ]
+
+
+# read_tubes(path, boxes=False) checks every record as read_tubes(path) does,
+# every box included, and returns each record's (video_id, span): the same
+# spans as the full read, and the same error on a faulty file.
+MISSING = object()
+# float corners whose area overflows, underflows or is not positive
+BAD_AREAS = [[0.0, 0.0, 1e308, 1e308], [0.0, 0.0, 1e-200, 1e-200], [-1e308, 0.0, 1e308, 1.0], [5.0, 0.0, 5.0, 1.0]]
+
+
+@st.composite
+def tube_records(draw):
+    """A tubes record: mostly valid, some with a field or a box as it comes."""
+    start = draw(st.integers(0, 3))
+    end = start + draw(st.integers(0, 3))
+    form = draw(st.integers(0, 5))
+    boxes = [[0.0, 0.0, 1.0 + f, 2.0] for f in range(end - start + 1)]
+    if form == 0:  # one box near valid or hostile, in the fast test's form or not
+        boxes[draw(st.integers(0, len(boxes) - 1))] = draw(
+            st.one_of(near_valid_corners(), st.lists(HOSTILE, max_size=5), HOSTILE, st.sampled_from(BAD_AREAS))
+        )
+    elif form == 1:  # integer corners, which take the field-by-field parse
+        boxes = [[0, 0, 1, 1]] * len(boxes)
+    elif form == 2:  # a box too many or too few
+        boxes = boxes[1:] if draw(st.booleans()) else boxes + boxes[:1]
+    record = {"video_id": draw(st.sampled_from(["v", "w"])), "label": 0, "start": start, "end": end,
+              "score": 0.5, "boxes": boxes}
+    if form == 3:  # one field hostile or missing
+        name = draw(st.sampled_from(["video_id", "label", "start", "end", "score", "boxes"]))
+        value = draw(st.one_of(HOSTILE, st.just(MISSING)))
+        if value is MISSING:
+            del record[name]
+        else:
+            record[name] = value
+    return record
+
+
+def _tubes_or_error(path, required, **kw):
+    try:
+        return read_tubes(path, required, **kw)
+    except ParseError as exc:
+        return type(exc), str(exc)
+
+
+@given(st.lists(tube_records(), min_size=1, max_size=5), st.sampled_from([(), ("label",), ("label", "score")]))
+@settings(max_examples=400, deadline=None)
+def test_read_tubes_spans_match_the_full_read(records, required):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        full, spans = _tubes_or_error(path, required), _tubes_or_error(path, required, boxes=False)
+    if isinstance(full, tuple):
+        assert spans == full
+    else:
+        assert spans == [(vid, t.span) for vid, t in full]

@@ -12,7 +12,6 @@ from tubekit import (
     ScoreVector,
     StreamScoreSet,
     TemporalSpan,
-    Tube,
     actionness,
     aggregate_video,
     compose_actionness,
@@ -360,31 +359,27 @@ class TestActionnessSeries:
 
 
 class TestTubeActionness:
-    def tube(self, start, end):
-        boxes = tuple(Box2D(0, 0, 10, 10) for f in range(start, end + 1))
-        return Tube(span=TemporalSpan(start, end), boxes=boxes)
-
     def test_zero_series(self):
-        assert tube_actionness(self.tube(0, 4), ActionnessSeries(((5, 0.0, True),))) == 0.0
+        assert tube_actionness(TemporalSpan(0, 4), ActionnessSeries(((5, 0.0, True),))) == 0.0
 
     def test_constant_series(self):
-        assert tube_actionness(self.tube(0, 9), ActionnessSeries(((10, 0.5, True),))) == 5.0
+        assert tube_actionness(TemporalSpan(0, 9), ActionnessSeries(((10, 0.5, True),))) == 5.0
 
     def test_partial_sum(self):
         series = per_frame_series([0.1, 0.2, 0.3, 0.4, 0.5], [True] * 5)
-        assert tube_actionness(self.tube(1, 3), series) == pytest.approx(0.9)
+        assert tube_actionness(TemporalSpan(1, 3), series) == pytest.approx(0.9)
 
     def test_out_of_bounds(self):
         with pytest.raises(ValueError):
-            tube_actionness(self.tube(3, 6), ActionnessSeries(((5, 0.5, True),)))
+            tube_actionness(TemporalSpan(3, 6), ActionnessSeries(((5, 0.5, True),)))
 
     def test_sum_of_repeats_is_rounded_once(self):
         # nine frames of 0.1 sum to 0.9 rounded once; fsum of the per-piece
         # products 3 * 0.1 and 6 * 0.1 is 0.9000000000000001
         series = ActionnessSeries(((3, 0.1, True), (6, 0.1, False), (1, 0.5, True)))
-        assert tube_actionness(self.tube(0, 8), series) == 0.9 == math.fsum([0.1] * 9)
+        assert tube_actionness(TemporalSpan(0, 8), series) == 0.9 == math.fsum([0.1] * 9)
         assert math.fsum([3 * 0.1, 6 * 0.1]) == 0.9000000000000001
-        assert tube_actionness(self.tube(2, 9), series) == math.fsum([0.1] * 7 + [0.5])
+        assert tube_actionness(TemporalSpan(2, 9), series) == math.fsum([0.1] * 7 + [0.5])
 
 
 class TestTemporalLocalize:
@@ -454,7 +449,7 @@ def stream_set(draw, stream, video_len, k):
 
 @st.composite
 def actionness_videos(draw):
-    """A gate source with its per-frame flags, tubes to sum over, and the three streams' score sets.
+    """A gate source with its per-frame flags, tube spans to sum over, and the three streams' score sets.
 
     The gate comes from detections, with empty interior and trailing frames,
     or from tubes that may overlap, nest or touch.
@@ -469,12 +464,12 @@ def actionness_videos(draw):
     else:
         spans = draw(st.lists(st.tuples(st.integers(0, 50), st.integers(0, 20)), min_size=1, max_size=5))
         tubes = [TemporalSpan(a, a + d) for a, d in spans]
-        source = [Tube(t, (BOX,) * t.length) for t in tubes]
+        source = tubes  # the gate reads only the tubes' spans
         length = max(t.end for t in tubes) + 1
         present = [any(t.start <= f <= t.end for t in tubes) for f in range(length)]
     k = draw(st.integers(1, 3))
     sets = [stream_set(draw, stream, length, k) for stream in ("pose", "rgb", "flow")]
-    return source, present, [Tube(t, (BOX,) * t.length) for t in tubes], sets, draw(st.integers(0, k - 1))
+    return source, present, tubes, sets, draw(st.integers(0, k - 1))
 
 
 def hexes(values):
@@ -501,6 +496,32 @@ def test_actionness_runs_match_frames(video, data):
     threshold = data.draw(st.sampled_from(values) | st.floats(0.0, 1.0))
     assert temporal_localize(series, threshold) == naive_localize(values, gate, threshold)
     assert hexes(tube_actionness(t, series) for t in tubes) == hexes(naive_tube_actionness(t, values) for t in tubes)
+
+
+# raw scores as they come: huge values, signed zeros, and few enough distinct ones for ties
+RAW_SCORES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 1.0, 1.7976931348623157e308, -1.7976931348623157e308]),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda k: st.lists(st.lists(RAW_SCORES, min_size=k, max_size=k), min_size=1, max_size=6)
+    ),
+    st.data(),
+)
+def test_prob_runs_are_softmax_entries_to_the_bit(vectors, data):
+    # two crops per clip, clips 8 frames apart: runs of one clip and runs of two
+    entries = tuple(
+        ClipScore(8 * (i // 2), FIXED_CROPS[i % 2], ScoreVector(tuple(v))) for i, v in enumerate(vectors)
+    )
+    scores = StreamScoreSet("v", "rgb", "net16", entries)
+    length = data.draw(st.integers(1, 40))
+    cls = data.draw(st.integers(0, len(vectors[0]) - 1))
+    want = [(n, softmax(vec).values[cls].hex()) for n, vec in frame_scores_from_clips(scores, length)]
+    assert [(n, p.hex()) for n, p in _prob_runs(scores, length, cls)] == want
 
 
 @pytest.mark.parametrize("n", [2, 3, 7])

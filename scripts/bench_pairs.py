@@ -7,12 +7,14 @@
 The parent's files come from ``git archive REV`` into a temporary directory;
 the change is this checkout as it is on disk, copied into another one
 without any ``__pycache__``: the files git tracks or would add, read from
-disk. So neither side starts with a bytecode cache, which would make its
-first start-ups cheaper than the other side's. Each pair runs
+disk. Then ``compileall`` writes the bytecode of both copies' ``src`` and
+``perfbench`` with this interpreter, as pip does at install, so no
+``python -m tubekit`` child compiles tubekit, and neither side starts with
+a cache the other lacks. Each pair runs
 ``perfbench/run.py --trace 0`` once on each side, the parent first in odd
 pairs and the change first in even pairs, and keeps the JSON line that
 run.py prints last. ``--out`` adds the runs to a BENCH file (made if
-missing, and it must name the same parent and change) and writes a summary
+missing; ``refusal`` says when an existing one cannot take them) and writes a summary
 over all of its runs: per workload, seed and end-to-end metric, the median
 and quartiles of each side and the pairs each side won, a tie counting for
 neither, and the change's median relative to the parent's beside the
@@ -35,6 +37,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 ORDER = "alternating pairs: odd pairs ran the parent first, even pairs the change first"
+TREES = ("each side runs from a temporary copy, the parent from git archive and the change from this "
+         "checkout's files on disk, with no __pycache__ copied; both copies' src and perfbench are then "
+         "precompiled with python -m compileall")
 
 
 def git(*args: str, env: dict | None = None) -> str:
@@ -69,6 +74,16 @@ def copy_checkout(dest: Path) -> None:
             continue
         (dest / name).parent.mkdir(parents=True, exist_ok=True)
         shutil.copy2(source, dest / name)
+
+
+def precompile(root: Path) -> None:
+    """Write the bytecode of ``root``'s src and perfbench with this interpreter.
+
+    compileall writes it even under PYTHONDONTWRITEBYTECODE, which only stops
+    an import from writing it.
+    """
+    subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "perfbench"], cwd=root, check=True,
+                   stdin=subprocess.DEVNULL)
 
 
 def bench(root: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -146,6 +161,26 @@ def table_row(s: dict) -> str:
     return f"{s['metric']:16s} {cells[0]:32s} {cells[1]:32s} {wins:16s} {relative:>8s} {bound:>6s}{mark}"
 
 
+def refusal(record: dict, parent: dict, change: dict, settings: dict, claim: dict | None) -> str | None:
+    """Why the BENCH file ``record`` cannot take this call's runs, or None when it can.
+
+    Its runs must be of the same parent and change src/ trees, the same
+    ``--seconds`` and the same tree preparation, and a claim must be the one
+    it already names, if it names one.
+    """
+    for key, want in (("parent", parent), ("change", change)):
+        if record[key]["src_tree"] != want["src_tree"]:
+            return f"holds runs of another {key} src/ tree"
+    if record["settings"]["seconds"] != settings["seconds"]:
+        return f"holds runs of --seconds {record['settings']['seconds']}"
+    if record["settings"].get("trees") != settings["trees"]:
+        return f"holds runs from trees prepared otherwise: {record['settings'].get('trees')}"
+    held = record.get("claim")
+    if claim and held and (held["metric"], held["workload"]) != (claim["metric"], claim["workload"]):
+        return f"claims {held['metric']} on {held['workload']}"
+    return None
+
+
 def main(argv=None) -> int:
     workloads = json.loads((ROOT / "perfbench" / "workloads.json").read_text(encoding="utf-8"))
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
@@ -170,24 +205,20 @@ def main(argv=None) -> int:
         "command": "python3 perfbench/run.py --workload W --seed S --trace 0",
         "seconds": args.seconds,
         "order": ORDER,
-        "trees": "each side runs from a temporary copy with no __pycache__: the parent from git archive, "
-                 "the change from this checkout's files on disk",
+        "trees": TREES,
         "machine": f"{os.cpu_count()} CPU {platform.system()}, Python {platform.python_version()}",
         "result": "the last JSON line that run.py prints",
     }
+    claim = args.claim and {"metric": args.claim, "workload": args.workload, "better": better[args.claim]}
     record = {"parent": parent, "change": change, "settings": settings, "runs": []}
     if args.out is not None and args.out.exists():
         record = json.loads(args.out.read_text(encoding="utf-8"))
-        for key, want in (("parent", parent), ("change", change)):
-            if record[key]["src_tree"] != want["src_tree"]:
-                print(f"bench_pairs: {args.out} holds runs of another {key} src/ tree", file=sys.stderr)
-                return 2
-        if record["settings"]["seconds"] != args.seconds:
-            print(f"bench_pairs: {args.out} holds runs of --seconds {record['settings']['seconds']}",
-                  file=sys.stderr)
+        why = refusal(record, parent, change, settings, claim)
+        if why is not None:
+            print(f"bench_pairs: {args.out} {why}", file=sys.stderr)
             return 2
-    if args.claim:
-        record["claim"] = {"metric": args.claim, "workload": args.workload, "better": better[args.claim]}
+    if claim:
+        record.setdefault("claim", claim)
 
     done = max((r["pair"] for r in record["runs"]
                 if (r["workload"], r["seed"]) == (args.workload, args.seed)), default=0)
@@ -197,6 +228,8 @@ def main(argv=None) -> int:
         parent_root.mkdir()
         export(parent["commit"], parent_root)
         copy_checkout(change_root)
+        for root in (parent_root, change_root):
+            precompile(root)
         for pair in range(done + 1, done + args.pairs + 1):
             order = ("parent", "change") if pair % 2 else ("change", "parent")
             for side in order:

@@ -11,14 +11,11 @@ from .evaluation import (
     ClassResult,
     EvalConfig,
     EvalReport,
-    average_precision,
-    match_predictions,
     video_map,
 )
 from .formats import (
     read_detections,
     read_predictions,
-    read_report,
     read_scores,
     read_tubes,
     write_detections,
@@ -68,19 +65,16 @@ __all__ = [
     "VocabularyError",
     "actionness",
     "aggregate_video",
-    "average_precision",
     "box_iou",
     "compose_actionness",
     "extract_tubes",
     "frame_scores_from_clips",
     "generate_scene",
-    "match_predictions",
     "median_smooth",
     "multigranular_fuse",
     "pad_detections",
     "read_detections",
     "read_predictions",
-    "read_report",
     "read_scores",
     "read_tubes",
     "softmax",

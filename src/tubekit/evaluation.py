@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .geometry import Tube, tube_iou
 
@@ -51,12 +51,6 @@ class EvalReport:
     deltas: tuple[float, ...]
     per_delta: dict[float, tuple[ClassResult, ...]]
     map_by_delta: dict[float, float]
-
-
-def _check_scored(preds: Sequence[VideoTube]) -> None:
-    for vid, tube in preds:
-        if tube.score is None or not math.isfinite(tube.score):
-            raise ValueError(f"prediction in video {vid!r} has no finite score")
 
 
 def _class_groups(
@@ -120,34 +114,6 @@ def _greedy_flags(rows: IouRows, num_gt: int, delta: float) -> list[bool]:
     return flags
 
 
-def match_predictions(
-    preds: Sequence[VideoTube],
-    gts: Sequence[VideoTube],
-    delta: float,
-) -> list[bool]:
-    """TP/FP flag per prediction, aligned with the input order of ``preds``."""
-    _check_scored(preds)
-    flags = [False] * len(preds)
-    for ordered, class_gts in _class_groups(preds, gts).values():
-        rows = _iou_rows(preds, ordered, class_gts)
-        for i, flag in zip(ordered, _greedy_flags(rows, len(class_gts), delta)):
-            flags[i] = flag
-    return flags
-
-
-def average_precision(flags: Sequence[bool], num_gt: int) -> Optional[float]:
-    """Area under the precision envelope; flags must be in descending-score order.
-
-    With no ground truth the AP is undefined (None) unless there are
-    predictions, which are then all false positives and score 0.
-    """
-    if num_gt < 0:
-        raise ValueError(f"negative ground-truth count {num_gt}")
-    if num_gt == 0:
-        return 0.0 if flags else None
-    return _envelope_area(_pr_points(flags, num_gt))
-
-
 def _pr_points(flags: Sequence[bool], num_gt: int) -> tuple[tuple[float, float], ...]:
     pts = []
     tp = 0
@@ -183,7 +149,9 @@ def video_map(
     that appear only in the predictions are reported with AP 0 but do not
     enter the mean.
     """
-    _check_scored(preds)
+    for vid, tube in preds:
+        if tube.score is None or not math.isfinite(tube.score):
+            raise ValueError(f"prediction in video {vid!r} has no finite score")
     for vid, tube in gts:
         if tube.label is None:
             raise ValueError(f"ground-truth tube in video {vid!r} has no label")

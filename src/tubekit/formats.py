@@ -513,28 +513,6 @@ def write_report(path, report: EvalReport) -> None:
     _write_records(path, lines())
 
 
-def read_report(path) -> list[dict]:
-    """Raw report records, mainly for tests and downstream tooling.
-
-    Each record is checked, field by field in the written order, before it is
-    returned: a finite ``delta``, an integer ``class``, a finite ``ap``, ``pr``
-    as [recall, precision] pairs of finite numbers, and a finite ``map``.
-    """
-    rows = []
-    for line_no, record in _iter_records(path):
-        _number(path, line_no, "delta", _required(path, line_no, record, "delta"))
-        _field(path, line_no, record, "class", int, "an integer")
-        _number(path, line_no, "ap", _required(path, line_no, record, "ap"))
-        for pair in _field(path, line_no, record, "pr", list, "an array"):
-            if type(pair) is not list or len(pair) != 2:
-                raise ParseError(path, line_no, "pr", f"expected [recall, precision], got {_shown(pair)}")
-            for v in pair:
-                _number(path, line_no, "pr", v)
-        _number(path, line_no, "map", _required(path, line_no, record, "map"))
-        rows.append(record)
-    return rows
-
-
 def write_predictions(path, rows: Iterable[tuple[str, int, Sequence[float]]]) -> None:
     """Per-video fused label and score vector, as emitted by the fuse command."""
     _write_records(path, (

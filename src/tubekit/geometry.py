@@ -151,9 +151,6 @@ class Tube:
                 f"tube has {len(self.boxes)} boxes for a span of length {self.span.length}"
             )
 
-    def box_at(self, frame: int) -> Box2D:
-        return self.boxes[frame - self.span.start]
-
 
 def box_iou(a: Box2D, b: Box2D) -> float:
     """Spatial intersection-over-union of two boxes.

@@ -29,7 +29,6 @@ from tubekit import (
     median_smooth,
     read_detections,
     read_predictions,
-    read_report,
     read_tubes,
     softmax,
     video_map,
@@ -39,7 +38,7 @@ from tubekit import (
 )
 from tubekit.cli import main
 
-from oracles import brute_force_eval, brute_force_link, naive_median
+from oracles import brute_force_eval, brute_force_link, loads_records, naive_median
 
 CORPUS_ARGS = [
     "--seed", "7", "--videos", "50", "--frames", "100", "--persons", "2",
@@ -135,7 +134,7 @@ def test_criterion_2_median_filter_matches_reference():
 
 
 def test_criterion_3_end_to_end_tube_recovery(corpus):
-    rows = read_report(corpus["report"])
+    rows = [row for _, row in loads_records(corpus["report"])]
     assert rows, "empty evaluation report"
     video_map_05 = rows[0]["map"]
     assert all(row["map"] == video_map_05 for row in rows)

@@ -9,8 +9,6 @@ from tubekit import (
     EvalConfig,
     TemporalSpan,
     Tube,
-    average_precision,
-    match_predictions,
     video_map,
 )
 
@@ -40,68 +38,100 @@ def random_instance(rng, classes=3, max_tubes=4):
     return preds, gts
 
 
+def class_result(preds, gts, delta, label=0):
+    """``video_map``'s ClassResult for one class at one threshold."""
+    report = video_map(preds, gts, EvalConfig(deltas=(delta,)))
+    return {r.label: r for r in report.per_delta[delta]}[label]
+
+
 class TestMatchPredictions:
+    """Greedy matching, as ``video_map`` counts it in ClassResult.tp, fp and pr (rank order)."""
+
     def test_perfect_match(self):
         p = [("v", tube(0, 9))]
         g = [("v", tube(0, 9, score=None))]
-        assert match_predictions(p, g, 0.5) == [True]
+        r = class_result(p, g, 0.5)
+        assert (r.tp, r.fp, r.pr) == (1, 0, ((1.0, 1.0),))
 
     def test_wrong_label_is_fp(self):
         p = [("v", tube(0, 9, label=1))]
         g = [("v", tube(0, 9, label=0, score=None))]
-        assert match_predictions(p, g, 0.5) == [False]
+        assert (class_result(p, g, 0.5, label=1).fp, class_result(p, g, 0.5, label=0).tp) == (1, 0)
 
     def test_wrong_video_is_fp(self):
         p = [("v1", tube(0, 9))]
         g = [("v2", tube(0, 9, score=None))]
-        assert match_predictions(p, g, 0.5) == [False]
+        r = class_result(p, g, 0.5)
+        assert (r.tp, r.fp) == (0, 1)
 
     def test_gt_consumed_once(self):
         p = [("v", tube(0, 9, score=0.9)), ("v", tube(0, 9, score=0.5))]
         g = [("v", tube(0, 9, score=None))]
-        assert match_predictions(p, g, 0.5) == [True, False]
+        r = class_result(p, g, 0.5)
+        assert (r.tp, r.fp, r.pr) == (1, 1, ((1.0, 1.0), (1.0, 0.5)))
 
-    def test_lower_scored_duplicate_flagged_in_input_order(self):
+    def test_higher_scored_duplicate_wins(self):
+        # listed first, the lower-scored duplicate still ranks second and finds the gt taken
         p = [("v", tube(0, 9, score=0.5)), ("v", tube(0, 9, score=0.9))]
         g = [("v", tube(0, 9, score=None))]
-        assert match_predictions(p, g, 0.5) == [False, True]
+        assert class_result(p, g, 0.5).pr == ((1.0, 1.0), (1.0, 0.5))
 
     def test_below_threshold_leaves_gt_unconsumed(self):
         # first prediction overlaps best with the gt but under delta; the
         # second exact prediction must still be able to claim it
         p = [("v", tube(0, 9, x=8.0, score=0.9)), ("v", tube(0, 9, x=0.0, score=0.5))]
         g = [("v", tube(0, 9, score=None))]
-        assert match_predictions(p, g, 0.9) == [False, True]
+        r = class_result(p, g, 0.9)
+        assert (r.tp, r.fp, r.pr) == (1, 1, ((0.0, 0.0), (1.0, 0.5)))
 
     def test_missing_score_rejected(self):
         p = [("v", tube(0, 9, score=None))]
-        with pytest.raises(ValueError):
-            match_predictions(p, [], 0.5)
+        with pytest.raises(ValueError, match="^prediction in video 'v' has no finite score$"):
+            video_map(p, [], EvalConfig(deltas=(0.5,)))
+        # scores are checked before any label
+        g = [("v", tube(0, 9, label=None, score=None))]
+        with pytest.raises(ValueError, match="no finite score"):
+            video_map(p, g, EvalConfig(deltas=(0.5,)))
+
+    def test_nan_score_rejected(self):
+        p = [("v", tube(0, 9)), ("w", tube(0, 9, score=math.nan))]
+        with pytest.raises(ValueError, match="^prediction in video 'w' has no finite score$"):
+            video_map(p, [], EvalConfig(deltas=(0.5,)))
 
 
 class TestAveragePrecision:
+    """AP as the area under the precision envelope, read from ClassResult.ap."""
+
     def test_single_tp(self):
-        assert average_precision([True], 1) == 1.0
+        p = [("v", tube(0, 9))]
+        assert class_result(p, [("v", tube(0, 9, score=None))], 0.5).ap == 1.0
 
     def test_tp_then_fp(self):
-        assert average_precision([True, False], 1) == 1.0
+        p = [("v", tube(0, 9, score=0.9)), ("v", tube(0, 9, score=0.5))]
+        assert class_result(p, [("v", tube(0, 9, score=None))], 0.5).ap == 1.0
 
     def test_fp_then_tp(self):
-        assert average_precision([False, True], 1) == 0.5
+        p = [("v", tube(0, 9, x=100.0, score=0.9)), ("v", tube(0, 9, score=0.5))]
+        assert class_result(p, [("v", tube(0, 9, score=None))], 0.5).ap == 0.5
 
     def test_no_predictions(self):
-        assert average_precision([], 3) == 0.0
-
-    def test_no_gt_no_predictions_undefined(self):
-        assert average_precision([], 0) is None
+        g = [("v", tube(0, 9, score=None)) for _ in range(3)]
+        r = class_result([], g, 0.5)
+        assert (r.ap, r.num_gt, r.pr) == (0.0, 3, ())
 
     def test_no_gt_with_predictions_scores_zero(self):
-        assert average_precision([False, False], 0) == 0.0
+        p = [("v", tube(0, 9, label=7, score=0.9)), ("v", tube(0, 9, label=7, score=0.5))]
+        r = class_result(p, [], 0.5, label=7)
+        assert (r.ap, r.num_gt, r.fp) == (0.0, 0, 2)
 
     def test_interleaved(self):
         # points: (1/2,1), (1/2,1/2), (1,2/3); envelope at r=1/2 is 1
-        ap = average_precision([True, False, True], 2)
-        assert ap == pytest.approx(0.5 * 1.0 + 0.5 * (2 / 3))
+        p = [("v", tube(0, 9, score=0.9)), ("v", tube(0, 9, x=100.0, score=0.8)),
+             ("v", tube(20, 29, score=0.7))]
+        g = [("v", tube(0, 9, score=None)), ("v", tube(20, 29, score=None))]
+        r = class_result(p, g, 0.5)
+        assert r.pr == ((0.5, 1.0), (0.5, 0.5), (1.0, 2 / 3))
+        assert r.ap == pytest.approx(0.5 * 1.0 + 0.5 * (2 / 3))
 
 
 class TestVideoMap:
@@ -182,6 +212,15 @@ class TestVideoMap:
         gts = [("v", tube(0, 9, label=None, score=None))]
         with pytest.raises(ValueError):
             video_map([], gts, EvalConfig(deltas=(0.5,)))
+
+    def test_unlabeled_prediction_rejected(self):
+        preds = [("v", tube(0, 9, label=None))]
+        with pytest.raises(ValueError, match="^prediction in video 'v' has no label$"):
+            video_map(preds, [], EvalConfig(deltas=(0.5,)))
+        # ground truth is checked first
+        gts = [("g", tube(0, 9, label=None, score=None))]
+        with pytest.raises(ValueError, match="^ground-truth tube in video 'g' has no label$"):
+            video_map(preds, gts, EvalConfig(deltas=(0.5,)))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -29,7 +29,6 @@ from tubekit import (
     VocabularyError,
     read_detections,
     read_predictions,
-    read_report,
     read_scores,
     read_tubes,
     video_map,
@@ -111,7 +110,7 @@ class TestRoundTrips:
         report = video_map(preds, gts, EvalConfig(deltas=(0.2, 0.5)))
         path = tmp_path / "r.jsonl"
         write_report(path, report)
-        rows = read_report(path)
+        rows = [record for _, record in loads_records(path)]
         assert {r["delta"] for r in rows} == {0.2, 0.5}
         assert all(r["map"] == 1.0 for r in rows)
 
@@ -665,22 +664,6 @@ RECORD_ERRORS = [
                  "label", "expected an integer or null, got 'a'", id="tubes-string-label"),
     pytest.param(read_tubes, '{"video_id":"v","label":true,"start":0,"end":0,"boxes":[[0,0,1,1]]}',
                  "label", "expected an integer or null, got True", id="tubes-bool-label"),
-    pytest.param(read_report, '{"delta":NaN,"class":0,"ap":1.0,"pr":[],"map":1.0}',
-                 "delta", "expected a finite number, got nan", id="report-nan-delta"),
-    pytest.param(read_report, '{"delta":0.5,"class":"x","ap":1.0,"pr":[],"map":1.0}',
-                 "class", "expected an integer, got 'x'", id="report-string-class"),
-    pytest.param(read_report, '{"delta":0.5,"class":0,"ap":NaN,"pr":[],"map":1.0}',
-                 "ap", "expected a finite number, got nan", id="report-nan-ap"),
-    pytest.param(read_report, '{"delta":0.5,"class":0,"ap":1.0,"pr":"nope","map":1.0}',
-                 "pr", "expected an array, got 'nope'", id="report-string-pr"),
-    pytest.param(read_report, '{"delta":0.5,"class":0,"ap":1.0,"pr":[[1.0]],"map":1.0}',
-                 "pr", "expected [recall, precision], got [1.0]", id="report-short-pr-pair"),
-    pytest.param(read_report, '{"delta":0.5,"class":0,"ap":1.0,"pr":[[1.0,"a"]],"map":1.0}',
-                 "pr", "expected a number, got 'a'", id="report-string-precision"),
-    pytest.param(read_report, '{"delta":0.5,"class":0,"ap":1.0,"pr":[],"map":Infinity}',
-                 "map", "expected a finite number, got inf", id="report-infinite-map"),
-    pytest.param(read_report, '{"delta":0.5,"class":0,"ap":1.0,"pr":[]}',
-                 "map", "missing required field", id="report-missing-map"),
     pytest.param(read_predictions, '{"video_id":"v","label":-3,"values":[0.5,0.5]}',
                  "label", "label -3 outside [0, 2)", id="predictions-negative-label"),
     pytest.param(read_predictions, '{"video_id":"v","label":2,"values":[0.5,0.5]}',
@@ -693,7 +676,6 @@ RECORD_ERRORS = [
 FIRST_LINE = {
     read_detections: '{"video_id":"v","frame":0,"boxes":[]}',
     read_tubes: '{"video_id":"v","label":null,"start":0,"end":0,"boxes":[[0,0,1,1]]}',
-    read_report: '{"delta":0.5,"class":0,"ap":1.0,"pr":[[1.0,1.0]],"map":1.0}',
     read_predictions: '{"video_id":"v","label":1,"values":[0.25,0.75]}',
 }
 

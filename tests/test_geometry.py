@@ -215,7 +215,7 @@ class TestTubeIou:
         a = make_tube(0, 3, [(0, 0, 10, 10)] * 4)
         b = make_tube(2, 5, [(0, 0, 10, 10), (0, 0, 10, 10), (5, 0, 15, 10), (5, 0, 15, 10)])
         t = temporal_iou(a.span, b.span)
-        per_frame = [box_iou(a.box_at(f), b.box_at(f)) for f in (2, 3)]
+        per_frame = [box_iou(a.boxes[f], b.boxes[f - 2]) for f in (2, 3)]
         assert tube_iou(a, b) <= min(t, max(per_frame)) + 1e-15
 
     def test_label_mismatch_still_computed(self):
@@ -312,7 +312,7 @@ def reference_tube_iou(p, g):
     if t == 0.0:
         return 0.0
     shared = range(max(p.span.start, g.span.start), min(p.span.end, g.span.end) + 1)
-    ious = [reference_iou(p.box_at(f), g.box_at(f)) for f in shared]
+    ious = [reference_iou(p.boxes[f - p.span.start], g.boxes[f - g.span.start]) for f in shared]
     return t * (math.fsum(ious) / len(ious))
 
 

@@ -1,4 +1,6 @@
+import ast
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -124,6 +126,101 @@ def test_bench_pairs_copies_the_checkout_without_bytecode_caches(tmp_path, monke
     assert copied == [".gitignore", "pkg/a.py", "pkg/b.py", "pkg/new.py"]
     assert (dest / "pkg" / "a.py").read_text() == "A = 3\n"
     assert not list(dest.rglob("__pycache__"))
+
+
+def _cached_bytecode_is_current(source: Path) -> bool:
+    """Whether ``source`` has bytecode for this interpreter that an import would use as it is."""
+    cached = Path(importlib.util.cache_from_source(source))
+    if not cached.is_file():
+        return False
+    header = cached.read_bytes()[:16]
+    if header[:4] != importlib.util.MAGIC_NUMBER:
+        return False
+    flags = int.from_bytes(header[4:8], "little")
+    if flags & 1:  # hash-based bytecode
+        return header[8:16] == importlib.util.source_hash(source.read_bytes())
+    stat = source.stat()
+    return header[8:16] == ((int(stat.st_mtime) & 0xFFFFFFFF).to_bytes(4, "little")
+                            + (stat.st_size & 0xFFFFFFFF).to_bytes(4, "little"))
+
+
+def test_bench_pairs_precompiles_each_copy(tmp_path):
+    bench_pairs = _bench_pairs()
+    dest = tmp_path / "copy"
+    bench_pairs.copy_checkout(dest)
+    modules = sorted((dest / "src" / "tubekit").glob("*.py"))
+    assert modules and not any(_cached_bytecode_is_current(m) for m in modules)
+    bench_pairs.precompile(dest)
+    assert all(_cached_bytecode_is_current(m) for m in modules)
+    assert all(_cached_bytecode_is_current(m) for m in (dest / "perfbench").glob("*.py"))
+
+
+def _settings(**changes):
+    settings = {"command": "python3 perfbench/run.py --workload W --seed S --trace 0", "seconds": 1.0,
+                "trees": None, "machine": "m", "result": "r"}
+    return {**settings, **changes}
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"parent": {"commit": "0" * 40, "src_tree": "f" * 40}}, "holds runs of another parent src/ tree"),
+    ({"settings": _settings(seconds=30.0)}, "holds runs of --seconds 30.0"),
+    ({"settings": _settings(trees="copies with no __pycache__")},
+     "holds runs from trees prepared otherwise: copies with no __pycache__"),
+    ({"claim": {"metric": "fuse_s", "workload": "long-video", "better": "lower"}},
+     "claims fuse_s on long-video"),
+], ids=["parent-tree", "seconds", "trees", "claim"])
+def test_bench_pairs_refuses_an_out_file_it_cannot_add_to(tmp_path, monkeypatch, capsys, change, message):
+    bench_pairs = _bench_pairs()
+    monkeypatch.setattr(bench_pairs, "checkout_src_tree", lambda: "c" * 40)
+
+    def export(rev, dest):
+        raise AssertionError("ran past the --out checks")
+
+    monkeypatch.setattr(bench_pairs, "export", export)
+    commit = bench_pairs.git("rev-parse", "HEAD")
+    record = {
+        "claim": {"metric": "fuse_s", "workload": "crowded", "better": "lower"},
+        "parent": {"commit": commit, "src_tree": bench_pairs.git("rev-parse", commit + ":src")},
+        "change": {"src_tree": "c" * 40},
+        "settings": _settings(trees=bench_pairs.TREES),
+        "runs": [],
+    }
+    out = tmp_path / "BENCH.json"
+    argv = ["--parent", commit, "--workload", "crowded", "--seconds", "1", "--claim", "fuse_s",
+            "--out", str(out)]
+    out.write_text(json.dumps(record))
+    with pytest.raises(AssertionError, match="ran past"):  # the file as it is takes this call's runs
+        bench_pairs.main(argv)
+
+    text = json.dumps({**record, **change})
+    out.write_text(text)
+    assert bench_pairs.main(argv) == 2
+    assert capsys.readouterr().err == f"bench_pairs: {out} {message}\n"
+    assert out.read_text() == text
+
+
+def _traced_functions():
+    """``perfbench/traced.py``'s FUNCTIONS, read as text: (span name, module, attribute, record)."""
+    tree = ast.parse((ROOT / "perfbench" / "traced.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["FUNCTIONS"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/traced.py has no FUNCTIONS")
+
+
+def test_package_keeps_what_the_traced_benchmark_wraps():
+    functions = _traced_functions()
+    modules = sorted({module for _, module, _, _ in functions})
+    for _, module, attr, _ in functions:
+        assert hasattr(importlib.import_module(f"tubekit.{module}"), attr), f"tubekit.{module}.{attr}"
+    from tubekit.count_signal import DetectionCountSeries
+    assert isinstance(DetectionCountSeries.__dict__.get("from_detections"), classmethod)
+    # traced.install indexes the modules that importing tubekit.cli loads, by their last name
+    code = "import sys, tubekit.cli; print(*sorted(n for n in sys.modules if n.startswith('tubekit.')))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    loaded = {name.split(".")[-1] for name in out.stdout.split()}
+    assert len(modules) == 8 and set(modules) <= loaded
 
 
 def _parity():

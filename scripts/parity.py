@@ -5,7 +5,8 @@
 
 For each workload of ``perfbench/workloads.json``, each side runs the
 benchmark's ``Pipeline`` once: synth, then every step, then ``fuse`` on the
-pose and flow streams (``EXTRA_FUSE``), each subcommand a fresh
+pose and flow streams (``EXTRA_FUSE``) and ``actionness`` gated by the
+detections (``EXTRA_ACTIONNESS``), each subcommand a fresh
 ``python -m tubekit`` process (``CliRunner``) on that side's src/.
 The parent's files come from ``git archive REV``, and the change's are this
 checkout's files as they are on disk (``bench_pairs.copy_checkout``). The
@@ -38,12 +39,16 @@ EXTRA_FUSE = {
     "predictions_pose_majority.jsonl": ["--stream", "pose", "--method", "majority"],
     "predictions_flow_max.jsonl": ["--stream", "flow", "--method", "max"],
 }
+# an actionness run past the benchmark's own, which is gated by tubes: the gate
+# made from the detections' frames, with the workload's actionness flags
+EXTRA_ACTIONNESS = "actionness_detections.jsonl"
 
 
 def run_side(root: Path, workload: dict, seed: int, workdir: Path) -> tuple[dict[str, str], list[str]]:
     """The sha256 of each corpus and output file that ``root``'s src/ writes, and the failures.
 
-    The files are those of the benchmark's steps, then those of the EXTRA_FUSE runs.
+    The files are those of the benchmark's steps, then those of the EXTRA_FUSE
+    and EXTRA_ACTIONNESS runs.
     """
     workdir.mkdir(parents=True)
     pipe = Pipeline(workload, seed, workdir, pinned=None)
@@ -52,11 +57,15 @@ def run_side(root: Path, workload: dict, seed: int, workdir: Path) -> tuple[dict
         pipe.step(runner, step)
         if pipe.failures:
             return pipe.digests, pipe.failures
-    for name, flags in EXTRA_FUSE.items():
+    scores = str(pipe.corpus / "scores.jsonl")
+    extra = {name: ["fuse", scores, *flags, *workload["fuse"]] for name, flags in EXTRA_FUSE.items()}
+    extra[EXTRA_ACTIONNESS] = ["actionness", "--scores", scores, "--detections",
+                               str(pipe.corpus / "detections.jsonl"), *workload["actionness"]]
+    for name, argv in extra.items():
         out = workdir / name
-        inv = runner(["fuse", str(pipe.corpus / "scores.jsonl"), "--out", str(out), *flags, *workload["fuse"]])
+        inv = runner([*argv, "--out", str(out)])
         if inv.code != 0:
-            return pipe.digests, [f"fuse {' '.join(flags)} exited {inv.code}: {inv.error.strip()}"]
+            return pipe.digests, [f"{argv[0]} for {name} exited {inv.code}: {inv.error.strip()}"]
         pipe.digests[name] = sha256(out)
     return pipe.digests, pipe.failures
 

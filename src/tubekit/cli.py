@@ -1,10 +1,11 @@
 """Command-line pipeline: extract-tubes, fuse, actionness, evaluate, synth.
 
-Exit codes: 0 on success, 2 on input/parse errors, 3 on flag/validation
-errors. Machine-readable results go to files; human-readable tables go to
-standard output. Per-video work items are independent, so --parallel N
-changes wall time but never the output bytes (assembly is sorted by
-video id).
+Each handler reads its files, makes one library call per video (one per
+corpus for evaluate) and writes the results. Exit codes: 0 on success, 2
+on input/parse errors, 3 on flag/validation errors. Machine-readable
+results go to files; human-readable tables go to standard output.
+Per-video work items are independent, so --parallel N changes wall time
+but never the output bytes (assembly is sorted by video id).
 """
 from __future__ import annotations
 
@@ -15,7 +16,6 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from .count_signal import FrameDetections
 from .errors import ParseError
 from .evaluation import AP_METHOD, EvalConfig, video_map
 from .formats import (
@@ -32,25 +32,19 @@ from .formats import (
     write_tubes,
 )
 from .fusion import (
+    ACTIONNESS_STREAMS,
     CROP_SCHEMES,
     FUSION_METHODS,
     GRANULARITIES,
     STREAMS,
     StreamScoreSet,
-    _majority_label,
-    _softmax_terms,
-    aggregate_video,
-    compose_actionness,
-    frame_scores_from_clips,
-    multigranular_fuse,
+    fuse_video,
     temporal_localize,
     tube_actionness,
+    video_actionness,
 )
 from .linking import ExtractionConfig, extract_tubes
 from .synth import SynthConfig, generate_video
-
-# compose_actionness takes the streams' probability runs in this order
-_ACTIONNESS_STREAMS = ("pose", "rgb", "flow")
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -142,7 +136,7 @@ def _cmd_fuse(args) -> int:
     video_ids = sorted({vid for vid, _, _ in sets})
 
     def fuse_one(vid: str):
-        fused_per_gran, groups = [], []
+        groups = []
         for gran in grans:
             scores = sets.get((vid, args.stream, gran))
             units = [e.vector for e in scores.entries] if scores else []
@@ -151,64 +145,13 @@ def _cmd_fuse(args) -> int:
                     args.scores,
                     message=f"video {_shown(vid)} has no {args.stream}/{gran} scores for crop scheme {args.crop_scheme!r}",
                 )
-            label, fused = aggregate_video(units, args.method)
-            fused_per_gran.append(fused)
             groups.append(units)
-        if len(fused_per_gran) > 1:
-            final = multigranular_fuse(fused_per_gran)
-            # averaged vote histograms keep the vote rule: a tie goes to the higher mean score
-            label = _majority_label(final.values, groups) if args.method == "majority" else final.argmax()
-        else:
-            final = fused_per_gran[0]
-        return vid, label, final.values
+        label, fused = fuse_video(groups, args.method)
+        return vid, label, fused.values
 
     rows = _pmap(fuse_one, video_ids, args.parallel)
     write_predictions(args.out, rows)
     return EXIT_OK
-
-
-def _prob_runs(scores: StreamScoreSet, length: int, cls: int) -> list[tuple[int, float]]:
-    """``(length, probability of cls)`` per run of ``frame_scores_from_clips``.
-
-    A raw run's probability is ``softmax(vec).values[cls]`` to the bit, from
-    one softmax's terms and no probability vector.
-    """
-    out = []
-    for n, vec in frame_scores_from_clips(scores, length):
-        if vec.kind == "raw":
-            exps, total = _softmax_terms(vec.values)
-            out.append((n, exps[cls] / total))
-        else:
-            out.append((n, vec.values[cls]))
-    return out
-
-
-def _gate_runs(source) -> list[tuple[int, bool]]:
-    """A video's human-presence gate, as ``(length, present)`` runs.
-
-    From its detections, a ``FrameDetections``: over its frames, present on
-    those that hold boxes. From its tubes, a list of their spans: over the
-    frames up to the last tube end, present on those that a tube covers.
-    """
-    if isinstance(source, FrameDetections):
-        spans, length = [(f, f + 1) for f in sorted(source.frames)], source.length
-    else:
-        spans = sorted([(s.start, s.end + 1) for s in source])
-        length = max(stop for _, stop in spans)
-    out, covered = [], 0  # frames [0, covered) are in out, which ends in a present run
-    for start, stop in spans:
-        if stop <= covered:
-            continue
-        if start > covered:
-            out += [(start - covered, False), (stop - start, True)]
-        elif out:
-            out[-1] = (out[-1][0] + stop - covered, True)
-        else:
-            out.append((stop, True))
-        covered = stop
-    if covered < length:
-        out.append((length - covered, False))
-    return out
 
 
 def _cmd_actionness(args) -> int:
@@ -220,37 +163,34 @@ def _cmd_actionness(args) -> int:
     k = next(iter(sets.values())).k  # read_scores checks that K is the same file-wide
     _require(args.action_class < k, f"--class must be < {k} (class count of the scores file)")
 
-    # per video, what its human-presence gate is made from: its detections or its
-    # tubes' spans, which are all that actionness reads of a tube
+    # per video: its frame count, the [start, stop) intervals where a human is present (frames
+    # that hold boxes, or that a tube covers up to the last tube end) and the tube spans to sum
     if args.detections is not None:
-        sources = {dets.video_id: dets for dets in read_detections(args.detections)}
+        gates = {d.video_id: (d.length, [(f, f + 1) for f in d.frames], ()) for d in read_detections(args.detections)}
     else:
-        sources = {}
-        for vid, span in read_tubes(args.tubes, boxes=False):
-            sources.setdefault(vid, []).append(span)
+        tubes = {}
+        for vid, span in read_tubes(args.tubes, boxes=False):  # a tube's span is all actionness reads
+            tubes.setdefault(vid, []).append(span)
+        gates = {vid: (max([s.end for s in spans]) + 1, [(s.start, s.end + 1) for s in spans], spans)
+                 for vid, spans in tubes.items()}
 
     # every stream is looked up before --out is opened, so a missing one leaves no file
-    videos = sorted(sources)
+    videos = sorted(gates)
     for vid in videos:
-        for stream in _ACTIONNESS_STREAMS:
+        for stream in ACTIONNESS_STREAMS:
             if (vid, stream, args.granularity) not in sets:
                 raise ParseError(
                     args.scores, message=f"missing stream {stream!r} ({args.granularity}) for video {_shown(vid)}"
                 )
 
     def row(vid):
-        # a video's runs and series are locals here: they go with the call, before the next video's
-        human = _gate_runs(sources[vid])
-        tube_spans = sources[vid] if args.tubes is not None else []
-        length = sum([n for n, _ in human])
-        probs = [
-            _prob_runs(sets[vid, stream, args.granularity], length, args.action_class)
-            for stream in _ACTIONNESS_STREAMS
-        ]
-        series = compose_actionness(*probs, human)
-        spans = [(s.start, s.end) for s in temporal_localize(series, args.threshold)]
-        sums = [tube_actionness(s, series) for s in tube_spans]
-        return vid, args.action_class, args.threshold, series, spans, sums
+        # a video's series is a local here: it goes with the call, before the next video's
+        length, present, spans = gates[vid]
+        series = video_actionness([sets[vid, s, args.granularity] for s in ACTIONNESS_STREAMS],
+                                  present, length, args.action_class)
+        found = [(s.start, s.end) for s in temporal_localize(series, args.threshold)]
+        sums = [tube_actionness(s, series) for s in spans]
+        return vid, args.action_class, args.threshold, series, found, sums
 
     write_actionness(args.out, map(row, videos))
     return EXIT_OK

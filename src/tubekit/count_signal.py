@@ -25,8 +25,8 @@ from .geometry import Box2D, TemporalSpan, _check_lengths, _unchecked, runs
 class FrameDetections:
     """All detections of one video, keyed by frame index.
 
-    Frames with no boxes are not stored; ``boxes_on`` returns an empty
-    tuple for them. ``length`` is the total frame count of the video.
+    Frames with no boxes are not stored: ``frames.get(f, ())`` is frame
+    ``f``'s boxes. ``length`` is the total frame count of the video.
     """
 
     video_id: str
@@ -44,9 +44,6 @@ class FrameDetections:
             if boxes:
                 cleaned[f] = boxes
         object.__setattr__(self, "frames", cleaned)
-
-    def boxes_on(self, frame: int) -> tuple[Box2D, ...]:
-        return self.frames.get(frame, ())
 
     def total_boxes(self) -> int:
         return sum(len(b) for b in self.frames.values())

@@ -12,6 +12,9 @@ computes ``actionness`` once per piece, ``temporal_localize`` finds the
 spans with ``geometry.runs`` and ``tube_actionness`` reads the pieces.
 Their work grows with the number of pieces, not with the video's
 length; the per-frame twins are in ``tests/oracles.py``.
+
+The per-video entry points are ``fuse_video``, a video's label, and
+``video_actionness``, one class's series gated by human presence.
 """
 from __future__ import annotations
 
@@ -20,11 +23,13 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, repeat
 from operator import attrgetter
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .geometry import TemporalSpan, _check_lengths, _unchecked, runs
 
 STREAMS = ("pose", "flow", "rgb")
+# the order in which video_actionness takes the streams, and compose_actionness their runs
+ACTIONNESS_STREAMS = ("pose", "rgb", "flow")
 GRANULARITIES = ("net16", "net32", "netW")
 KINDS = ("raw", "prob")
 FUSION_METHODS = ("mean", "max", "majority")
@@ -274,6 +279,19 @@ def multigranular_fuse(vectors: Sequence[ScoreVector]) -> ScoreVector:
     return _elementwise_mean(vectors)
 
 
+def fuse_video(groups: Sequence[Sequence[ScoreVector]], method: str) -> tuple[int, ScoreVector]:
+    """``aggregate_video`` of each group, one granularity's units; ``multigranular_fuse`` of two or more.
+
+    Averaged vote histograms keep the vote rule: a tie goes to the class
+    with the higher mean score over the groups.
+    """
+    fused = [aggregate_video(units, method) for units in groups]
+    if len(fused) == 1:
+        return fused[0]
+    final = multigranular_fuse([vector for _, vector in fused])
+    return _majority_label(final.values, groups) if method == "majority" else final.argmax(), final
+
+
 def frame_scores_from_clips(scores: StreamScoreSet, video_len: int) -> list[tuple[int, ScoreVector]]:
     """Distribute clip-level scores to every frame of the video, as runs of frames.
 
@@ -351,6 +369,51 @@ def compose_actionness(
     """
     pieces = _cut((pose, rgb, flow, human_present))
     return ActionnessSeries(tuple([(n, actionness(p, r, f), bool(h)) for n, p, r, f, h in pieces]))
+
+
+def _prob_runs(scores: StreamScoreSet, length: int, cls: int) -> list[tuple[int, float]]:
+    """``(length, probability of cls)`` per run of ``frame_scores_from_clips``: ``softmax``'s entry, to the bit."""
+    out = []
+    for n, vec in frame_scores_from_clips(scores, length):
+        if vec.kind == "raw":
+            exps, total = _softmax_terms(vec.values)
+            out.append((n, exps[cls] / total))
+        else:
+            out.append((n, vec.values[cls]))
+    return out
+
+
+def _gate_runs(present: Iterable[tuple[int, int]], length: int) -> list[tuple[int, bool]]:
+    """The frames ``[0, length)`` as ``(length, present)`` runs, present on those an interval covers."""
+    merged = []  # sorted intervals covering what present covers, no two touching
+    for start, stop in sorted(present):
+        if not 0 <= start < stop <= length:
+            raise ValueError(f"present interval [{start}, {stop}) is empty or outside [0, {length})")
+        if merged and start <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], stop)
+        else:
+            merged.append([start, stop])
+    # between the cuts, runs alternate from absent; only the first and the last can be empty
+    cuts = [0, *chain.from_iterable(merged), length]
+    return [(b - a, i % 2 == 1) for i, (a, b) in enumerate(zip(cuts, cuts[1:])) if b > a]
+
+
+def video_actionness(streams: Sequence[StreamScoreSet], present: Iterable[tuple[int, int]],
+                     length: int, cls: int) -> ActionnessSeries:
+    """The actionness series of class ``cls`` over a video's ``length`` frames.
+
+    ``streams`` holds the score sets in ``ACTIONNESS_STREAMS`` order, and
+    ``present`` the ``[start, stop)`` frame intervals where a human is
+    present, in any order and possibly overlapping: ``compose_actionness``
+    gets their gate and each stream's ``_prob_runs``.
+    """
+    if tuple([s.stream for s in streams]) != ACTIONNESS_STREAMS:
+        raise ValueError(f"expected the score sets of {ACTIONNESS_STREAMS}, got {tuple([s.stream for s in streams])}")
+    for s in streams:
+        if not 0 <= cls < s.k:
+            raise ValueError(f"class {cls} outside [0, {s.k}) for the {s.stream} scores")
+    human = _gate_runs(present, length)  # first, so that a bad interval costs no stream's runs
+    return compose_actionness(*[_prob_runs(s, length, cls) for s in streams], human)
 
 
 def tube_actionness(span: TemporalSpan, series: ActionnessSeries) -> float:

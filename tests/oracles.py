@@ -145,11 +145,11 @@ def naive_extract_tubes(dets: FrameDetections, cfg: ExtractionConfig | None = No
     ``count_signal`` only the input type, ``FrameDetections``, is used.
     """
     cfg = cfg or ExtractionConfig()
-    raw = [len(dets.boxes_on(f)) for f in range(dets.length)]
+    raw = [len(dets.frames.get(f, ())) for f in range(dets.length)]
     smoothed = naive_median(raw, cfg.median_window)
     work: dict[int, list[Box2D]] = {}
     for f in range(dets.length):
-        boxes = list(dets.boxes_on(f))
+        boxes = list(dets.frames.get(f, ()))
         if boxes:
             largest = max(boxes, key=lambda b: b.area)
             work[f] = boxes + [largest] * (max(raw[f], smoothed[f]) - raw[f])

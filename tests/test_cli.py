@@ -327,9 +327,9 @@ class TestActionness:
     @pytest.mark.parametrize("gate", ["--detections", "--tubes"])
     def test_keeps_no_series_past_its_line(self, corpus, tmp_path, monkeypatch, gate):
         # a series grows with its video's last frame: each one must be gone before the next is made
-        from tubekit import cli
+        from tubekit import fusion
 
-        real, made = cli.compose_actionness, []
+        real, made = fusion.compose_actionness, []
 
         def composing(*args):
             alive = [i for i, ref in enumerate(made) if ref() is not None]
@@ -338,7 +338,7 @@ class TestActionness:
             made.append(weakref.ref(series))
             return series
 
-        monkeypatch.setattr(cli, "compose_actionness", composing)
+        monkeypatch.setattr(fusion, "compose_actionness", composing)
         gate_file = corpus / ("detections.jsonl" if gate == "--detections" else "gt_tubes.jsonl")
         assert run("actionness", "--scores", str(corpus / "scores.jsonl"), gate, str(gate_file),
                    "--class", "0", "--threshold", "0.5", "--out", str(tmp_path / "o.jsonl")) == 0
@@ -1185,17 +1185,17 @@ def test_long_video_id_in_missing_scores_error_is_cut(tmp_path, monkeypatch, cap
 
 
 def test_actionness_applies_softmax_once_per_run_of_frames(tmp_path, monkeypatch):
-    from tubekit import cli, read_detections, read_scores
+    from tubekit import fusion, read_detections, read_scores
 
     # a raw run's probability comes from one softmax's terms
     calls = []
-    real = cli._softmax_terms
+    real = fusion._softmax_terms
 
     def counting(values):
         calls.append(values)
         return real(values)
 
-    monkeypatch.setattr(cli, "_softmax_terms", counting)
+    monkeypatch.setattr(fusion, "_softmax_terms", counting)
     corpus = tmp_path / "corpus"
     # 403 frames: clips start at 0, 8, ..., 384, and frames 400-402 are uncovered
     assert run("synth", "--out-dir", str(corpus), "--seed", "1", "--videos", "1",

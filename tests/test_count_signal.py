@@ -24,7 +24,7 @@ def dets_from_counts(counts, video_id="v"):
 
 
 def box_counts(dets):
-    return [len(dets.boxes_on(f)) for f in range(dets.length)]
+    return [len(dets.frames.get(f, ())) for f in range(dets.length)]
 
 
 def raw_series(counts):
@@ -180,32 +180,32 @@ class TestPadDetections:
     def test_duplicates_to_expected(self):
         dets = dets_from_counts([1])
         out = pad_detections(dets, series_of([3]))
-        assert len(out.boxes_on(0)) == 3
-        assert len(set(out.boxes_on(0))) == 1
+        assert len(out.frames.get(0, ())) == 3
+        assert len(set(out.frames.get(0, ()))) == 1
 
     def test_empty_frame_stays_empty(self):
         dets = dets_from_counts([0])
         out = pad_detections(dets, series_of([2]))
-        assert out.boxes_on(0) == ()
+        assert out.frames.get(0, ()) == ()
 
     def test_largest_box_is_duplicated(self):
         small = Box2D(0, 0, 5, 5)  # area 25
         big = Box2D(0, 0, 10, 10)  # area 100
         dets = FrameDetections(video_id="v", length=1, frames={0: (small, big)})
         out = pad_detections(dets, series_of([3]))
-        assert out.boxes_on(0) == (small, big, big)
+        assert out.frames.get(0, ()) == (small, big, big)
 
     def test_ties_take_first_occurrence(self):
         a = Box2D(0, 0, 10, 10)
         b = Box2D(50, 50, 60, 60)  # same area
         dets = FrameDetections(video_id="v", length=1, frames={0: (a, b)})
         out = pad_detections(dets, series_of([3]))
-        assert out.boxes_on(0) == (a, b, a)
+        assert out.frames.get(0, ()) == (a, b, a)
 
     def test_extra_boxes_left_intact(self):
         dets = dets_from_counts([4])
         out = pad_detections(dets, series_of([2]))
-        assert out.boxes_on(0) == dets.boxes_on(0)
+        assert out.frames.get(0, ()) == dets.frames.get(0, ())
 
     def test_pads_to_elementwise_max(self):
         out = pad_detections(dets_from_counts([2, 1, 2]), series_of([1, 3, 1]))
@@ -225,9 +225,9 @@ class TestPadDetections:
         series = DetectionCountSeries.from_detections(dets, 3)
         out = pad_detections(dets, series)
         for f, want in enumerate(expand_runs(series.pieces)):
-            boxes = dets.boxes_on(f)
+            boxes = dets.frames.get(f, ())
             largest = max(boxes, key=lambda b: b.area) if boxes else None
-            assert out.boxes_on(f) == boxes + (largest,) * (want - len(boxes) if boxes else 0)
+            assert out.frames.get(f, ()) == boxes + (largest,) * (want - len(boxes) if boxes else 0)
         assert box_counts(out) == [2, 2, 2, 0, 3, 3, 3]
 
     def test_length_mismatch(self):
@@ -255,8 +255,8 @@ class TestPadDetections:
         series = DetectionCountSeries.from_detections(dets, 3)
         out = pad_detections(dets, series)
         for f, smoothed in enumerate(expand_runs(series.pieces)):
-            orig = dets.boxes_on(f)
-            padded = out.boxes_on(f)
+            orig = dets.frames.get(f, ())
+            padded = out.frames.get(f, ())
             assert padded[: len(orig)] == orig
             if orig:
                 assert len(padded) >= smoothed

@@ -206,7 +206,7 @@ class TestFrameGaps:
         path.write_text(row % 0 + row % 2)
         (dets,) = read_detections(path)
         assert dets.length == 3
-        assert dets.boxes_on(1) == ()
+        assert dets.frames.get(1, ()) == ()
         assert sorted(dets.frames) == [0, 2]
 
 

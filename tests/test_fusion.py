@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -6,9 +7,7 @@ from hypothesis import strategies as st
 
 from tubekit import (
     ActionnessSeries,
-    Box2D,
     ClipScore,
-    FrameDetections,
     ScoreVector,
     StreamScoreSet,
     TemporalSpan,
@@ -21,15 +20,20 @@ from tubekit import (
     temporal_localize,
     tube_actionness,
 )
-from tubekit.cli import _gate_runs, _prob_runs
 from tubekit.fusion import (
-    CLIP_LEN, FIXED_CROPS, GRANULARITIES, STREAMS, _elementwise_mean, _majority_label, _unchecked,
+    ACTIONNESS_STREAMS, CLIP_LEN, FIXED_CROPS, GRANULARITIES, STREAMS, _elementwise_mean, _gate_runs,
+    _majority_label, _prob_runs, _unchecked, fuse_video, video_actionness,
 )
 
 from oracles import (
     expand_runs, expand_series, naive_actionness, naive_frame_scores, naive_localize, naive_mean,
     naive_tube_actionness,
 )
+
+
+def hexes(values):
+    return [v.hex() for v in values]
+
 
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False, allow_infinity=False)
 vectors = st.lists(finite, min_size=1, max_size=8).map(lambda v: ScoreVector(tuple(v)))
@@ -154,8 +158,7 @@ class TestAggregateVideo:
     @given(TIE_PRONE, st.integers(2, 3))
     def test_majority_of_identical_granularities_keeps_the_label(self, units, copies):
         label, histogram = aggregate_video(units, "majority")
-        averaged = multigranular_fuse([histogram] * copies)
-        assert _majority_label(averaged.values, [units] * copies) == label
+        assert fuse_video([units] * copies, "majority") == (label, multigranular_fuse([histogram] * copies))
 
     def test_majority_tie_across_granularities_goes_to_the_higher_mean(self):
         # one vote each in both granularities; class 1's means are 0.5 and 0.25, class 0's 0.5 and 0.5
@@ -186,6 +189,19 @@ class TestMultigranularFuse:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             multigranular_fuse([])
+
+
+class TestFuseVideo:
+    @given(unit_lists(), st.sampled_from(["mean", "max", "majority"]))
+    def test_one_group_is_aggregate_video(self, units, method):
+        label, fused = aggregate_video(units, method)
+        got_label, got = fuse_video([units], method)
+        assert (got_label, got.kind, hexes(got.values)) == (label, fused.kind, hexes(fused.values))
+
+    @pytest.mark.parametrize("n", [0, 4])
+    def test_needs_one_to_three_groups(self, n):
+        with pytest.raises(ValueError, match=f"expected 1 to 3 vectors, got {n}"):
+            fuse_video([[ScoreVector((1.0, 0.0))]] * n, "mean")
 
 
 def score_set(entries, video_id="v", stream="rgb", granularity="net16"):
@@ -433,9 +449,6 @@ class TestComposeActionness:
             compose_actionness([(1, 0.5)], [(1, 1.0)], [(1, 1.0)], [(1, True), (1, False)])
 
 
-BOX = Box2D(0.0, 0.0, 1.0, 1.0)
-
-
 def stream_set(draw, stream, video_len, k):
     """A stream's score set with a clip layout of its own: gaps, repeated starts, starts past the end."""
     prob = draw(st.booleans())
@@ -449,46 +462,42 @@ def stream_set(draw, stream, video_len, k):
 
 @st.composite
 def actionness_videos(draw):
-    """A gate source with its per-frame flags, tube spans to sum over, and the three streams' score sets.
+    """Human-present intervals with their per-frame flags, tube spans to sum over, and the three streams' score sets.
 
-    The gate comes from detections, with empty interior and trailing frames,
-    or from tubes that may overlap, nest or touch.
+    The intervals are single frames, as detections give them, with empty
+    interior and trailing frames, or spans, as tubes give them, that may
+    overlap, nest, touch or repeat. Either kind comes in any order.
     """
+    length = draw(st.integers(1, 70))
+    frame = st.integers(0, length - 1)
     if draw(st.booleans()):
-        length = draw(st.integers(1, 70))
-        frames = draw(st.sets(st.integers(0, length - 1)))
-        source = FrameDetections("v", length, {f: (BOX,) for f in frames})
-        present = [f in frames for f in range(length)]
-        spans = draw(st.lists(st.tuples(st.integers(0, length - 1), st.integers(0, length - 1)), max_size=3))
-        tubes = [TemporalSpan(min(s), max(s)) for s in spans]
+        present = [(f, f + 1) for f in draw(st.lists(frame, unique=True))]
     else:
-        spans = draw(st.lists(st.tuples(st.integers(0, 50), st.integers(0, 20)), min_size=1, max_size=5))
-        tubes = [TemporalSpan(a, a + d) for a, d in spans]
-        source = tubes  # the gate reads only the tubes' spans
-        length = max(t.end for t in tubes) + 1
-        present = [any(t.start <= f <= t.end for t in tubes) for f in range(length)]
+        spans = draw(st.lists(st.tuples(frame, st.integers(1, 30)), min_size=1, max_size=5))
+        present = [(a, min(a + d, length)) for a, d in spans]
+        present += draw(st.lists(st.sampled_from(present), max_size=2))
+    flags = [any(a <= f < b for a, b in present) for f in range(length)]
+    spans = draw(st.lists(st.tuples(frame, frame), max_size=3))
+    tubes = [TemporalSpan(min(s), max(s)) for s in spans] + [TemporalSpan(a, b - 1) for a, b in present]
     k = draw(st.integers(1, 3))
-    sets = [stream_set(draw, stream, length, k) for stream in ("pose", "rgb", "flow")]
-    return source, present, tubes, sets, draw(st.integers(0, k - 1))
-
-
-def hexes(values):
-    return [v.hex() for v in values]
+    sets = [stream_set(draw, stream, length, k) for stream in ACTIONNESS_STREAMS]
+    return present, flags, tubes, sets, draw(st.integers(0, k - 1))
 
 
 @settings(max_examples=300, deadline=None)
 @given(actionness_videos(), st.data())
 def test_actionness_runs_match_frames(video, data):
-    source, present, tubes, sets, cls = video
-    human = _gate_runs(source)
-    assert expand_runs(human) == present
-    series = compose_actionness(*(_prob_runs(s, len(present), cls) for s in sets), human)
+    present, flags, tubes, sets, cls = video
+    human = _gate_runs(present, len(flags))
+    assert expand_runs(human) == flags
+    assert all(a[1] != b[1] for a, b in zip(human, human[1:]))  # neighbouring runs differ
+    series = video_actionness(sets, present, len(flags), cls)
 
     frame_probs = [
-        [(softmax(v) if v.kind == "raw" else v).values[cls] for v in naive_frame_scores(s, len(present))]
+        [(softmax(v) if v.kind == "raw" else v).values[cls] for v in naive_frame_scores(s, len(flags))]
         for s in sets
     ]
-    values, gate = naive_actionness(*frame_probs, present)
+    values, gate = naive_actionness(*frame_probs, flags)
     got_values, got_gate = expand_series(series)
     assert hexes(got_values) == hexes(values)
     assert got_gate == gate
@@ -496,6 +505,32 @@ def test_actionness_runs_match_frames(video, data):
     threshold = data.draw(st.sampled_from(values) | st.floats(0.0, 1.0))
     assert temporal_localize(series, threshold) == naive_localize(values, gate, threshold)
     assert hexes(tube_actionness(t, series) for t in tubes) == hexes(naive_tube_actionness(t, values) for t in tubes)
+
+
+def one_clip_streams(k=2):
+    return [score_set([(0, "center", ScoreVector((1.0,) * k))], stream=s) for s in ACTIONNESS_STREAMS]
+
+
+@pytest.mark.parametrize("cls", [-1, 2])
+def test_video_actionness_rejects_a_class_outside_k(cls):
+    with pytest.raises(ValueError, match=rf"class {cls} outside \[0, 2\) for the pose scores"):
+        video_actionness(one_clip_streams(), [(0, 4)], 10, cls)
+
+
+@pytest.mark.parametrize("interval", [(3, 3), (5, 4), (-1, 2), (5, 11)])
+def test_video_actionness_rejects_an_empty_or_outside_interval(interval):
+    start, stop = interval
+    with pytest.raises(ValueError, match=rf"interval \[{start}, {stop}\) is empty or outside \[0, 10\)"):
+        video_actionness(one_clip_streams(), [(0, 4), interval], 10, 0)
+
+
+@pytest.mark.parametrize("pick", [lambda s: s[:2], lambda s: s + s[:1], lambda s: s[::-1]],
+                         ids=["two", "four", "reversed"])
+def test_video_actionness_needs_the_three_score_sets_in_order(pick):
+    streams = pick(one_clip_streams())
+    got = tuple(s.stream for s in streams)
+    with pytest.raises(ValueError, match=re.escape(f"expected the score sets of {ACTIONNESS_STREAMS}, got {got}")):
+        video_actionness(streams, [(0, 4)], 10, 0)
 
 
 # raw scores as they come: huge values, signed zeros, and few enough distinct ones for ties

@@ -55,7 +55,7 @@ class TestGenerator:
         for vid, tube in gt:
             dets = by_video[vid]
             for f, box in zip(tube.span.frames(), tube.boxes):
-                assert box in dets.boxes_on(f)
+                assert box in dets.frames.get(f, ())
 
     def test_zero_jitter_keeps_boxes_static(self):
         cfg = SynthConfig(seed=5, videos=2, frames=30, persons=2, jitter=0.0, miss_rate=0.0)

@@ -9,6 +9,11 @@ small windows, where each video's smoothed count has several runs,
 granularities, `actionness` with either gate on raw and on prob score
 sets, and `evaluate`; the sha256 of each output is pinned. The prob entries are multiples of 1/8, exact at 6
 significant digits, so a written vector still sums to 1.
+
+A second detections file, drawn from ``random.Random(31)``, misses every
+person for stretches of 1-4 frames inside the tracks' spans, so
+`extract-tubes` splits a region at frames that hold no box; it is pinned at
+the default window and at window 9.
 """
 import hashlib
 import json
@@ -17,6 +22,8 @@ import random
 import pytest
 
 from tubekit.cli import main
+from tubekit.count_signal import DetectionCountSeries
+from tubekit.formats import read_detections
 from tubekit.fusion import FIXED_CROPS, FUSION_METHODS, GRANULARITIES, STREAMS
 
 K = 3
@@ -76,6 +83,39 @@ def _write_corpus(root):
                         prob.append({**key, "kind": "prob", "values": _prob_vector(rnd, label)})
     for name, records in (("detections", detections), ("gt", gt), ("scores_raw", raw), ("scores_prob", prob)):
         (root / f"{name}.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records))
+    _write_missed(root)
+
+
+def _write_missed(root):
+    """missed.jsonl: two tracks a video, every person missed for 1-4 frames now and then."""
+    rnd = random.Random(31).random
+    records = []
+    for v, vid in enumerate(VIDEOS):
+        frames = 48 + 8 * v
+        tracks = []
+        for p in range(2):
+            x, y, w, h = 20 + 70 * p + 10 * rnd(), 20 + 10 * rnd(), 30 + 10 * rnd(), 60 + 20 * rnd()
+            # the second person enters later, so a window of 9 counts one person first
+            start, end = 12 * p + int(4 * rnd()), frames - 1 - int(4 * rnd())
+            tracks.append((start, end, [x, y, x + w, y + h]))
+        missed = 0  # frames left in the stretch where every person is missed
+        for f in range(frames):
+            if missed == 0 and rnd() < 0.1:
+                missed = 1 + int(4 * rnd())
+            boxes = []
+            if missed:
+                missed -= 1
+            else:
+                for start, end, corners in tracks:
+                    if start <= f <= end and rnd() > 0.05:
+                        x1, y1, x2, y2 = (c + 2 * rnd() - 1 for c in corners)
+                        boxes.append({"x1": x1, "y1": y1, "x2": x2, "y2": y2, "score": rnd()})
+                if rnd() < 0.1:  # a false positive
+                    x1, y1 = 200 * rnd(), 100 * rnd()
+                    boxes.append({"x1": x1, "y1": y1, "x2": x1 + 5 + 20 * rnd(), "y2": y1 + 5 + 20 * rnd()})
+            if boxes or f == frames - 1:
+                records.append({"video_id": vid, "frame": f, "boxes": boxes})
+    (root / "missed.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records))
 
 
 def _runs():
@@ -85,6 +125,9 @@ def _runs():
     yield "tubes-w3-len2", ["extract-tubes", "detections.jsonl", "--median-window", "3", "--min-tube-len", "2",
                             "--out", "tubes-w3-len2.jsonl"]
     yield "tubes-w9", ["extract-tubes", "detections.jsonl", "--median-window", "9", "--out", "tubes-w9.jsonl"]
+    yield "tubes-missed", ["extract-tubes", "missed.jsonl", "--out", "tubes-missed.jsonl"]
+    yield "tubes-missed-w9", ["extract-tubes", "missed.jsonl", "--median-window", "9",
+                              "--out", "tubes-missed-w9.jsonl"]
     for kind in ("raw", "prob"):
         scores = f"scores_{kind}.jsonl"
         for method in FUSION_METHODS:
@@ -135,6 +178,8 @@ DIGESTS = {
     "tubes": "a4642f960fbe1246f07e945c42ac00ef9637af4a680e1d6598d50e90a9609832",
     "tubes-w3-len2": "5dae9848f248373e2a40595382336439f2fbb89efc0ae36da76daccf7a17d9ac",
     "tubes-w9": "309a3349b3be4bccc981c4224f88218053b6875371ee3032ce1381b97f7bcbfe",
+    "tubes-missed": "d6ffe8afd110bb7bb320bce4ed9740db2fae18ed4826c9a4cbadf1dcb65ea844",
+    "tubes-missed-w9": "03ae08dcc3e54f4aa3451da14a8d80aaf8324856145eb1e27c816aadf804bf0c",
     "fuse-raw-mean-center-net16": "e9a23e72d2598beb5983e3becbfb61bd5f70a6e764f84262b2b37bcce66b175d",
     "fuse-raw-mean-center-net16+net32+netW": "b460f0d613abd80bc1cf92db10eaa15d421ef526853416f9e3ac2aaba2864391",
     "fuse-raw-mean-fixed-net16": "69cda97ebbf7138e0a4437984acd2b91556a723ab9ad4e13a74d88d86d883a58",
@@ -166,6 +211,18 @@ DIGESTS = {
     "labeled": "3f6287fda0e1ac2a5d50f99d42e2243043a44a51e5760a4a365b0a753f5bcc34",
     "report": "9014884128e660629402d7fe6dc901d6928b45fd5d50b480809f5398773c8f92",
 }
+
+
+@pytest.mark.parametrize("window", [80, 9])
+def test_missed_frames_lie_inside_regions(tmp_path, window):
+    """missed.jsonl holds frames with no box between two that hold boxes, in one region."""
+    _write_missed(tmp_path)
+    interior = 0
+    for dets in read_detections(tmp_path / "missed.jsonl"):
+        for region in DetectionCountSeries.from_detections(dets, window).regions():
+            held = [f for f in region.frames() if f in dets.frames]
+            interior += sum(f not in dets.frames for f in range(held[0], held[-1] + 1)) if held else 0
+    assert interior >= 10
 
 
 def test_every_output_is_pinned(digests):

@@ -5,8 +5,9 @@
 
 For each workload of ``perfbench/workloads.json``, each side runs the
 benchmark's ``Pipeline`` once: synth, then every step, then ``fuse`` on the
-pose and flow streams (``EXTRA_FUSE``) and ``actionness`` gated by the
-detections (``EXTRA_ACTIONNESS``), each subcommand a fresh
+pose and flow streams (``EXTRA_FUSE``), ``actionness`` gated by the
+detections (``EXTRA_ACTIONNESS``) and ``extract-tubes`` at a median window
+of 9 (``EXTRA_TUBES``), each subcommand a fresh
 ``python -m tubekit`` process (``CliRunner``) on that side's src/.
 The parent's files come from ``git archive REV``, and the change's are this
 checkout's files as they are on disk (``bench_pairs.copy_checkout``). The
@@ -42,13 +43,16 @@ EXTRA_FUSE = {
 # an actionness run past the benchmark's own, which is gated by tubes: the gate
 # made from the detections' frames, with the workload's actionness flags
 EXTRA_ACTIONNESS = "actionness_detections.jsonl"
+# an extract-tubes run past the benchmark's own at window 80, where every video of
+# the synth corpora smooths into one count run: at window 9 the counts form several
+EXTRA_TUBES = "tubes_w9.jsonl"
 
 
 def run_side(root: Path, workload: dict, seed: int, workdir: Path) -> tuple[dict[str, str], list[str]]:
     """The sha256 of each corpus and output file that ``root``'s src/ writes, and the failures.
 
-    The files are those of the benchmark's steps, then those of the EXTRA_FUSE
-    and EXTRA_ACTIONNESS runs.
+    The files are those of the benchmark's steps, then those of the EXTRA_FUSE,
+    EXTRA_ACTIONNESS and EXTRA_TUBES runs.
     """
     workdir.mkdir(parents=True)
     pipe = Pipeline(workload, seed, workdir, pinned=None)
@@ -57,10 +61,10 @@ def run_side(root: Path, workload: dict, seed: int, workdir: Path) -> tuple[dict
         pipe.step(runner, step)
         if pipe.failures:
             return pipe.digests, pipe.failures
-    scores = str(pipe.corpus / "scores.jsonl")
+    scores, detections = str(pipe.corpus / "scores.jsonl"), str(pipe.corpus / "detections.jsonl")
     extra = {name: ["fuse", scores, *flags, *workload["fuse"]] for name, flags in EXTRA_FUSE.items()}
-    extra[EXTRA_ACTIONNESS] = ["actionness", "--scores", scores, "--detections",
-                               str(pipe.corpus / "detections.jsonl"), *workload["actionness"]]
+    extra[EXTRA_ACTIONNESS] = ["actionness", "--scores", scores, "--detections", detections, *workload["actionness"]]
+    extra[EXTRA_TUBES] = ["extract-tubes", detections, "--median-window", "9", *workload["extract_tubes"]]
     for name, argv in extra.items():
         out = workdir / name
         inv = runner([*argv, "--out", str(out)])

@@ -198,8 +198,10 @@ def _cmd_actionness(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     try:
-        deltas = tuple(float(d) for d in args.deltas.split(","))
-        cfg = EvalConfig(deltas=deltas)
+        cfg = EvalConfig(deltas=tuple(float(d) for d in args.deltas.split(",")))
+        # the report writes each threshold as _real's text: two written alike would be one
+        if len({_real(d) for d in cfg.deltas}) != len(cfg.deltas):
+            raise ValueError("an IoU threshold is given twice")
     except ValueError as exc:
         raise _FlagError(f"bad --deltas: {exc}") from exc
     preds = read_tubes(args.predictions, required=("label", "score"))

@@ -7,8 +7,9 @@ every frame that holds boxes ends with max(raw, smoothed) of them: the
 expected count, without a series of its own.
 
 Counts are piecewise constant, so ``DetectionCountSeries`` keeps them as
-``(length, count)`` runs, the form of every per-frame signal here, and a
-video's count work grows with its frames that hold boxes, not with its
+``(length, count)`` runs, the form of every per-frame signal here, built
+by ``geometry._interval_runs`` from one interval per frame that holds
+boxes, and a video's count work grows with those frames, not with its
 last frame. ``median_smooth`` is the smoother's one per-frame form.
 """
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate, groupby
 from typing import Sequence
 
-from .geometry import Box2D, TemporalSpan, _check_lengths, _unchecked, runs
+from .geometry import Box2D, TemporalSpan, _check_lengths, _interval_runs, _unchecked, runs
 
 
 @dataclass(frozen=True)
@@ -47,32 +48,6 @@ class FrameDetections:
 
     def total_boxes(self) -> int:
         return sum(len(b) for b in self.frames.values())
-
-
-def _count_runs(dets: FrameDetections) -> list[tuple[int, int]]:
-    """The box counts of ``dets`` as ``(length, count)`` runs, neighbours differing in count.
-
-    One step per frame that holds boxes: each gap between them is a run of
-    zeros, and neighbouring frames with equal counts share a run. Every
-    stored frame holds boxes, so no two zero runs meet.
-    """
-    pieces: list[tuple[int, int]] = []
-    frames = dets.frames
-    start = end = count = 0  # the open run holds frames [start, end), of count boxes each
-    for f in sorted(frames):
-        c = len(frames[f])
-        if f > end or c != count:
-            if end > start:
-                pieces.append((end - start, count))
-            if f > end:
-                pieces.append((f - end, 0))
-            start, count = f, c
-        end = f + 1
-    if end > start:
-        pieces.append((end - start, count))
-    if end < dets.length:
-        pieces.append((dets.length - end, 0))
-    return pieces
 
 
 def _median_runs(runs: Sequence[tuple[int, int]], window: int) -> list[tuple[int, int]]:
@@ -203,8 +178,10 @@ class DetectionCountSeries:
 
     @classmethod
     def from_detections(cls, dets: FrameDetections, window: int) -> "DetectionCountSeries":
+        frames = dets.frames
+        counts = _interval_runs([(f, f + 1, len(frames[f])) for f in sorted(frames)], dets.length, 0)
         # the smoother's runs hold by construction
-        return _unchecked(cls, pieces=tuple(_median_runs(_count_runs(dets), window)))
+        return _unchecked(cls, pieces=tuple(_median_runs(counts, window)))
 
     def __len__(self) -> int:
         return sum([n for n, _ in self.pieces])

@@ -10,6 +10,8 @@ per-frame signal here: ``frame_scores_from_clips`` returns
 streams' runs and the gate's at the union of their boundaries and
 computes ``actionness`` once per piece, ``temporal_localize`` finds the
 spans with ``geometry.runs`` and ``tube_actionness`` reads the pieces.
+The gate's runs come from ``geometry._interval_runs``, the run builder
+of the detection counts too.
 Their work grows with the number of pieces, not with the video's
 length; the per-frame twins are in ``tests/oracles.py``.
 
@@ -25,7 +27,7 @@ from itertools import accumulate, chain, repeat
 from operator import attrgetter
 from typing import Iterable, Sequence
 
-from .geometry import TemporalSpan, _check_lengths, _unchecked, runs
+from .geometry import TemporalSpan, _check_lengths, _interval_runs, _unchecked, runs
 
 STREAMS = ("pose", "flow", "rgb")
 # the order in which video_actionness takes the streams, and compose_actionness their runs
@@ -89,11 +91,8 @@ class ScoreVector:
         return len(self.values)
 
     def argmax(self) -> int:
-        best = 0
-        for i in range(1, len(self.values)):
-            if self.values[i] > self.values[best]:
-                best = i
-        return best
+        """The index of the first largest value."""
+        return self.values.index(max(self.values))
 
 
 @dataclass(frozen=True)
@@ -385,17 +384,11 @@ def _prob_runs(scores: StreamScoreSet, length: int, cls: int) -> list[tuple[int,
 
 def _gate_runs(present: Iterable[tuple[int, int]], length: int) -> list[tuple[int, bool]]:
     """The frames ``[0, length)`` as ``(length, present)`` runs, present on those an interval covers."""
-    merged = []  # sorted intervals covering what present covers, no two touching
-    for start, stop in sorted(present):
+    present = sorted(present)
+    for start, stop in present:
         if not 0 <= start < stop <= length:
             raise ValueError(f"present interval [{start}, {stop}) is empty or outside [0, {length})")
-        if merged and start <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], stop)
-        else:
-            merged.append([start, stop])
-    # between the cuts, runs alternate from absent; only the first and the last can be empty
-    cuts = [0, *chain.from_iterable(merged), length]
-    return [(b - a, i % 2 == 1) for i, (a, b) in enumerate(zip(cuts, cuts[1:])) if b > a]
+    return _interval_runs([(start, stop, True) for start, stop in present], length, False)
 
 
 def video_actionness(streams: Sequence[StreamScoreSet], present: Iterable[tuple[int, int]],

@@ -3,7 +3,8 @@
 Boxes are continuous half-open rectangles [x1, x2) x [y1, y2) so that area
 and IoU arithmetic is exact for integer-lattice inputs. Temporal spans are
 inclusive integer frame ranges, and ``runs`` finds them in a per-frame
-signal's ``(length, flag)`` runs. Everything here is immutable and pure.
+signal's ``(length, flag)`` runs; its inverse, ``_interval_runs``, builds
+such runs from frame intervals. Everything here is immutable and pure.
 """
 from __future__ import annotations
 
@@ -134,6 +135,32 @@ def runs(pieces: Iterable[tuple[int, object]], start: int = 0) -> list[TemporalS
             first = start
         start += n
     return spans
+
+
+def _interval_runs(intervals: Iterable[tuple[int, int, object]], length: int, fill: object) -> list[tuple[int, object]]:
+    """The frames ``[0, length)`` as ``(length, value)`` runs, from ``(start, stop, value)`` intervals.
+
+    The inverse of ``runs``, and the one run builder (detection counts,
+    human presence): the half-open intervals come sorted by start, those
+    that overlap hold one value, frames that none covers hold ``fill``,
+    and neighbouring runs differ in value.
+    """
+    out: list[tuple[int, object]] = []
+    start = end = 0  # the open run holds frames [start, end), each of value
+    value = fill
+    # a last, empty interval whose value equals no other closes the open run
+    for a, b, v in chain(intervals, [(length, length, object())]):
+        if a > end:  # frames [end, a) hold fill
+            if value != fill:
+                out.append((end - start, value))
+                start, value = end, fill
+            end = a
+        if v != value:  # then a == end, as overlapping intervals hold one value
+            if end > start:
+                out.append((end - start, value))
+            start, value = a, v
+        end = b if b > end else end
+    return out
 
 
 @dataclass(frozen=True)

@@ -92,10 +92,8 @@ def _link(table, active, start: int, end: int) -> tuple[list[int], float]:
         best = cur_best
         parents.append(cur_parent)
 
-    last, total = 0, best[0]
-    for j in range(1, len(best)):
-        if best[j] > total:
-            last, total = j, best[j]
+    total = max(best)
+    last = best.index(total)
     picks = [0] * (end - start + 1)
     picks[-1] = last
     for t in range(end - start - 1, -1, -1):

@@ -419,12 +419,16 @@ class TestEvaluate:
 
     def test_bad_delta_exits_3(self, corpus, tmp_path, capsys):
         gt = corpus / "gt_tubes.jsonl"
-        # out of range, and one threshold twice (compared as floats)
-        for deltas in ("0.5,2.0", "0.5,0.50"):
+        # out of range, one threshold twice (compared as floats), and two that the
+        # report writes alike, at 6 significant digits
+        for deltas in ("0.5,2.0", "0.5,0.50", "0.5,0.5000001"):
             out = tmp_path / "r.jsonl"
             assert run("evaluate", str(gt), str(gt), "--deltas", deltas, "--out", str(out)) == 3
             assert "bad --deltas:" in capsys.readouterr().err
             assert not out.exists()
+        missing = tmp_path / "missing.jsonl"
+        assert run("evaluate", str(missing), str(missing), "--deltas", "0.5,0.5000001", "--out", str(out)) == 3
+        assert "bad --deltas: an IoU threshold is given twice" in capsys.readouterr().err
 
     def test_unscored_predictions_exit_2(self, corpus, tmp_path):
         gt = corpus / "gt_tubes.jsonl"

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tubekit import Box2D, TemporalSpan, Tube, box_iou, temporal_iou, tube_iou
-from tubekit.geometry import runs
+from tubekit.geometry import _interval_runs, runs
 
 from oracles import _naive_spans, expand_runs
 from test_linking import any_box
@@ -257,6 +257,24 @@ class TestRuns:
     def test_matches_the_spans_of_the_expanded_flags(self, pieces, start):
         # neighbouring runs often share a flag here, which the spans must join
         assert runs(pieces, start) == _naive_spans(expand_runs(pieces), start)
+
+
+class TestIntervalRuns:
+    @given(st.lists(st.integers(0, 2), max_size=30), st.data())
+    def test_expands_to_the_values_the_intervals_give_their_frames(self, frames, data):
+        # each frame of value v != 0 starts an interval inside its run of v, so
+        # intervals of one value overlap, nest and touch, and frames of 0 get the fill
+        intervals = []
+        for f, v in enumerate(frames):
+            if v:
+                stop = f + 1
+                while stop < len(frames) and frames[stop] == v:
+                    stop += 1
+                intervals.append((f, data.draw(st.integers(f + 1, stop)), v))
+        got = _interval_runs(intervals, len(frames), 0)
+        assert expand_runs(got) == frames
+        assert all(n >= 1 for n, _ in got)
+        assert all(a[1] != b[1] for a, b in zip(got, got[1:]))
 
 
 # Coordinates on a small lattice, where touching, nested and identical boxes

@@ -244,6 +244,7 @@ def test_parity_runs_the_pipeline_and_compares_every_file(tmp_path):
             "detections.jsonl", "gt_tubes.jsonl", "scores.jsonl",
             "tubes.jsonl", "predictions.jsonl", "report.jsonl", "actionness.jsonl",
             "predictions_pose_majority.jsonl", "predictions_flow_max.jsonl", "actionness_detections.jsonl",
+            "tubes_w9.jsonl",
         ])
     assert all(same for _, same in parity.compare(sides[0][0], sides[1][0]))
     assert parity.compare({"a": "1", "b": "2"}, {"b": "2", "c": "3", "a": "0"}) == [

@@ -31,8 +31,9 @@ class EvalConfig:
         for d in self.deltas:
             if not 0.0 < d <= 1.0:
                 raise ValueError(f"IoU threshold {d} outside (0, 1]")
-        # compared as floats, so 0.5 and 0.50 are one threshold
-        if len(set(self.deltas)) != len(self.deltas):
+        # compared as the report writes them, rounded to 6 significant digits
+        # (formats.quantize): 0.5, 0.50 and 0.5000001 are one threshold
+        if len({float("%.6g" % d) for d in self.deltas}) != len(self.deltas):
             raise ValueError("an IoU threshold is given twice")
 
 

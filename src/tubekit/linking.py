@@ -163,9 +163,20 @@ def extract_tubes(dets: FrameDetections, cfg: ExtractionConfig | None = None) ->
         # Boxes with equal corners tie at every step of the DP, which then
         # picks the first of them; so popping a pick drops the first active
         # box equal to it, as removal by list.remove would.
-        boxes = tuple(frames[f][active[f].pop(k)] for f, k in zip(span.frames(), picks))
-        tubes.append(Tube(span=span, boxes=boxes, score=total / span.length))
-        todo += pieces(span)
+        # A frame whose last box goes ends a piece: the rest of the span is
+        # split at those frames here, as ``pieces(span)`` would split it.
+        boxes = []
+        first = span.start  # the first frame of the open piece
+        for f, k in zip(span.frames(), picks):
+            free = active[f]
+            boxes.append(frames[f][free.pop(k)])
+            if not free:
+                if f - first >= cfg.min_tube_len:
+                    todo.append(TemporalSpan(first, f - 1))
+                first = f + 1
+        if span.end + 1 - first >= cfg.min_tube_len:
+            todo.append(TemporalSpan(first, span.end))
+        tubes.append(Tube(span=span, boxes=tuple(boxes), score=total / span.length))
 
     tubes.sort(key=lambda t: (t.span.start, -t.span.length))
     return tubes

@@ -810,6 +810,8 @@ def _subcommand_argv(case, corpus, videos, out):
         "actionness-tubes": ["actionness", *scores, "--tubes", str(corpus / "tubes.jsonl"), *action],
         "actionness-detections": ["actionness", *scores, "--detections", str(corpus / "detections.jsonl"), *action],
         "parse-error": ["extract-tubes", str(corpus / "bad.jsonl")],
+        # rejected by the handler, after main turns the collector off
+        "flag-error": ["fuse", str(corpus / "scores.jsonl"), "--granularities", ","],
     }[case] + ([] if case == "synth" else ["--out", str(out)])
 
 
@@ -846,17 +848,36 @@ def test_subcommands_leave_no_cyclic_garbage(corpora, tmp_path, case):
 @pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
 @pytest.mark.parametrize("case, code", [("fuse", 0), ("parse-error", 2), ("flag-error", 3)])
 def test_main_restores_the_collector_state(corpora, tmp_path, enabled, case, code):
-    if case == "flag-error":  # rejected by the handler, after the collector is turned off
-        argv = ["fuse", str(corpora[2] / "scores.jsonl"), "--granularities", ",", "--out", str(tmp_path / "p")]
-    else:
-        argv = _subcommand_argv(case, corpora[2], 2, tmp_path / "out")
+    # only the process entry freezes; in-process callers keep their collector as it was
+    argv = _subcommand_argv(case, corpora[2], 2, tmp_path / "out")
     was = gc.isenabled()
+    frozen = gc.get_freeze_count()
     (gc.enable if enabled else gc.disable)()
     try:
         assert main(argv) == code
         assert gc.isenabled() is enabled
+        assert gc.get_freeze_count() == frozen
     finally:
         (gc.enable if was else gc.disable)()
+
+
+# python -m tubekit in a fresh interpreter, with an atexit hook that reports
+# whether the process froze its objects before its shutdown collections
+_RUN_MODULE = r"""
+import atexit, gc, runpy
+atexit.register(lambda: print("frozen", gc.get_freeze_count() > 0))
+runpy.run_module("tubekit", run_name="__main__")
+"""
+
+
+@pytest.mark.parametrize("case, code", [("extract-tubes", 0), ("parse-error", 2), ("flag-error", 3)])
+def test_process_exits_with_mains_code_and_stderr_after_freezing(corpora, tmp_path, capsys, case, code):
+    argv = _subcommand_argv(case, corpora[2], 2, tmp_path / "out")
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    proc = subprocess.run([sys.executable, "-c", _RUN_MODULE, *argv], capture_output=True, text=True, env=SRC_ENV)
+    assert (proc.returncode, proc.stderr) == (code, err)
+    assert proc.stdout == "frozen True\n"
 
 
 SYNTH_GARBAGE = """

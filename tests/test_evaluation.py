@@ -2,8 +2,11 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, event, given
+from hypothesis import strategies as st
 
 from tubekit import evaluation
+from tubekit.formats import _real
 from tubekit import (
     Box2D,
     EvalConfig,
@@ -231,6 +234,28 @@ class TestVideoMap:
             EvalConfig(deltas=(1.2,))
         with pytest.raises(ValueError, match="twice"):
             EvalConfig(deltas=(0.5, 0.2, 0.5))
+        # distinct floats that the report writes alike, at 6 significant digits
+        with pytest.raises(ValueError, match="^an IoU threshold is given twice$"):
+            EvalConfig(deltas=(0.5, 0.5000001))
+
+
+_UNIT = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
+
+
+# a second threshold near the first, within a few units of its 6th digit, or any other
+@given(_UNIT, st.floats(min_value=-2e-5, max_value=2e-5), _UNIT, st.booleans())
+def test_config_refuses_two_thresholds_exactly_when_the_report_writes_them_alike(a, rel, other, near):
+    b = min(a * (1 + rel), 1.0) if near else other
+    assume(b > 0.0)
+    alike = _real(a) == _real(b)
+    event(f"written alike: {alike}")
+    try:
+        EvalConfig(deltas=(a, b))
+    except ValueError as exc:
+        assert str(exc) == "an IoU threshold is given twice"
+        assert alike
+    else:
+        assert not alike
 
 
 def test_video_map_computes_each_same_video_same_class_iou_once(monkeypatch):

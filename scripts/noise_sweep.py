@@ -16,16 +16,24 @@ from tubekit import (
 )
 
 
+def recovery(detections, gt, labelings, deltas):
+    """Each video's tubes, extracted with the default config and scored against ``gt`` once per labeling.
+
+    A labeling maps each video to the label that its tubes get. Returns the
+    number of tubes and one ``EvalReport`` per labeling, at ``deltas``.
+    """
+    tubes = [(dets.video_id, tube) for dets in detections for tube in extract_tubes(dets)]
+    cfg = EvalConfig(deltas=deltas)
+    return len(tubes), [
+        video_map([(vid, replace(t, label=labels[vid])) for vid, t in tubes], gt, cfg) for labels in labelings
+    ]
+
+
 def recovery_map(seed, videos, miss_rate, fp_rate):
     cfg = SynthConfig(seed=seed, videos=videos, frames=100, persons=2,
                       miss_rate=miss_rate, fp_rate=fp_rate)
     detections, gt, _ = generate_scene(cfg)
-    true_label = {vid: t.label for vid, t in gt}
-    preds = []
-    for dets in detections:
-        for tube in extract_tubes(dets):
-            preds.append((dets.video_id, replace(tube, label=true_label[dets.video_id])))
-    report = video_map(preds, gt, EvalConfig(deltas=(0.5,)))
+    _, (report,) = recovery(detections, gt, [{vid: t.label for vid, t in gt}], (0.5,))
     return report.map_by_delta[0.5]
 
 

@@ -6,8 +6,9 @@
 For each workload of ``perfbench/workloads.json``, each side runs the
 benchmark's ``Pipeline`` once: synth, then every step, then ``fuse`` on the
 pose and flow streams (``EXTRA_FUSE``), ``actionness`` gated by the
-detections (``EXTRA_ACTIONNESS``) and ``extract-tubes`` at a median window
-of 9 (``EXTRA_TUBES``), each subcommand a fresh
+detections (``EXTRA_ACTIONNESS``), ``extract-tubes`` at a median window
+of 9 (``EXTRA_TUBES``) and ``evaluate`` at thresholds up to 1.0
+(``EXTRA_REPORT``), each subcommand a fresh
 ``python -m tubekit`` process (``CliRunner``) on that side's src/.
 The parent's files come from ``git archive REV``, and the change's are this
 checkout's files as they are on disk (``bench_pairs.copy_checkout``). The
@@ -46,13 +47,17 @@ EXTRA_ACTIONNESS = "actionness_detections.jsonl"
 # an extract-tubes run past the benchmark's own at window 80, where every video of
 # the synth corpora smooths into one count run: at window 9 the counts form several
 EXTRA_TUBES = "tubes_w9.jsonl"
+# an evaluate run past the benchmark's own, whose thresholds end at 0.5: here a
+# tube IoU's last bit can move a match, as at 1.0 only an exact 1.0 counts
+EXTRA_REPORT = "report_tight.jsonl"
+TIGHT_DELTAS = "0.7,0.8,0.9,0.95,1.0"
 
 
 def run_side(root: Path, workload: dict, seed: int, workdir: Path) -> tuple[dict[str, str], list[str]]:
     """The sha256 of each corpus and output file that ``root``'s src/ writes, and the failures.
 
     The files are those of the benchmark's steps, then those of the EXTRA_FUSE,
-    EXTRA_ACTIONNESS and EXTRA_TUBES runs.
+    EXTRA_ACTIONNESS, EXTRA_TUBES and EXTRA_REPORT runs.
     """
     workdir.mkdir(parents=True)
     pipe = Pipeline(workload, seed, workdir, pinned=None)
@@ -65,6 +70,8 @@ def run_side(root: Path, workload: dict, seed: int, workdir: Path) -> tuple[dict
     extra = {name: ["fuse", scores, *flags, *workload["fuse"]] for name, flags in EXTRA_FUSE.items()}
     extra[EXTRA_ACTIONNESS] = ["actionness", "--scores", scores, "--detections", detections, *workload["actionness"]]
     extra[EXTRA_TUBES] = ["extract-tubes", detections, "--median-window", "9", *workload["extract_tubes"]]
+    extra[EXTRA_REPORT] = ["evaluate", str(pipe.labeled), str(pipe.corpus / "gt_tubes.jsonl"),
+                           "--deltas", TIGHT_DELTAS, *workload["evaluate"]]
     for name, argv in extra.items():
         out = workdir / name
         inv = runner([*argv, "--out", str(out)])

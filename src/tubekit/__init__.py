@@ -12,6 +12,7 @@ from .evaluation import (
     EvalConfig,
     EvalReport,
     video_map,
+    video_map_rows,
 )
 from .formats import (
     read_detections,
@@ -83,6 +84,7 @@ __all__ = [
     "tube_actionness",
     "tube_iou",
     "video_map",
+    "video_map_rows",
     "viterbi_link",
     "write_detections",
     "write_predictions",

@@ -4,8 +4,11 @@ Each handler reads its files, makes one library call per video (one per
 corpus for evaluate) and writes the results. Exit codes: 0 on success, 2
 on input/parse errors, 3 on flag/validation errors. Machine-readable
 results go to files; human-readable tables go to standard output.
-Per-video work items are independent, so --parallel N changes wall time
-but never the output bytes (assembly is sorted by video id).
+--parallel N is accepted and range-checked, but every handler runs its
+videos one after another: the per-video work is pure Python, which
+threads cannot overlap, and a thread pool of 2 made extract-tubes and
+fuse slower on the crowded benchmark corpus. So the output bytes are the
+same at every N (assembly is sorted by video id).
 """
 from __future__ import annotations
 
@@ -18,7 +21,7 @@ from pathlib import Path
 from typing import NoReturn
 
 from .errors import ParseError
-from .evaluation import AP_METHOD, EvalConfig, video_map
+from .evaluation import AP_METHOD, EvalConfig, video_map_rows
 from .formats import (
     _real,
     _shown,
@@ -68,7 +71,7 @@ def _require(condition: bool, message: str) -> None:
         raise _FlagError(message)
 
 
-# each worker is an OS thread, and synth holds one video per worker in memory
+# synth holds --parallel videos in memory at once
 _MAX_PARALLEL = 64
 
 
@@ -98,21 +101,11 @@ def _config(config_type, args):
         raise _FlagError(str(exc)) from exc
 
 
-def _pmap(fn, items, workers: int):
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    from concurrent.futures import ThreadPoolExecutor  # only --parallel > 1 needs it
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _cmd_extract_tubes(args) -> int:
     cfg = _config(ExtractionConfig, args)
     videos = read_detections(args.detections)
     videos.sort(key=lambda d: d.video_id)
-    per_video = _pmap(lambda d: extract_tubes(d, cfg), videos, args.parallel)
-    rows = [(d.video_id, t) for d, tubes in zip(videos, per_video) for t in tubes]
+    rows = [(d.video_id, t) for d in videos for t in extract_tubes(d, cfg)]
     write_tubes(args.out, rows)
     return EXIT_OK
 
@@ -150,7 +143,7 @@ def _cmd_fuse(args) -> int:
         label, fused = fuse_video(groups, args.method)
         return vid, label, fused.values
 
-    rows = _pmap(fuse_one, video_ids, args.parallel)
+    rows = [fuse_one(vid) for vid in video_ids]
     write_predictions(args.out, rows)
     return EXIT_OK
 
@@ -202,9 +195,10 @@ def _cmd_evaluate(args) -> int:
         cfg = EvalConfig(deltas=tuple(float(d) for d in args.deltas.split(",")))
     except ValueError as exc:
         raise _FlagError(f"bad --deltas: {exc}") from exc
-    preds = read_tubes(args.predictions, required=("label", "score"))
-    gts = read_tubes(args.gt, required=("label",))
-    report = video_map(preds, gts, cfg)
+    # matching reads each box's corners, so the reader builds no box
+    preds = read_tubes(args.predictions, required=("label", "score"), boxes="corners")
+    gts = read_tubes(args.gt, required=("label",), boxes="corners")
+    report = video_map_rows(preds, gts, cfg)
     write_report(args.out, report)
 
     # each threshold as the report writes it, in a column wide enough for it and a space
@@ -238,8 +232,8 @@ def _cmd_synth(args) -> int:
     ):
         # videos are made --parallel at a time and written in order, so memory holds one batch
         for first in range(0, cfg.videos, args.parallel):
-            batch = range(first, min(first + args.parallel, cfg.videos))
-            for dets, gt, sets in _pmap(lambda i: generate_video(cfg, i), batch, args.parallel):
+            batch = [generate_video(cfg, i) for i in range(first, min(first + args.parallel, cfg.videos))]
+            for dets, gt, sets in batch:
                 write_detections(det_file, [dets])
                 write_tubes(gt_file, gt)
                 write_scores(scores_file, sets)
@@ -249,7 +243,7 @@ def _cmd_synth(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="tubekit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    # per-video work items spread over this many threads
+    # accepted for every N in range, and run serially (see the module docstring)
     parallel = _Parser(add_help=False)
     parallel.add_argument("--parallel", type=_parallel, default=1)
 

@@ -5,17 +5,24 @@ not-yet-matched ground-truth tube of the same video (and class) with the
 highest tube IoU; a match counts as a true positive iff that IoU reaches
 the threshold. AP is the area under the precision envelope of the
 precision-recall curve (all-point interpolation).
+
+The one matching routine, ``video_map_rows``, works over tube rows, each
+tube's boxes as their checked corners, as ``formats.read_tubes`` returns
+them for ``evaluate``; ``video_map`` takes ``Tube``s and converts each once.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
-from .geometry import Tube, tube_iou
+from .geometry import TemporalSpan, Tube, _corner_tube_iou, _tube_corners
 
 # (video_id, tube) pairs; tubes carry their own label and score.
 VideoTube = tuple[str, Tube]
+# (video_id, span, label, score, corners): a tube as matching reads it, where
+# corners[k] is frame span.start + k's [x1, y1, x2, y2], checked by the box rule
+TubeRow = tuple[str, TemporalSpan, Optional[int], Optional[float], Sequence[Sequence[float]]]
 
 AP_METHOD = "all-point precision envelope"
 
@@ -55,18 +62,18 @@ class EvalReport:
 
 
 def _class_groups(
-    preds: Sequence[VideoTube], gts: Sequence[VideoTube]
-) -> dict[int, tuple[list[int], list[VideoTube]]]:
+    preds: Sequence[TubeRow], gts: Sequence[TubeRow]
+) -> dict[int, tuple[list[int], list[TubeRow]]]:
     """Per class: its prediction indices in score order and its ground truth.
 
     Score order is descending score, ties to the lower index.
     """
     class_preds: dict[int, list[int]] = {}
-    class_gts: dict[int, list[VideoTube]] = {}
-    for i in sorted(range(len(preds)), key=lambda i: (-preds[i][1].score, i)):
-        class_preds.setdefault(preds[i][1].label, []).append(i)
+    class_gts: dict[int, list[TubeRow]] = {}
+    for i in sorted(range(len(preds)), key=lambda i: (-preds[i][3], i)):
+        class_preds.setdefault(preds[i][2], []).append(i)
     for row in gts:
-        class_gts.setdefault(row[1].label, []).append(row)
+        class_gts.setdefault(row[2], []).append(row)
     return {
         c: (class_preds.get(c, []), class_gts.get(c, []))
         for c in class_preds.keys() | class_gts.keys()
@@ -79,18 +86,21 @@ IouRows = list[list[tuple[int, float]]]
 
 
 def _iou_rows(
-    preds: Sequence[VideoTube],
+    preds: Sequence[TubeRow],
     ordered: Sequence[int],
-    gts: Sequence[VideoTube],
+    gts: Sequence[TubeRow],
 ) -> IouRows:
     """Each tube IoU of a class group, computed once for every threshold."""
-    by_video: dict[str, list[int]] = {}
-    for g, (gvid, _) in enumerate(gts):
-        by_video.setdefault(gvid, []).append(g)
+    by_video: dict[str, list[tuple[int, TemporalSpan, Sequence[Sequence[float]]]]] = {}
+    for g, (gvid, gspan, _, _, gcorners) in enumerate(gts):
+        by_video.setdefault(gvid, []).append((g, gspan, gcorners))
     rows = []
     for i in ordered:
-        vid, tube = preds[i]
-        rows.append([(g, tube_iou(tube, gts[g][1])) for g in by_video.get(vid, ())])
+        vid, span, _, _, corners = preds[i]
+        rows.append([
+            (g, _corner_tube_iou(span, corners, gspan, gcorners))
+            for g, gspan, gcorners in by_video.get(vid, ())
+        ])
     return rows
 
 
@@ -148,16 +158,33 @@ def video_map(
 
     mAP averages only classes with at least one ground-truth tube; classes
     that appear only in the predictions are reported with AP 0 but do not
-    enter the mean.
+    enter the mean. Each tube is converted to its row once, for
+    ``video_map_rows``.
     """
-    for vid, tube in preds:
-        if tube.score is None or not math.isfinite(tube.score):
+    def rows(tubes: Sequence[VideoTube]) -> list[TubeRow]:
+        return [(vid, t.span, t.label, t.score, _tube_corners(t)) for vid, t in tubes]
+
+    return video_map_rows(rows(preds), rows(gts), cfg)
+
+
+def video_map_rows(
+    preds: Sequence[TubeRow],
+    gts: Sequence[TubeRow],
+    cfg: EvalConfig,
+) -> EvalReport:
+    """``video_map`` of tubes given as rows, as ``read_tubes(path, boxes="corners")`` returns them.
+
+    Every prediction needs a finite score and a label, and every ground
+    truth a label; else ValueError.
+    """
+    for vid, _, _, score, _ in preds:
+        if score is None or not math.isfinite(score):
             raise ValueError(f"prediction in video {vid!r} has no finite score")
-    for vid, tube in gts:
-        if tube.label is None:
+    for vid, _, label, _, _ in gts:
+        if label is None:
             raise ValueError(f"ground-truth tube in video {vid!r} has no label")
-    for vid, tube in preds:
-        if tube.label is None:
+    for vid, _, label, _, _ in preds:
+        if label is None:
             raise ValueError(f"prediction in video {vid!r} has no label")
     groups = _class_groups(preds, gts)
     classes = sorted(groups)

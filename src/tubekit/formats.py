@@ -38,8 +38,11 @@ record is parsed again field by field, which names its first fault.
 ``read_scores`` can be told which (stream, granularity, crop_id) entries
 to build: it checks every record in full, builds only those, and returns
 every set that the file names, with only its kept entries. ``read_tubes``
-can be told to build no box: it checks every box by the same rule and
-returns each record's video and span.
+checks every box by the same rule in each of its three box forms: it
+builds a ``Box2D`` per box; or no box, returning each record's video and
+span; or no box, returning each record's video, span, label, score and
+corners, one ``[x1, y1, x2, y2]`` list of floats per frame, which is what
+``evaluate`` matches.
 """
 from __future__ import annotations
 
@@ -50,7 +53,7 @@ from typing import Iterable, Sequence
 
 from .count_signal import FrameDetections
 from .errors import ParseError, VocabularyError
-from .evaluation import EvalReport, VideoTube
+from .evaluation import EvalReport, TubeRow, VideoTube
 from .fusion import (
     FIXED_CROPS,
     GRANULARITIES,
@@ -444,20 +447,27 @@ def write_tubes(path, tubes: Iterable[VideoTube]) -> None:
 
 
 def read_tubes(
-    path, required: Sequence[str] = (), boxes: bool = True
-) -> list[VideoTube] | list[tuple[str, TemporalSpan]]:
+    path, required: Sequence[str] = (), boxes: bool | str = True
+) -> list[VideoTube] | list[tuple[str, TemporalSpan]] | list[TubeRow]:
     """Tube records in file order; used for ground truth and predictions alike.
 
     ``required`` names which of ``label`` and ``score`` every record must
     carry: predictions need both, ground truth needs ``label``. An optional
     one may be absent or null.
 
-    With ``boxes=False``, each record is checked in full, every box
-    included, but no box is built: the result is ``(video_id, span)`` per
-    record, in file order.
+    ``boxes`` chooses what is built of a record, which is checked in full,
+    every box included, whatever is built: ``True`` gives ``(video_id,
+    Tube)``; ``False`` gives ``(video_id, span)`` and builds no box;
+    ``"corners"`` gives the ``TubeRow`` ``(video_id, span, label, score,
+    corners)`` that ``video_map_rows`` matches, where ``corners[k]`` is
+    frame ``span.start + k``'s ``[x1, y1, x2, y2]``, as floats: the decoded
+    list itself for a box whose corners are all floats, and the checked
+    floats of the field-by-field parse for any other.
     """
-    # a box whose corners are all floats is checked by the box rule, and built only if boxes is true
-    fast_box = Box2D if boxes else _box_area
+    if not (boxes is True or boxes is False or boxes == "corners"):
+        raise ValueError(f"boxes must be True, False or 'corners', got {boxes!r}")
+    # a box whose corners are all floats is checked by the box rule, and built only if boxes is True
+    fast_box = Box2D if boxes is True else _box_area
     tubes: list = []
     for line_no, record in _iter_records(path):
         vid = _field(path, line_no, record, "video_id", str, "a string")
@@ -485,7 +495,8 @@ def read_tubes(
             )
         built = []
         for rb in raw_boxes:
-            # as in read_detections: finite floats that the box rule accepts, or a field-by-field parse
+            # as in read_detections: finite floats that the box rule accepts, or a field-by-field parse,
+            # whose checked floats then stand in the record for the corners it decoded
             if type(rb) is list and len(rb) == 4:
                 x1, y1, x2, y2 = rb
                 if type(x1) is float and type(y1) is float and type(x2) is float and type(y2) is float:
@@ -494,10 +505,15 @@ def read_tubes(
                         continue
                     except ValueError:
                         pass
-            built.append(_tube_box(path, line_no, rb))
-        tubes.append(
-            (vid, Tube(span=span, boxes=tuple(built), label=label, score=score) if boxes else span)
-        )
+            box = _tube_box(path, line_no, rb)
+            raw_boxes[len(built)] = [box.x1, box.y1, box.x2, box.y2]
+            built.append(box)
+        if boxes is True:
+            tubes.append((vid, Tube(span=span, boxes=tuple(built), label=label, score=score)))
+        elif boxes is False:
+            tubes.append((vid, span))
+        else:
+            tubes.append((vid, span, label, score, raw_boxes))
     return tubes
 
 

@@ -4,14 +4,17 @@ Boxes are continuous half-open rectangles [x1, x2) x [y1, y2) so that area
 and IoU arithmetic is exact for integer-lattice inputs. Temporal spans are
 inclusive integer frame ranges, and ``runs`` finds them in a per-frame
 signal's ``(length, flag)`` runs; its inverse, ``_interval_runs``, builds
-such runs from frame intervals. Everything here is immutable and pure.
+such runs from frame intervals. Tube IoU has one implementation, over
+each tube's span and per-frame ``[x1, y1, x2, y2]`` corners, which is what
+``evaluate`` reads; ``tube_iou`` gives it a ``Tube``'s. Everything here is
+immutable and pure.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
 from math import fsum, inf
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 
 def _unchecked(cls, **fields):
@@ -204,6 +207,47 @@ def temporal_iou(a: TemporalSpan, b: TemporalSpan) -> float:
     return inter / (a.length + b.length - inter)
 
 
+def _corner_iou(a: Sequence[float], b: Sequence[float]) -> float:
+    """``box_iou`` of two boxes given as ``[x1, y1, x2, y2]`` corners, to the bit.
+
+    Each area is ``(x2 - x1) * (y2 - y1)``, as ``_box_area`` computes the
+    area that ``box_iou`` reads, so the arithmetic is the same step for step.
+    """
+    ax1, ay1, ax2, ay2 = a
+    bx1, by1, bx2, by2 = b
+    iw = (bx2 if bx2 < ax2 else ax2) - (bx1 if bx1 > ax1 else ax1)
+    if iw <= 0.0:
+        return 0.0
+    ih = (by2 if by2 < ay2 else ay2) - (by1 if by1 > ay1 else ay1)
+    if ih <= 0.0:
+        return 0.0
+    inter = iw * ih
+    return inter / ((ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter)
+
+
+def _corner_tube_iou(
+    p_span: TemporalSpan, p_corners: Sequence[Sequence[float]],
+    g_span: TemporalSpan, g_corners: Sequence[Sequence[float]],
+) -> float:
+    """The one tube IoU: ``tube_iou`` of two tubes given as spans and per-frame corners.
+
+    ``corners[k]`` is frame ``span.start + k``'s box, checked by the box
+    rule, as ``formats.read_tubes`` returns it for ``evaluate``.
+    """
+    t = temporal_iou(p_span, g_span)
+    if t == 0.0:
+        return 0.0
+    lo = max(p_span.start, g_span.start)
+    hi = min(p_span.end, g_span.end)
+    pb = p_corners[lo - p_span.start : hi - p_span.start + 1]
+    gb = g_corners[lo - g_span.start : hi - g_span.start + 1]
+    return t * (fsum(map(_corner_iou, pb, gb)) / len(pb))
+
+
+def _tube_corners(tube: Tube) -> list[tuple[float, float, float, float]]:
+    return [(b.x1, b.y1, b.x2, b.y2) for b in tube.boxes]
+
+
 def tube_iou(p: Tube, g: Tube) -> float:
     """Spatio-temporal tube overlap.
 
@@ -211,11 +255,4 @@ def tube_iou(p: Tube, g: Tube) -> float:
     per-frame box pairs over the temporally overlapping frames. Zero when
     the spans do not overlap (the spatial average is vacuous then).
     """
-    t = temporal_iou(p.span, g.span)
-    if t == 0.0:
-        return 0.0
-    lo = max(p.span.start, g.span.start)
-    hi = min(p.span.end, g.span.end)
-    pb = p.boxes[lo - p.span.start : hi - p.span.start + 1]
-    gb = g.boxes[lo - g.span.start : hi - g.span.start + 1]
-    return t * (fsum(map(box_iou, pb, gb)) / len(pb))
+    return _corner_tube_iou(p.span, _tube_corners(p), g.span, _tube_corners(g))

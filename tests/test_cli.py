@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 import tubekit
 from tubekit.cli import main
 from tubekit.fusion import CENTER_CROPS, CLIP_LEN, FUSION_METHODS, STREAMS
-from tubekit import read_predictions, read_tubes
+from tubekit import EvalConfig, read_predictions, read_tubes, video_map, write_report
 from tubekit.formats import MAX_FRAME
 
 from oracles import loads_records
@@ -360,6 +361,59 @@ class TestEvaluate:
         out = capsys.readouterr().out
         assert "mAP" in out
         assert all(row["map"] == 1.0 for _, row in loads_records(report_path))
+
+    def test_report_equals_video_map_of_the_full_read(self, tmp_path):
+        # evaluate matches the reader's corner rows, and must write the report that
+        # video_map writes from the full read's Tubes. Boxes on the integer lattice come
+        # in three forms: all floats, which pass the reader's fast test, and all integers
+        # or a mix, which take the field-by-field parse. Other boxes have fractional
+        # corners, whose IoUs round. A prediction may copy its ground truth's boxes in
+        # another form, so that some tube IoUs are exactly 1.0.
+        rng = random.Random(11)
+
+        def written(box, form):
+            if form == "int":
+                return box
+            if form == "mixed":
+                return [box[0], float(box[1]), box[2], float(box[3])]
+            return [float(v) for v in box]
+
+        def coordinate(lattice, lo, hi):
+            return rng.randint(lo, hi) if lattice else round(rng.uniform(lo, hi), 3)
+
+        def record(vid, label, start, boxes, form, score=None):
+            rec = {"video_id": vid, "label": label, "start": start, "end": start + len(boxes) - 1,
+                   "boxes": [written(b, form) for b in boxes]}
+            return rec if score is None else dict(rec, score=score)
+
+        forms = ["float", "int", "mixed"]
+        gts, preds = [], []
+        for v in range(6):
+            vid = f"v{v}"
+            for _ in range(rng.randint(1, 3)):
+                label, start, n = rng.randrange(3), rng.randint(0, 10), rng.randint(1, 12)
+                lattice = rng.random() < 0.5
+                x, y = coordinate(lattice, 0, 40), coordinate(lattice, 0, 40)
+                boxes = [[x + f, y, x + f + coordinate(lattice, 1, 20), y + coordinate(lattice, 1, 20)]
+                         for f in range(n)]
+                gts.append(record(vid, label, start, boxes, rng.choice(forms)))
+                preds.append(record(vid, label, start, boxes, rng.choice(forms), score=rng.random()))
+                jittered = [[a + coordinate(lattice, -3, 3), b, c + coordinate(lattice, 4, 6), d]
+                            for a, b, c, d in boxes]
+                preds.append(record(vid, rng.randrange(3), start + rng.randint(0, 2), jittered,
+                                    rng.choice(forms), score=rng.random()))
+        gt, pred = tmp_path / "gt.jsonl", tmp_path / "preds.jsonl"
+        gt.write_text("".join(json.dumps(r) + "\n" for r in gts))
+        pred.write_text("".join(json.dumps(r) + "\n" for r in preds))
+        deltas = "0.05,0.3,0.5,0.7,0.9,0.95,1.0"
+        got, want = tmp_path / "got.jsonl", tmp_path / "want.jsonl"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run("evaluate", str(pred), str(gt), "--deltas", deltas, "--out", str(got)) == 0
+        cfg = EvalConfig(deltas=tuple(map(float, deltas.split(","))))
+        write_report(want, video_map(read_tubes(pred, ("label", "score")), read_tubes(gt, ("label",)), cfg))
+        assert got.read_bytes() == want.read_bytes()
+        # the copied predictions are found at 1.0
+        assert [r["map"] for _, r in loads_records(got) if r["delta"] == 1.0][0] > 0.0
 
     def test_table_text(self, tmp_path, capsys):
         # class 0 found exactly, class 1 at tube IoU 0.4 (4 of its 10 frames), class 2 only predicted
@@ -745,7 +799,7 @@ def test_import_cli_leaves_scipy_unloaded():
 
 
 def test_import_cli_leaves_thread_pool_and_hashlib_unloaded():
-    # only --parallel > 1 needs concurrent.futures, and only synth needs hashlib
+    # no subcommand needs concurrent.futures (--parallel runs serially), and only synth needs hashlib
     code = "import sys, tubekit.cli; print('concurrent.futures' in sys.modules, 'hashlib' in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=SRC_ENV,
@@ -834,9 +888,9 @@ def test_subcommands_leave_no_cyclic_garbage(corpora, tmp_path, case):
     # reference counting frees everything the handler makes. argparse's own
     # parser is cyclic garbage too, so the check is that the count does not
     # grow with the corpus (argparse's count differs between Python versions).
-    # A first call may import a module (concurrent.futures for --parallel 2),
-    # and an import leaves cyclic garbage of its own, once; synth collects
-    # numpy's itself (test_synth_leaves_no_more_cyclic_garbage_than_argparse).
+    # A first call may import a module, and an import leaves cyclic garbage of
+    # its own, once; synth collects numpy's itself
+    # (test_synth_leaves_no_more_cyclic_garbage_than_argparse).
     _cyclic_garbage(_subcommand_argv(case, corpora[2], 2, tmp_path / "warm-up"))
     counts = {}
     for videos, corpus in corpora.items():

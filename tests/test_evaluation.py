@@ -259,14 +259,16 @@ def test_config_refuses_two_thresholds_exactly_when_the_report_writes_them_alike
 
 
 def test_video_map_computes_each_same_video_same_class_iou_once(monkeypatch):
+    # video_map matches each tube as a row that keeps the tube's span object,
+    # so a span's id names its tube
     calls = []
-    real = evaluation.tube_iou
+    real = evaluation._corner_tube_iou
 
-    def counting(p, g):
-        calls.append((id(p), id(g)))
-        return real(p, g)
+    def counting(p_span, p_corners, g_span, g_corners):
+        calls.append((id(p_span), id(g_span)))
+        return real(p_span, p_corners, g_span, g_corners)
 
-    monkeypatch.setattr(evaluation, "tube_iou", counting)
+    monkeypatch.setattr(evaluation, "_corner_tube_iou", counting)
     rng = random.Random(3)
     cfg = EvalConfig(deltas=(0.05, 0.1, 0.2, 0.3, 0.4, 0.5))
     total = 0
@@ -275,8 +277,8 @@ def test_video_map_computes_each_same_video_same_class_iou_once(monkeypatch):
         calls.clear()
         video_map(preds, gts, cfg)
         assert len(calls) == len(set(calls))
-        pred_key = {id(t): (v, t.label) for v, t in preds}
-        gt_key = {id(t): (v, t.label) for v, t in gts}
+        pred_key = {id(t.span): (v, t.label) for v, t in preds}
+        gt_key = {id(t.span): (v, t.label) for v, t in gts}
         assert all(pred_key[p] == gt_key[g] for p, g in calls)
         total += len(calls)
     assert total > 0

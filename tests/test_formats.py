@@ -1041,9 +1041,10 @@ def test_read_scores_keep_matches_the_full_read(records, keep):
         ]
 
 
-# read_tubes(path, boxes=False) checks every record as read_tubes(path) does,
-# every box included, and returns each record's (video_id, span): the same
-# spans as the full read, and the same error on a faulty file.
+# read_tubes(path, boxes=False) and read_tubes(path, boxes="corners") check
+# every record as read_tubes(path) does, every box included, and return each
+# record's (video_id, span), or its (video_id, span, label, score, corners):
+# the same values as the full read, and the same error on a faulty file.
 MISSING = object()
 # float corners whose area overflows, underflows or is not positive
 BAD_AREAS = [[0.0, 0.0, 1e308, 1e308], [0.0, 0.0, 1e-200, 1e-200], [-1e308, 0.0, 1e308, 1.0], [5.0, 0.0, 5.0, 1.0]]
@@ -1076,6 +1077,14 @@ def tube_records(draw):
     return record
 
 
+@pytest.mark.parametrize("boxes", [1, 0, None, "Corners"])
+def test_read_tubes_refuses_another_box_form(tmp_path, boxes):
+    path = tmp_path / "t.jsonl"
+    path.write_text('{"video_id":"v","label":0,"start":0,"end":0,"boxes":[[0.0,0.0,1.0,1.0]]}\n')
+    with pytest.raises(ValueError, match="boxes must be True, False or 'corners'"):
+        read_tubes(path, boxes=boxes)
+
+
 def _tubes_or_error(path, required, **kw):
     try:
         return read_tubes(path, required, **kw)
@@ -1089,8 +1098,16 @@ def test_read_tubes_spans_match_the_full_read(records, required):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "t.jsonl"
         path.write_text("".join(json.dumps(r) + "\n" for r in records))
-        full, spans = _tubes_or_error(path, required), _tubes_or_error(path, required, boxes=False)
+        full = _tubes_or_error(path, required)
+        spans = _tubes_or_error(path, required, boxes=False)
+        rows = _tubes_or_error(path, required, boxes="corners")
     if isinstance(full, tuple):
         assert spans == full
-    else:
-        assert spans == [(vid, t.span) for vid, t in full]
+        assert rows == full
+        return
+    assert spans == [(vid, t.span) for vid, t in full]
+    assert [row[:4] for row in rows] == [(vid, t.span, t.label, t.score) for vid, t in full]
+    for (_, _, _, _, corners), (_, t) in zip(rows, full):
+        # integer corners, which take the field-by-field parse, come back as its floats
+        assert [tuple(c) for c in corners] == [(b.x1, b.y1, b.x2, b.y2) for b in t.boxes]
+        assert all(type(v) is float for c in corners for v in c)

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tubekit import Box2D, TemporalSpan, Tube, box_iou, temporal_iou, tube_iou
-from tubekit.geometry import _interval_runs, runs
+from tubekit.geometry import _corner_iou, _interval_runs, runs
 
 from oracles import _naive_spans, expand_runs
 from test_linking import any_box
@@ -310,6 +310,22 @@ def partner_box(draw, c):
     if kind == "touch_y":
         return (x1, y2, x2, y2 + (y2 - y1)) if y2 + (y2 - y1) < math.inf else draw(free_boxes())
     return draw(free_boxes())
+
+
+@st.composite
+def partnered_boxes(draw):
+    c = draw(free_boxes())
+    return Box2D(*c), Box2D(*draw(partner_box(c)))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.one_of(st.tuples(iou_boxes, iou_boxes), touching_pair(), partnered_boxes()))
+def test_corner_iou_is_bit_equal_to_box_iou(pair):
+    # the per-box kernel of the one tube IoU, on the boxes' corner lists
+    a, b = pair
+    ca, cb = [a.x1, a.y1, a.x2, a.y2], [b.x1, b.y1, b.x2, b.y2]
+    assert _corner_iou(ca, cb).hex() == box_iou(a, b).hex()
+    assert _corner_iou(cb, ca).hex() == box_iou(b, a).hex()
 
 
 @st.composite

@@ -244,9 +244,41 @@ def test_parity_runs_the_pipeline_and_compares_every_file(tmp_path):
             "detections.jsonl", "gt_tubes.jsonl", "scores.jsonl",
             "tubes.jsonl", "predictions.jsonl", "report.jsonl", "actionness.jsonl",
             "predictions_pose_majority.jsonl", "predictions_flow_max.jsonl", "actionness_detections.jsonl",
-            "tubes_w9.jsonl",
+            "tubes_w9.jsonl", "report_tight.jsonl",
         ])
     assert all(same for _, same in parity.compare(sides[0][0], sides[1][0]))
     assert parity.compare({"a": "1", "b": "2"}, {"b": "2", "c": "3", "a": "0"}) == [
         ("a", False), ("b", True), ("c", False),
     ]
+
+
+def _quality():
+    sys.path.insert(0, str(ROOT / "scripts"))  # quality.py imports noise_sweep beside it
+    spec = importlib.util.spec_from_file_location("quality", ROOT / "scripts" / "quality.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# scripts/quality.py's record per workload and seed: tubes extracted, ground-truth
+# tubes, mAP@0.2 and @0.5 with true labels, the same with fused labels, and label
+# accuracy. The evaluator over Box2Ds gave these numbers, and the evaluator over
+# corner lists that replaced it gives them too; a change that moves one says why.
+QUALITY = {
+    ("crowded", 7): (156, 135, 0.9721, 0.8970, 0.9721, 0.8970, 1.0),
+    ("crowded", 13): (147, 135, 0.9923, 0.9923, 0.9923, 0.9923, 1.0),
+    ("many-short", 7): (1105, 800, 0.9940, 0.9435, 0.9940, 0.9435, 1.0),
+    ("many-short", 13): (1100, 800, 0.9939, 0.9478, 0.9939, 0.9478, 1.0),
+    ("long-video", 7): (78, 10, 0.2803, 0.0, 0.2803, 0.0, 1.0),
+    ("long-video", 13): (44, 10, 0.8899, 0.1667, 0.8899, 0.1667, 1.0),
+}
+
+
+@pytest.mark.parametrize("workload, seed", sorted(QUALITY))
+def test_quality_pins_recovery_on_every_workload(workload, seed):
+    quality = _quality()
+    synth = json.loads((ROOT / "perfbench" / "workloads.json").read_text(encoding="utf-8"))["workloads"][workload]["synth"]
+    q = quality.measure(synth, seed)
+    got = (q["tubes"], q["gt_tubes"], *(round(q[k], 4) for k in (
+        "map@0.2", "map@0.5", "fused_map@0.2", "fused_map@0.5", "label_accuracy")))
+    assert got == QUALITY[workload, seed]

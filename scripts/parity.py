@@ -7,8 +7,10 @@ For each workload of ``perfbench/workloads.json``, each side runs the
 benchmark's ``Pipeline`` once: synth, then every step, then ``fuse`` on the
 pose and flow streams (``EXTRA_FUSE``), ``actionness`` gated by the
 detections (``EXTRA_ACTIONNESS``), ``extract-tubes`` at a median window
-of 9 (``EXTRA_TUBES``) and ``evaluate`` at thresholds up to 1.0
-(``EXTRA_REPORT``), each subcommand a fresh
+of 9 (``EXTRA_TUBES``), ``evaluate`` at thresholds up to 1.0
+(``EXTRA_REPORT``), and ``fuse`` and ``actionness`` on the scores file
+with its records in an order shuffled by the seed (``EXTRA_SHUFFLED``),
+each subcommand a fresh
 ``python -m tubekit`` process (``CliRunner``) on that side's src/.
 The parent's files come from ``git archive REV``, and the change's are this
 checkout's files as they are on disk (``bench_pairs.copy_checkout``). The
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 import tempfile
 from pathlib import Path
@@ -51,13 +54,25 @@ EXTRA_TUBES = "tubes_w9.jsonl"
 # tube IoU's last bit can move a match, as at 1.0 only an exact 1.0 counts
 EXTRA_REPORT = "report_tight.jsonl"
 TIGHT_DELTAS = "0.7,0.8,0.9,0.95,1.0"
+# fuse and actionness runs, as the benchmark's own, on the corpus's score records
+# shuffled by the seed: synth writes each set's records together, and here a set's
+# records are split by other sets', so the reader meets a set again after others
+SHUFFLED_SCORES = "scores_shuffled.jsonl"
+EXTRA_SHUFFLED = ("predictions_shuffled.jsonl", "actionness_shuffled.jsonl")
+
+
+def shuffle_lines(src: Path, dest: Path, seed: int) -> None:
+    """``src``'s lines in the order that ``random.Random(seed).shuffle`` gives them, written to ``dest``."""
+    lines = src.read_bytes().splitlines(keepends=True)
+    random.Random(seed).shuffle(lines)
+    dest.write_bytes(b"".join(lines))
 
 
 def run_side(root: Path, workload: dict, seed: int, workdir: Path) -> tuple[dict[str, str], list[str]]:
     """The sha256 of each corpus and output file that ``root``'s src/ writes, and the failures.
 
     The files are those of the benchmark's steps, then those of the EXTRA_FUSE,
-    EXTRA_ACTIONNESS, EXTRA_TUBES and EXTRA_REPORT runs.
+    EXTRA_ACTIONNESS, EXTRA_TUBES, EXTRA_REPORT and EXTRA_SHUFFLED runs.
     """
     workdir.mkdir(parents=True)
     pipe = Pipeline(workload, seed, workdir, pinned=None)
@@ -72,6 +87,12 @@ def run_side(root: Path, workload: dict, seed: int, workdir: Path) -> tuple[dict
     extra[EXTRA_TUBES] = ["extract-tubes", detections, "--median-window", "9", *workload["extract_tubes"]]
     extra[EXTRA_REPORT] = ["evaluate", str(pipe.labeled), str(pipe.corpus / "gt_tubes.jsonl"),
                            "--deltas", TIGHT_DELTAS, *workload["evaluate"]]
+    shuffled = workdir / SHUFFLED_SCORES
+    shuffle_lines(pipe.corpus / "scores.jsonl", shuffled, seed)
+    fuse_name, actionness_name = EXTRA_SHUFFLED
+    extra[fuse_name] = ["fuse", str(shuffled), *workload["fuse"]]
+    extra[actionness_name] = ["actionness", "--scores", str(shuffled), "--tubes", str(pipe.labeled),
+                              *workload["actionness"]]
     for name, argv in extra.items():
         out = workdir / name
         inv = runner([*argv, "--out", str(out)])

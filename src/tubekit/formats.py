@@ -35,9 +35,15 @@ that ends at its newline, as every writer's line does, and with
 values. It checks a record once: the common record in one inline test,
 after which its objects are built without a second check; any other
 record is parsed again field by field, which names its first fault.
-``read_scores`` can be told which (stream, granularity, crop_id) entries
-to build: it checks every record in full, builds only those, and returns
-every set that the file names, with only its kept entries. ``read_tubes``
+``read_scores``'s inline test finds a record's values all floats in one
+C-level pass. It accepts records in any order, a set's records
+interleaved with other sets', and looks a set up once per run of
+consecutive records of it (video, stream, granularity): a file that
+holds each set's records together, as ``write_scores`` writes it, costs
+one lookup per set. ``read_scores`` can be told which (stream,
+granularity, crop_id) entries to build: it checks every record in full,
+builds only those, and returns every set that the file names, with only
+its kept entries. ``read_tubes``
 checks every box by the same rule in each of its three box forms: it
 builds a ``Box2D`` per box; or no box, returning each record's video and
 span; or no box, returning each record's video, span, label, score and
@@ -330,6 +336,8 @@ def write_scores(path, sets: Iterable[StreamScoreSet]) -> None:
 
 
 _SCORE_FIELDS = ("video_id", "stream", "granularity", "crop_id", "kind", "clip_start", "values")
+# the types of a non-empty list of floats, tested in one C-level pass: set(map(type, values))
+_FLOAT_TYPE = frozenset({float})
 
 
 def _check_class_count(path, line_no, k: int, file_k: int) -> None:
@@ -374,6 +382,8 @@ def read_scores(path, keep=None) -> dict[tuple[str, str, str], StreamScoreSet]:
     within each set, and a ``prob`` vector must sum to 1 within PROB_SUM_TOL.
     A set holds at most one record per (clip_start, crop_id). The sets are
     built unchecked: each record was checked here, with its line number.
+    Records may come in any order; a set is looked up once per run of its
+    consecutive records.
 
     ``keep``, if given, holds the (stream, granularity, crop_id) triples
     whose entries to build. A record it refuses is checked in full, the
@@ -385,6 +395,9 @@ def read_scores(path, keep=None) -> dict[tuple[str, str, str], StreamScoreSet]:
     # per set: the kind of its first record, and its entries by unit (None for a refused record)
     groups: dict[tuple[str, str, str], tuple[str, dict[tuple[int, str], ClipScore | None]]] = {}
     file_k = None
+    # the set of the previous record: a file holds a set's records one after another,
+    # so a set is looked up once per run of its records, yet records come in any order
+    cur_vid = cur_stream = cur_gran = set_kind = units = None
     for line_no, record in _iter_records(path):
         vid, stream, gran, crop, kind, clip_start, values = map(record.get, _SCORE_FIELDS)
         # The checks of ClipScore and ScoreVector, made once, here, on a record whose
@@ -394,8 +407,8 @@ def read_scores(path, keep=None) -> dict[tuple[str, str, str], StreamScoreSet]:
             type(vid) is str and stream in STREAMS and gran in GRANULARITIES
             and crop in FIXED_CROPS and kind in KINDS
             and type(clip_start) is int and clip_start >= 0
-            and type(values) is list and values
-            and all(type(v) is float for v in values) and all(map(math.isfinite, values))
+            and type(values) is list and set(map(type, values)) == _FLOAT_TYPE  # non-empty, all floats
+            and all(map(math.isfinite, values))
             and (kind == "raw" or 0.0 <= min(values) and max(values) <= 1.0)
         ):
             if keep is None or (stream, gran, crop) in keep:
@@ -416,7 +429,12 @@ def read_scores(path, keep=None) -> dict[tuple[str, str, str], StreamScoreSet]:
             total = math.fsum(values)
             if abs(total - 1.0) > PROB_SUM_TOL:
                 raise ParseError(path, line_no, "values", f"probability vector sums to {total}, not 1")
-        set_kind, units = groups.setdefault((vid, stream, gran), (kind, {}))
+        if vid != cur_vid or stream != cur_stream or gran != cur_gran:
+            cur_vid, cur_stream, cur_gran = vid, stream, gran
+            group = groups.get((vid, stream, gran))
+            if group is None:
+                group = groups[vid, stream, gran] = (kind, {})
+            set_kind, units = group
         if kind != set_kind:
             raise ParseError(path, line_no, "kind", f"video {_shown(vid)} {stream}/{gran}: mixed raw/prob score kinds in one set")
         unit = (clip_start, crop)

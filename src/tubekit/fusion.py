@@ -1,12 +1,17 @@
 """Score-level arithmetic: softmax, aggregation, actionness, localization.
 
 All means use exactly-rounded summation (math.fsum), which makes the
-aggregations permutation invariant down to the last bit.
+aggregations permutation invariant down to the last bit. Every mean of
+vectors here comes from one column-mean kernel, ``_column_means``, over
+value tuples.
 
 A video's scores are constant over runs of frames, one clip's worth or
 less, so its actionness is kept as ``(length, value)`` runs, as is every
-per-frame signal here: ``frame_scores_from_clips`` returns
-``(length, vector)`` runs, ``compose_actionness`` cuts the three
+per-frame signal here: ``_clip_runs``, the one clip-to-frame run
+builder, returns ``(length, values)`` runs of value tuples, which
+``_prob_runs`` reads for one class's probability and
+``frame_scores_from_clips`` returns as ``(length, vector)`` runs of
+``ScoreVector``s; ``compose_actionness`` cuts the three
 streams' runs and the gate's at the union of their boundaries and
 computes ``actionness`` once per piece, ``temporal_localize`` finds the
 spans with ``geometry.runs`` and ``tube_actionness`` reads the pieces.
@@ -187,18 +192,24 @@ def _mean(column: Sequence[float]) -> float:
         return math.ldexp(_scaled_fsum(column, e) / n, e)
 
 
-def _elementwise_mean(vectors: Sequence[ScoreVector]) -> ScoreVector:
-    """``_mean`` of each column, the columns in class order and each in vector order.
+def _column_means(rows: Sequence[Sequence[float]]) -> tuple[float, ...]:
+    """``_mean`` of each column of equal-length rows, the columns in order and each in row order.
 
-    Each column is summed by fsum, never added up pairwise: ``-0.0 + -0.0``
-    is ``-0.0`` where fsum gives ``0.0``, and a pair of huge terms can
-    overflow where their mean does not.
+    The column-mean kernel of every mean here. Each column is summed by
+    fsum, never added up pairwise: ``-0.0 + -0.0`` is ``-0.0`` where fsum
+    gives ``0.0``, and a pair of huge terms can overflow where their mean
+    does not. Rows of unequal length raise ValueError.
     """
-    rows, n = [v.values for v in vectors], len(vectors)
+    n = len(rows)
     try:
-        values = tuple([math.fsum(col) / n for col in zip(*rows, strict=True)])
+        return tuple([math.fsum(col) / n for col in zip(*rows, strict=True)])
     except OverflowError:
-        values = tuple(map(_mean, zip(*rows, strict=True)))
+        return tuple(map(_mean, zip(*rows, strict=True)))
+
+
+def _elementwise_mean(vectors: Sequence[ScoreVector]) -> ScoreVector:
+    """``_column_means`` of the vectors' values: ``_mean`` of each class's column, in vector order."""
+    values = _column_means([v.values for v in vectors])
     # every vector's kind is "raw" or "prob"
     return _unchecked(ScoreVector, values=values, kind="raw" if "raw" in map(_kind, vectors) else "prob")
 
@@ -291,27 +302,23 @@ def fuse_video(groups: Sequence[Sequence[ScoreVector]], method: str) -> tuple[in
     return _majority_label(final.values, groups) if method == "majority" else final.argmax(), final
 
 
-def frame_scores_from_clips(scores: StreamScoreSet, video_len: int) -> list[tuple[int, ScoreVector]]:
-    """Distribute clip-level scores to every frame of the video, as runs of frames.
+def _clip_runs(scores: StreamScoreSet, video_len: int) -> list[tuple[int, tuple[float, ...]]]:
+    """Clip-level scores distributed to the frames ``[0, video_len)``, as ``(length, values)`` runs.
 
-    Each clip contributes its crop-mean vector to the frames it covers. A
-    frame covered by several clips gets their arithmetic mean, and a frame
-    covered by none gets the vector of the nearest covering clip (earlier
-    clip wins distance ties).
-
-    Returns one ``(length, vector)`` per maximal run of frames that take
-    their vector from the same clips, in frame order; the lengths sum to
-    ``video_len``, and neighbouring runs never share a vector object.
+    The one clip-to-frame run builder: ``frame_scores_from_clips`` is its
+    ``ScoreVector`` view, and ``_prob_runs`` reads it directly. Each clip's
+    values are its crops' ``_column_means``, and a run owned by several
+    clips takes their ``_column_means``.
     """
     if video_len <= 0:
         raise ValueError(f"video_len must be positive, got {video_len}")
     if not scores.entries:
         raise ValueError("score set has no entries")
-    by_start: dict[int, list[ScoreVector]] = {}
+    by_start: dict[int, list[tuple[float, ...]]] = {}
     for e in scores.entries:
-        by_start.setdefault(e.clip_start, []).append(e.vector)
+        by_start.setdefault(e.clip_start, []).append(e.vector.values)
     starts = sorted(by_start)
-    clips = [_elementwise_mean(by_start[s]) for s in starts]
+    clips = [_column_means(by_start[s]) for s in starts]
 
     # Each clip owns the frames [first, end): those it covers, and those of a
     # gap it is nearest to. mid is the first gap frame strictly nearer the
@@ -325,11 +332,31 @@ def frame_scores_from_clips(scores: StreamScoreSet, video_len: int) -> list[tupl
     ends.append(math.inf)
     cuts = sorted({0, video_len, *firsts, *ends})
     cuts = cuts[:cuts.index(video_len) + 1]
-    out: list[tuple[int, ScoreVector]] = []
+    out = []
     for a, b in zip(cuts, cuts[1:]):
         lo, hi = bisect_right(ends, a), bisect_right(firsts, a)
-        out.append((b - a, clips[lo] if hi - lo == 1 else _elementwise_mean(clips[lo:hi])))
+        out.append((b - a, clips[lo] if hi - lo == 1 else _column_means(clips[lo:hi])))
     return out
+
+
+def frame_scores_from_clips(scores: StreamScoreSet, video_len: int) -> list[tuple[int, ScoreVector]]:
+    """Distribute clip-level scores to every frame of the video, as runs of frames.
+
+    Each clip contributes its crop-mean vector to the frames it covers. A
+    frame covered by several clips gets their arithmetic mean, and a frame
+    covered by none gets the vector of the nearest covering clip (earlier
+    clip wins distance ties).
+
+    Returns one ``(length, vector)`` per maximal run of frames that take
+    their vector from the same clips, in frame order; the lengths sum to
+    ``video_len``, and neighbouring runs never share a vector object. This
+    is the ``ScoreVector`` view of ``_clip_runs``, the one run builder,
+    whose means are ``_column_means``, the one column-mean kernel; each
+    vector has the set's kind.
+    """
+    value_runs = _clip_runs(scores, video_len)
+    kind = scores.entries[0].vector.kind  # a set holds one kind
+    return [(n, _unchecked(ScoreVector, values=values, kind=kind)) for n, values in value_runs]
 
 
 def actionness(s_pose: float, s_rgb: float, s_flow: float) -> float:
@@ -371,14 +398,14 @@ def compose_actionness(
 
 
 def _prob_runs(scores: StreamScoreSet, length: int, cls: int) -> list[tuple[int, float]]:
-    """``(length, probability of cls)`` per run of ``frame_scores_from_clips``: ``softmax``'s entry, to the bit."""
+    """``(length, probability of cls)`` per run of ``_clip_runs``: ``softmax``'s entry, to the bit."""
+    value_runs = _clip_runs(scores, length)
+    if scores.entries[0].vector.kind == "prob":  # a set holds one kind
+        return [(n, values[cls]) for n, values in value_runs]
     out = []
-    for n, vec in frame_scores_from_clips(scores, length):
-        if vec.kind == "raw":
-            exps, total = _softmax_terms(vec.values)
-            out.append((n, exps[cls] / total))
-        else:
-            out.append((n, vec.values[cls]))
+    for n, values in value_runs:
+        exps, total = _softmax_terms(values)
+        out.append((n, exps[cls] / total))
     return out
 
 

@@ -769,6 +769,36 @@ def test_read_scores_same_unit_in_two_sets(tmp_path):
     assert [len(s.entries) for s in sets.values()] == [1, 1]
 
 
+def _score_line(vid="v", stream="rgb", clip_start=0, crop="center", kind="raw", values="[0.25,0.75]"):
+    return _json_object(video_id=json.dumps(vid), stream=json.dumps(stream), granularity='"net16"',
+                        clip_start=str(clip_start), crop_id=json.dumps(crop), kind=json.dumps(kind),
+                        values=values) + "\n"
+
+
+# read_scores looks a set up once per run of its consecutive records; a set whose
+# records another set's split keeps every check across the split
+@pytest.mark.parametrize("values", ["[0.5,0.5]", "[1,0]"], ids=["floats", "integers"])
+def test_read_scores_repeated_unit_after_another_set_error_text(tmp_path, values):
+    path = tmp_path / "s.jsonl"
+    path.write_text(_score_line() + _score_line(clip_start=8) + _score_line(stream="flow")
+                    + _score_line(clip_start=16) + _score_line(values=values))
+    with pytest.raises(ParseError) as err:
+        read_scores(path)
+    assert str(err.value) == (
+        f"{path}, line 5, field 'crop_id': video 'v' rgb/net16: repeated record for clip_start 0, crop_id 'center'"
+    )
+
+
+@pytest.mark.parametrize("values", ["[0.25,0.75]", "[0,1]"], ids=["floats", "integers"])
+def test_read_scores_kind_change_after_another_set_error_text(tmp_path, values):
+    path = tmp_path / "s.jsonl"
+    path.write_text(_score_line() + _score_line(vid="w", kind="prob") + _score_line(vid="w", clip_start=8, kind="prob")
+                    + _score_line(clip_start=8, kind="prob", values=values))
+    with pytest.raises(ParseError) as err:
+        read_scores(path)
+    assert str(err.value) == f"{path}, line 4, field 'kind': video 'v' rgb/net16: mixed raw/prob score kinds in one set"
+
+
 def test_read_scores_empty_first_vector_error_text(tmp_path):
     path = tmp_path / "s.jsonl"
     path.write_text(_scores(values="[]").splitlines()[1] + "\n")
@@ -1039,6 +1069,49 @@ def test_read_scores_keep_matches_the_full_read(records, keep):
         assert [_entry_bits(e) for e in kept[key].entries] == [
             _entry_bits(e) for e in s.entries if (s.stream, s.granularity, e.crop_id) in keep
         ]
+
+
+@st.composite
+def interleaved_scores(draw):
+    """Valid score records of a few sets, each set's records in a drawn order, the sets' records interleaved."""
+    keys = draw(st.lists(st.tuples(st.sampled_from(["v", "w"]), st.sampled_from(formats.STREAMS),
+                                   st.sampled_from(formats.GRANULARITIES)), min_size=1, max_size=4, unique=True))
+    records = []
+    for vid, stream, gran in keys:
+        kind = draw(st.sampled_from(["raw", "prob"]))
+        units = draw(st.lists(st.tuples(st.sampled_from([0, 8, 16]), st.sampled_from(KEEP_CROPS)),
+                              min_size=1, max_size=5, unique=True))
+        for clip_start, crop in units:
+            if kind == "prob":
+                p = draw(st.floats(0.0, 1.0))
+                values = [p, 1.0 - p]
+            else:
+                values = draw(st.lists(st.one_of(st.floats(-2.0, 2.0), st.sampled_from([0, 1])),
+                                       min_size=2, max_size=2))
+            records.append({"video_id": vid, "stream": stream, "granularity": gran, "clip_start": clip_start,
+                            "crop_id": crop, "kind": kind, "values": values})
+    return draw(st.permutations(records))
+
+
+@given(interleaved_scores(), st.one_of(st.none(), st.sets(st.sampled_from(TRIPLES))))
+@settings(max_examples=200, deadline=None)
+def test_read_scores_of_interleaved_records_match_the_records_in_set_order(records, keep):
+    # the same records, each set's together, the sets in order of first appearance
+    first = {}
+    for r in records:
+        first.setdefault((r["video_id"], r["stream"], r["granularity"]), len(first))
+    grouped = sorted(records, key=lambda r: first[r["video_id"], r["stream"], r["granularity"]])
+    reads = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, recs in (("interleaved", records), ("grouped", grouped)):
+            path = Path(tmp) / f"{name}.jsonl"
+            path.write_text("".join(json.dumps(r) + "\n" for r in recs))
+            reads.append(read_scores(path, keep))
+    interleaved, in_set_order = reads
+    assert list(interleaved) == list(in_set_order) == list(first)
+    for key, s in in_set_order.items():
+        assert interleaved[key] == s
+        assert [_entry_bits(e) for e in interleaved[key].entries] == [_entry_bits(e) for e in s.entries]
 
 
 # read_tubes(path, boxes=False) and read_tubes(path, boxes="corners") check

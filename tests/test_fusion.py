@@ -449,13 +449,18 @@ class TestComposeActionness:
             compose_actionness([(1, 0.5)], [(1, 1.0)], [(1, 1.0)], [(1, True), (1, False)])
 
 
+# values with +-1e308 often enough that a column's fsum overflows, over two crops of
+# one clip or over two clips that share a run, and takes _mean's scaled path
+huge_or_wide = st.one_of(wide, st.sampled_from([1e308, -1e308]))
+
+
 def stream_set(draw, stream, video_len, k):
     """A stream's score set with a clip layout of its own: gaps, repeated starts, starts past the end."""
     prob = draw(st.booleans())
     entries = []
     for start in draw(st.lists(st.integers(0, video_len + CLIP_LEN), min_size=1, max_size=6)):
         for crop in draw(st.lists(st.sampled_from(FIXED_CROPS), min_size=1, max_size=2)):
-            v = ScoreVector(tuple(draw(st.lists(wide, min_size=k, max_size=k))))
+            v = ScoreVector(tuple(draw(st.lists(huge_or_wide, min_size=k, max_size=k))))
             entries.append(ClipScore(start, crop, softmax(v) if prob else v))
     return StreamScoreSet(video_id="v", stream=stream, granularity="net16", entries=tuple(entries))
 

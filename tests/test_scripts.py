@@ -238,14 +238,20 @@ def test_parity_runs_the_pipeline_and_compares_every_file(tmp_path):
         "extract_tubes": [], "fuse": [], "evaluate": [], "actionness": ["--class", "0", "--threshold", "0.3"],
     }
     sides = [parity.run_side(ROOT, workload, 13, tmp_path / side) for side in ("a", "b")]
-    for digests, failures in sides:
+    for side, (digests, failures) in zip(("a", "b"), sides):
         assert failures == []
         assert sorted(digests) == sorted([
             "detections.jsonl", "gt_tubes.jsonl", "scores.jsonl",
             "tubes.jsonl", "predictions.jsonl", "report.jsonl", "actionness.jsonl",
             "predictions_pose_majority.jsonl", "predictions_flow_max.jsonl", "actionness_detections.jsonl",
-            "tubes_w9.jsonl", "report_tight.jsonl",
+            "tubes_w9.jsonl", "report_tight.jsonl", "predictions_shuffled.jsonl", "actionness_shuffled.jsonl",
         ])
+        # the corpus's score records in another order give the same fuse and actionness outputs
+        lines = (tmp_path / side / "corpus" / "scores.jsonl").read_bytes().splitlines()
+        shuffled = (tmp_path / side / parity.SHUFFLED_SCORES).read_bytes().splitlines()
+        assert shuffled != lines and sorted(shuffled) == sorted(lines)
+        assert digests["predictions_shuffled.jsonl"] == digests["predictions.jsonl"]
+        assert digests["actionness_shuffled.jsonl"] == digests["actionness.jsonl"]
     assert all(same for _, same in parity.compare(sides[0][0], sides[1][0]))
     assert parity.compare({"a": "1", "b": "2"}, {"b": "2", "c": "3", "a": "0"}) == [
         ("a", False), ("b", True), ("c", False),
